@@ -36,13 +36,6 @@ from .sim import (
     RegisterLayout,
     StatePrep,
     StateVector,
-    apply,
-    apply_adjoint,
-    apply_diagonal_phase,
-    apply_hadamard_layer,
-    apply_phase_ladder,
-    apply_qft,
-    apply_qft_inverse,
     zero_state,
 )
 from .encoding import (

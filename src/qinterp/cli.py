@@ -41,7 +41,7 @@ from .patterns import (
     prepare_nu2,
     quantum_interpolate,
 )
-from .sim import RegisterLayout, zero_state
+from .sim import RegisterLayout, check_capacity, zero_state
 from .stateio import format_value, state_to_json, sweep_to_csv
 from .svgchart import render_state_svg
 
@@ -58,7 +58,20 @@ _DOMAIN_NAMES = {
 
 
 def _parse_domain(name: str) -> EncodingDomain:
-    return _DOMAIN_NAMES[name]
+    try:
+        return _DOMAIN_NAMES[name]
+    except KeyError:
+        raise ParseError(f"unknown domain {name!r}; expected one of {sorted(_DOMAIN_NAMES)}") from None
+
+
+def _finite_floats(tokens: list[str], what: str) -> np.ndarray:
+    try:
+        values = np.array([float(tok) for tok in tokens], dtype=np.float64)
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise ParseError(f"{what}: values must be finite")
+    return values
 
 
 def _write_output(text: str, path: str | None):
@@ -82,16 +95,13 @@ def _cmd_encode(args) -> int:
 
 
 def _load_table_prep(path: str, width: int):
-    values = []
+    tokens = []
     text = Path(path).read_text(encoding="utf-8")
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        values.extend(float(tok) for tok in line.split())
-    if len(values) != (1 << width):
-        raise ParseError(f"table holds {len(values)} values, expected {1 << width}")
-    table = np.asarray(values, dtype=np.float64)
+        tokens.extend(raw.split("#", 1)[0].split())
+    table = _finite_floats(tokens, f"table {path}")
+    if table.size != (1 << width):
+        raise ParseError(f"table holds {table.size} values, expected {1 << width}")
     norm = np.linalg.norm(table)
     if norm == 0:
         raise NormalizationError("table of all zeros cannot be loaded")
@@ -100,6 +110,7 @@ def _load_table_prep(path: str, width: int):
 
 def _interp_source(source: str, width: int):
     """Returns (preparation circuit, exact function or None)."""
+    check_capacity(width)
     if source == "nu2":
         modulus = 1 << width
         return (
@@ -164,7 +175,7 @@ def _parse_config(text: str) -> dict[str, str]:
 def _config_vector(source: str, length: int, builtins: dict[str, np.ndarray]) -> np.ndarray:
     if source in builtins:
         return builtins[source]
-    values = np.array([float(tok) for tok in source.split()], dtype=np.float64)
+    values = _finite_floats(source.split(), "config values")
     if values.size != length:
         raise ParseError(f"expected {length} values, got {values.size}")
     return values
@@ -179,7 +190,14 @@ def _load_sum_config(path: str):
         raise ParseError(f"config is missing required key {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"bad register width: {exc}") from exc
-    scale = int(entries.get("scale", "1"))
+    for width in (key_width, value_width, key_width + value_width):
+        check_capacity(width)
+    try:
+        scale = int(entries.get("scale", "1"))
+    except ValueError as exc:
+        raise ParseError(f"bad scale: {exc}") from None
+    if scale < 1:
+        raise ParseError(f"scale must be a positive integer, got {scale}")
     domain = _parse_domain(entries.get("domain", "unsigned"))
     n = 1 << key_width
     m = 1 << value_width
@@ -330,7 +348,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

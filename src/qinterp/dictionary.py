@@ -112,6 +112,8 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> BinaryPolynomial
             coef = float(coef_part.strip())
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad coefficient {coef_part.strip()!r}") from exc
+        if not math.isfinite(coef):
+            raise ParseError(f"line {lineno}: coefficient {coef_part.strip()!r} is not finite")
         term_part = term_part.strip()
         mask = 0
         if term_part != "1":

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .kernels import EncodingDomain, normalize_to_domain
 from .sim import (
@@ -121,10 +119,3 @@ def encode_value_real(width: int, t: float, domain: EncodingDomain = EncodingDom
     """Encode ``t`` with real amplitudes equal to the kernel coefficients."""
     return real_encoding_circuit(width, t, domain).apply(zero_state(width))
 
-
-def expected_real_amplitudes(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> np.ndarray:
-    """Kernel row the corrected encoder must reproduce (classical reference)."""
-    from .kernels import fejer_kernel_row
-
-    enc = ValueEncoding(width, t, domain)
-    return fejer_kernel_row(enc.modulus, enc.normalized_target)

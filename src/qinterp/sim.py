@@ -7,6 +7,11 @@ with ``apply``, ``adjoint`` and ``shifted``; a :class:`Circuit` is a plain
 sequence of them.  States are immutable; applying an operation returns a new
 :class:`StateVector`.
 
+Each operation is one numpy transform of the amplitude buffer.  The Fourier
+transform is one unitary FFT along the register axis.  Controlled operations
+act on a view with one length-2 axis per qubit, each control axis sliced to
+its set half, so no index array is built.
+
 Qubit convention: qubit 0 is the least significant bit of the basis index.
 A :class:`RegisterLayout` places the value register on the low-order qubits,
 so the value amplitudes of key ``k`` form the contiguous slice
@@ -15,17 +20,13 @@ so the value amplitudes of key ``k`` form the contiguous slice
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import CapacityError, LayoutError, NormalizationError
 
 MAX_QUBITS = 24
-
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -132,14 +133,16 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def whole_register(self) -> Register:
-        return Register(0, self.num_qubits)
+
+def check_capacity(num_qubits: int):
+    """Raise :class:`CapacityError` unless a state of this width is supported."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise CapacityError(f"qubit count {num_qubits} outside supported range 1..{MAX_QUBITS}")
 
 
 def zero_state(num_qubits: int) -> StateVector:
     """The all-zeros computational basis state."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise CapacityError(f"qubit count {num_qubits} outside supported range 1..{MAX_QUBITS}")
+    check_capacity(num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
@@ -160,12 +163,16 @@ def _require_controls(state: StateVector, controls: tuple[int, ...], register: R
             raise LayoutError(f"control qubit {q} overlaps the target register")
 
 
-def _control_mask(dim: int, controls: tuple[int, ...]) -> np.ndarray:
-    bits = 0
+def _qubit_view(amps: np.ndarray, num_qubits: int, controls: tuple[int, ...]) -> np.ndarray:
+    """View with one length-2 axis per qubit, each control axis sliced to its set half.
+
+    Qubit ``q`` sits on axis ``num_qubits - 1 - q``, so writing through the view
+    touches exactly the amplitudes whose control bits are all set.
+    """
+    index = [slice(None)] * num_qubits
     for q in controls:
-        bits |= 1 << q
-    idx = np.arange(dim)
-    return (idx & bits) == bits
+        index[num_qubits - 1 - q] = slice(1, 2)
+    return amps.reshape((2,) * num_qubits)[tuple(index)]
 
 
 def _register_view(amps: np.ndarray, register: Register) -> np.ndarray:
@@ -198,10 +205,11 @@ class HadamardLayer(Operation):
         amps = state.amplitudes.copy()
         for q in self.register.qubits():
             pairs = amps.reshape(-1, 2, 1 << q)
-            lo = pairs[:, 0, :].copy()
-            hi = pairs[:, 1, :]
-            pairs[:, 0, :] = (lo + hi) * _SQRT1_2
-            pairs[:, 1, :] = (lo - hi) * _SQRT1_2
+            lo, hi = pairs[:, 0, :], pairs[:, 1, :]
+            lo += hi  # a + b
+            hi *= -2.0
+            hi += lo  # a - b
+        amps *= 2.0 ** (-self.register.width / 2)
         return StateVector(state.num_qubits, amps)
 
     def adjoint(self) -> "HadamardLayer":
@@ -227,14 +235,12 @@ class PhaseLadder(Operation):
     def apply(self, state: StateVector) -> StateVector:
         _require_register(state, self.register)
         _require_controls(state, self.controls, self.register)
-        ramp = np.exp(1j * self.theta * np.arange(self.register.size))
-        if not self.controls:
-            amps = state.amplitudes.copy()
-            _register_view(amps, self.register)[:] *= ramp[None, :, None]
-            return StateVector(state.num_qubits, amps)
-        local = (np.arange(state.dim) >> self.register.offset) & (self.register.size - 1)
-        phase = np.where(_control_mask(state.dim, self.controls), ramp[local], 1.0)
-        return StateVector(state.num_qubits, state.amplitudes * phase)
+        reg = self.register
+        ramp = np.exp(1j * self.theta * np.arange(reg.size))
+        amps = state.amplitudes.copy()
+        view = _qubit_view(amps, state.num_qubits, self.controls)
+        view *= ramp.reshape((2,) * reg.width + (1,) * reg.offset)
+        return StateVector(state.num_qubits, amps)
 
     def adjoint(self) -> "PhaseLadder":
         return PhaseLadder(self.register, -self.theta, self.controls)
@@ -260,11 +266,10 @@ class ControlledPhase(Operation):
 
     def apply(self, state: StateVector) -> StateVector:
         _require_controls(state, self.controls, None)
-        factor = np.exp(1j * self.angle)
-        if not self.controls:
-            return StateVector(state.num_qubits, state.amplitudes * factor)
-        phase = np.where(_control_mask(state.dim, self.controls), factor, 1.0)
-        return StateVector(state.num_qubits, state.amplitudes * phase)
+        amps = state.amplitudes.copy()
+        view = _qubit_view(amps, state.num_qubits, self.controls)
+        view *= np.exp(1j * self.angle)
+        return StateVector(state.num_qubits, amps)
 
     def adjoint(self) -> "ControlledPhase":
         return ControlledPhase(self.controls, -self.angle)
@@ -301,53 +306,22 @@ class DiagonalPhase(Operation):
 
 @dataclass(frozen=True, eq=False)
 class QftGate(Operation):
-    """Quantum Fourier transform on one register, bit reversal included.
+    """Quantum Fourier transform on one register, as one unitary FFT.
 
     The inverse direction realizes ``y_j = (1/sqrt(W)) sum_k x_k e^{-2 pi i jk / W}``
-    on the register axis, i.e. the unitary DFT; the forward direction is its
-    adjoint (positive sign).
+    on the register axis, i.e. the unitary DFT computed by ``np.fft.fft`` with
+    ``norm="ortho"``; the forward direction is its adjoint (positive sign,
+    ``np.fft.ifft``).
     """
 
     register: Register
     inverse: bool = False
 
-    def _steps(self) -> list[tuple]:
-        # forward QFT: for each target from the top, H then conditioning phases
-        reg = self.register
-        steps: list[tuple] = []
-        for i in reversed(range(reg.width)):
-            steps.append(("h", reg.offset + i))
-            for j in reversed(range(i)):
-                steps.append(("cp", reg.offset + j, reg.offset + i, math.pi / (1 << (i - j))))
-        steps.append(("rev",))
-        return steps
-
     def apply(self, state: StateVector) -> StateVector:
         _require_register(state, self.register)
-        steps = self._steps()
-        if self.inverse:
-            steps = [(s[0], *s[1:-1], -s[-1]) if s[0] == "cp" else s for s in reversed(steps)]
-        amps = state.amplitudes.copy()
-        for step in steps:
-            if step[0] == "h":
-                q = step[1]
-                pairs = amps.reshape(-1, 2, 1 << q)
-                lo = pairs[:, 0, :].copy()
-                hi = pairs[:, 1, :]
-                pairs[:, 0, :] = (lo + hi) * _SQRT1_2
-                pairs[:, 1, :] = (lo - hi) * _SQRT1_2
-            elif step[0] == "cp":
-                amps *= np.where(
-                    _control_mask(amps.size, (step[1], step[2])), np.exp(1j * step[3]), 1.0
-                )
-            else:  # bit reversal of the register index (an involution)
-                w = self.register.width
-                rev = np.zeros(self.register.size, dtype=np.intp)
-                for k in range(self.register.size):
-                    rev[k] = int(format(k, f"0{w}b")[::-1], 2)
-                view = _register_view(amps, self.register)
-                view[:] = view[:, rev, :]
-        return StateVector(state.num_qubits, amps)
+        transform = np.fft.fft if self.inverse else np.fft.ifft
+        out = transform(_register_view(state.amplitudes, self.register), axis=1, norm="ortho")
+        return StateVector(state.num_qubits, out.reshape(-1))
 
     def adjoint(self) -> "QftGate":
         return QftGate(self.register, not self.inverse)
@@ -433,37 +407,3 @@ class Circuit:
             raise LayoutError("cannot chain circuits of different widths")
         return Circuit(self.num_qubits, self.ops + other.ops)
 
-
-def apply(state: StateVector, *operations: Operation | Circuit) -> StateVector:
-    for op in operations:
-        state = op.apply(state)
-    return state
-
-
-def apply_adjoint(state: StateVector, operation: Operation | Circuit) -> StateVector:
-    """Apply the reversed, conjugate-transposed gate sequence."""
-    return operation.adjoint().apply(state)
-
-
-def apply_hadamard_layer(state: StateVector, register: Register) -> StateVector:
-    return HadamardLayer(register).apply(state)
-
-
-def apply_phase_ladder(
-    state: StateVector, register: Register, theta: float, controls: Iterable[int] = ()
-) -> StateVector:
-    return PhaseLadder(register, theta, tuple(controls)).apply(state)
-
-
-def apply_qft(state: StateVector, register: Register) -> StateVector:
-    return QftGate(register, inverse=False).apply(state)
-
-
-def apply_qft_inverse(state: StateVector, register: Register) -> StateVector:
-    return QftGate(register, inverse=True).apply(state)
-
-
-def apply_diagonal_phase(state: StateVector, phase_fn: Callable[[int], float]) -> StateVector:
-    """Diagonal phase over the full basis: ``|x> -> e^{i phase_fn(x)} |x>``."""
-    phases = np.array([phase_fn(x) for x in range(state.dim)], dtype=np.float64)
-    return DiagonalPhase(state.whole_register(), phases).apply(state)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qinterp.cli import main
 from qinterp.stateio import state_from_json
@@ -221,6 +222,85 @@ class TestSum:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "sum", "/nonexistent/config.cfg")
         assert code == 2
+
+
+class TestMalformedInput:
+    """Bad input exits 2 (usage) or 3 (capacity) with one ``error:`` line, never a traceback."""
+
+    def sum_error(self, tmp_path, capsys, extra):
+        config = tmp_path / "sum.cfg"
+        config.write_text("n = 2\nm = 2\npoly = 1.0: 1; 0.5: k0\n" + extra)
+        code, out, err = run(capsys, "sum", str(config))
+        assert out == ""
+        assert err.startswith("error: ")
+        return code, err
+
+    def test_non_integer_scale(self, tmp_path, capsys):
+        code, err = self.sum_error(tmp_path, capsys, "scale = abc\n")
+        assert code == 2
+        assert "scale" in err
+
+    def test_non_positive_scale(self, tmp_path, capsys):
+        code, err = self.sum_error(tmp_path, capsys, "scale = 0\n")
+        assert code == 2
+        assert "scale" in err
+
+    def test_unknown_domain(self, tmp_path, capsys):
+        code, err = self.sum_error(tmp_path, capsys, "domain = bogus\n")
+        assert code == 2
+        assert "bogus" in err
+
+    @pytest.mark.parametrize("key", ["weights", "hash"])
+    def test_non_numeric_vector_token(self, tmp_path, capsys, key):
+        code, err = self.sum_error(tmp_path, capsys, f"{key} = 1 x 1 1\n")
+        assert code == 2
+        assert "'x'" in err
+
+    @pytest.mark.parametrize("key", ["weights", "hash"])
+    def test_non_finite_vector_value(self, tmp_path, capsys, key):
+        code, err = self.sum_error(tmp_path, capsys, f"{key} = 1 nan 1 1\n")
+        assert code == 2
+        assert "finite" in err
+
+    def test_non_finite_poly_coefficient(self, tmp_path, capsys):
+        config = tmp_path / "sum.cfg"
+        config.write_text("n = 2\nm = 2\npoly = nan: 1\n")
+        code, _, err = run(capsys, "sum", str(config))
+        assert code == 2
+        assert "not finite" in err
+
+    def test_key_width_over_cap_rejected_before_allocation(self, tmp_path, capsys):
+        config = tmp_path / "sum.cfg"
+        config.write_text("n = 40\nm = 2\npoly = 1.0: 1\n")
+        code, _, err = run(capsys, "sum", str(config))
+        assert code == 3
+        assert "qubit count 40" in err
+
+    @pytest.mark.parametrize("source", ["nu2", "lambda"])
+    def test_interpolate_width_over_cap(self, capsys, source):
+        code, _, err = run(capsys, "interpolate", "--source", source, "-m", "40", "-t", "1")
+        assert code == 3
+        assert "qubit count 40" in err
+
+    def test_non_finite_table_value(self, tmp_path, capsys):
+        table = tmp_path / "table.txt"
+        table.write_text("1 2 inf 4\n")
+        code, _, err = run(capsys, "interpolate", "--source", str(table), "-m", "2", "-t", "1")
+        assert code == 2
+        assert "finite" in err
+
+    def test_non_numeric_table_value(self, tmp_path, capsys):
+        table = tmp_path / "table.txt"
+        table.write_text("1 2 three 4\n")
+        code, _, err = run(capsys, "interpolate", "--source", str(table), "-m", "2", "-t", "1")
+        assert code == 2
+        assert "'three'" in err
+
+    def test_output_path_is_directory(self, tmp_path, capsys):
+        code, out, err = run(capsys, "encode", "-m", "3", "-t", "4", "-o", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestRepro:

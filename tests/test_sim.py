@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinterp import (
     CapacityError,
@@ -16,12 +18,6 @@ from qinterp import (
     RegisterLayout,
     StatePrep,
     StateVector,
-    apply_adjoint,
-    apply_diagonal_phase,
-    apply_hadamard_layer,
-    apply_phase_ladder,
-    apply_qft,
-    apply_qft_inverse,
     dft_matrix,
     zero_state,
 )
@@ -44,6 +40,20 @@ def operator_matrix(op, num_qubits):
     return np.array(cols).T
 
 
+def reference_phases(state, controls, phase_of):
+    """Per-basis-index loop: ``|x> -> e^{i phase_of(x)} |x>`` where every control bit of x is set."""
+    out = state.amplitudes.copy()
+    for x in range(state.dim):
+        if all(x >> q & 1 for q in controls):
+            out[x] *= np.exp(1j * phase_of(x))
+    return out
+
+
+def control_sets(qubits, rng):
+    """No controls, one random control, and every qubit of ``qubits``."""
+    return [(), (int(rng.choice(qubits)),), tuple(qubits)]
+
+
 class TestZeroState:
     def test_single_qubit(self):
         state = zero_state(1)
@@ -61,21 +71,22 @@ class TestZeroState:
 
 class TestHadamardLayer:
     def test_equal_superposition(self):
-        state = apply_hadamard_layer(zero_state(3), Register(0, 3))
+        state = HadamardLayer(Register(0, 3)).apply(zero_state(3))
         assert np.allclose(state.amplitudes, np.full(8, 1 / math.sqrt(8)))
 
     def test_involution(self):
         state = zero_state(3)
-        twice = apply_hadamard_layer(apply_hadamard_layer(state, Register(0, 3)), Register(0, 3))
+        h = HadamardLayer(Register(0, 3))
+        twice = h.apply(h.apply(state))
         assert np.allclose(twice.amplitudes, state.amplitudes, atol=1e-14)
 
     def test_six_qubit_probabilities(self):
-        state = apply_hadamard_layer(zero_state(6), Register(0, 6))
+        state = HadamardLayer(Register(0, 6)).apply(zero_state(6))
         assert np.allclose(state.probabilities(), np.full(64, 1 / 64))
 
     def test_partial_register(self):
         layout = RegisterLayout(2, 3)
-        state = apply_hadamard_layer(zero_state(5), layout.value_register)
+        state = HadamardLayer(layout.value_register).apply(zero_state(5))
         # key register untouched: only the key-0 slice is occupied
         probs = state.probabilities().reshape(4, 8)
         assert np.allclose(probs[0], 1 / 8)
@@ -83,74 +94,85 @@ class TestHadamardLayer:
 
     def test_register_must_fit(self):
         with pytest.raises(LayoutError):
-            apply_hadamard_layer(zero_state(2), Register(1, 3))
+            HadamardLayer(Register(1, 3)).apply(zero_state(2))
 
 
 class TestPhaseLadder:
     def test_alternating_signs(self):
         # theta = 2*pi*4/8 puts e^{i*k*pi} = (-1)^k on an equal superposition
-        state = apply_hadamard_layer(zero_state(3), Register(0, 3))
-        state = apply_phase_ladder(state, Register(0, 3), 2 * math.pi * 4 / 8)
+        state = HadamardLayer(Register(0, 3)).apply(zero_state(3))
+        state = PhaseLadder(Register(0, 3), 2 * math.pi * 4 / 8).apply(state)
         expected = np.array([(-1) ** k for k in range(8)]) / math.sqrt(8)
         assert np.allclose(state.amplitudes, expected, atol=1e-12)
 
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(3)
         state = random_state(4, rng)
-        out = apply_phase_ladder(state, Register(0, 4), 0.0)
+        out = PhaseLadder(Register(0, 4), 0.0).apply(state)
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_phases_match_formula(self):
         rng = np.random.default_rng(11)
         for m in range(1, 7):
             theta = rng.uniform(-10, 10)
-            state = apply_hadamard_layer(zero_state(m), Register(0, m))
-            state = apply_phase_ladder(state, Register(0, m), theta)
+            state = HadamardLayer(Register(0, m)).apply(zero_state(m))
+            state = PhaseLadder(Register(0, m), theta).apply(state)
             ks = np.arange(1 << m)
             expected = np.exp(1j * ks * theta) / math.sqrt(1 << m)
             assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
 
     def test_control_semantics(self):
         layout = RegisterLayout(1, 3)
-        state = apply_hadamard_layer(zero_state(4), layout.value_register)
+        state = HadamardLayer(layout.value_register).apply(zero_state(4))
         # control on the (clear) key qubit: nothing may change
-        out = apply_phase_ladder(state, layout.value_register, 1.234, controls=(3,))
+        out = PhaseLadder(layout.value_register, 1.234, (3,)).apply(state)
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_control_overlap_rejected(self):
         state = zero_state(3)
         with pytest.raises(LayoutError):
-            apply_phase_ladder(state, Register(0, 2), 0.5, controls=(1,))
+            PhaseLadder(Register(0, 2), 0.5, (1,)).apply(state)
 
 
 class TestQft:
     def test_geometric_state_decodes_to_integer(self):
-        state = apply_hadamard_layer(zero_state(3), Register(0, 3))
-        state = apply_phase_ladder(state, Register(0, 3), 2 * math.pi * 4 / 8)
-        state = apply_qft_inverse(state, Register(0, 3))
+        state = HadamardLayer(Register(0, 3)).apply(zero_state(3))
+        state = PhaseLadder(Register(0, 3), 2 * math.pi * 4 / 8).apply(state)
+        state = QftGate(Register(0, 3), inverse=True).apply(state)
         assert state.probability(4) > 1 - 1e-12
 
     def test_matches_dft_matrix(self):
         for m in range(1, 6):
             mat = operator_matrix(QftGate(Register(0, m), inverse=True), m)
             assert np.max(np.abs(mat - dft_matrix(1 << m))) < 1e-10
+        # register at offset 1-3 with spectators below it and two qubits above it
+        rng = np.random.default_rng(13)
+        for m in (1, 3, 5):
+            for below in (1, 2, 3):
+                n = below + m + 2
+                embedded = np.kron(np.kron(np.eye(4), dft_matrix(1 << m)), np.eye(1 << below))
+                state = random_state(n, rng)
+                for inverse, matrix in ((True, embedded), (False, embedded.conj().T)):
+                    out = QftGate(Register(below, m), inverse).apply(state)
+                    assert np.max(np.abs(out.amplitudes - matrix @ state.amplitudes)) < 1e-10
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(5)
         state = random_state(4, rng)
-        out = apply_qft_inverse(apply_qft(state, Register(0, 4)), Register(0, 4))
+        reg = Register(0, 4)
+        out = QftGate(reg, inverse=True).apply(QftGate(reg).apply(state))
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
     def test_superposition_to_zero(self):
-        state = apply_hadamard_layer(zero_state(4), Register(0, 4))
-        out = apply_qft_inverse(state, Register(0, 4))
+        state = HadamardLayer(Register(0, 4)).apply(zero_state(4))
+        out = QftGate(Register(0, 4), inverse=True).apply(state)
         assert out.probability(0) > 1 - 1e-12
 
     def test_acts_only_on_its_register(self):
         rng = np.random.default_rng(9)
         layout = RegisterLayout(2, 2)
         state = random_state(4, rng)
-        out = apply_qft_inverse(state, layout.value_register)
+        out = QftGate(layout.value_register, inverse=True).apply(state)
         # per-key blocks transform independently by the 4x4 DFT
         blocks_in = state.amplitudes.reshape(4, 4)
         blocks_out = out.amplitudes.reshape(4, 4)
@@ -162,13 +184,13 @@ class TestDiagonalAndControlledPhase:
     def test_zero_phase_identity(self):
         rng = np.random.default_rng(1)
         state = random_state(3, rng)
-        out = apply_diagonal_phase(state, lambda x: 0.0)
+        out = DiagonalPhase(Register(0, 3), np.zeros(8)).apply(state)
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_global_pi_flips_sign(self):
         rng = np.random.default_rng(2)
         state = random_state(3, rng)
-        out = apply_diagonal_phase(state, lambda x: math.pi)
+        out = DiagonalPhase(Register(0, 3), np.full(8, math.pi)).apply(state)
         assert np.allclose(out.amplitudes, -state.amplitudes)
         assert np.allclose(out.probabilities(), state.probabilities())
 
@@ -176,7 +198,7 @@ class TestDiagonalAndControlledPhase:
         rng = np.random.default_rng(4)
         state = random_state(3, rng)
         angles = np.angle(state.amplitudes)
-        out = apply_diagonal_phase(state, lambda x: -angles[x])
+        out = DiagonalPhase(Register(0, 3), -angles).apply(state)
         assert np.max(np.abs(out.amplitudes.imag)) < 1e-12
         assert np.min(out.amplitudes.real) >= -1e-12
 
@@ -187,6 +209,26 @@ class TestDiagonalAndControlledPhase:
         for x in range(8):
             factor = np.exp(1j * math.pi / 3) if (x & 0b101) == 0b101 else 1.0
             assert abs(out.amplitude(x) - state.amplitude(x) * factor) < 1e-14
+        for n in (3, 6, 9):
+            state = random_state(n, rng)
+            for controls in control_sets(list(range(n)), rng):
+                angle = rng.uniform(-math.pi, math.pi)
+                out = ControlledPhase(controls, angle).apply(state)
+                expected = reference_phases(state, controls, lambda x: angle)
+                assert np.max(np.abs(out.amplitudes - expected)) < 1e-14
+
+    def test_phase_ladder_only_where_controls_set(self):
+        rng = np.random.default_rng(7)
+        for n, offset, width in ((4, 1, 2), (7, 0, 3), (9, 3, 4), (10, 6, 4)):
+            state = random_state(n, rng)
+            reg = Register(offset, width)
+            others = [q for q in range(n) if q not in reg.qubits()]
+            for controls in control_sets(others, rng):
+                theta = rng.uniform(-4, 4)
+                out = PhaseLadder(reg, theta, controls).apply(state)
+                local = lambda x: theta * (x >> offset & (reg.size - 1))  # noqa: E731
+                expected = reference_phases(state, controls, local)
+                assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
 
 class TestStatePrep:
@@ -199,7 +241,7 @@ class TestStatePrep:
     def test_matches_hadamard_on_uniform_target(self):
         target = np.full(8, 1 / math.sqrt(8))
         via_prep = StatePrep(Register(0, 3), target).apply(zero_state(3))
-        via_h = apply_hadamard_layer(zero_state(3), Register(0, 3))
+        via_h = HadamardLayer(Register(0, 3)).apply(zero_state(3))
         assert np.max(np.abs(via_prep.amplitudes - via_h.amplitudes)) < 1e-12
 
     def test_random_roundtrip_fidelity(self):
@@ -229,12 +271,12 @@ class TestAdjoint:
         assert op.adjoint().inverse is False
         rng = np.random.default_rng(10)
         state = random_state(3, rng)
-        out = apply_adjoint(op.apply(state), op)
+        out = op.adjoint().apply(op.apply(state))
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
     def test_prepared_state_roundtrip(self):
         prep = prepare_nu2(6)
-        out = apply_adjoint(prep.apply(zero_state(6)), prep)
+        out = prep.adjoint().apply(prep.apply(zero_state(6)))
         assert abs(out.amplitude(0) - 1.0) < 1e-12
 
     def test_circuit_adjoint_reverses(self):
@@ -299,13 +341,55 @@ class TestInvariants:
         def pipeline():
             state = zero_state(5)
             layout = RegisterLayout(2, 3)
-            state = apply_hadamard_layer(state, layout.key_register)
-            state = apply_phase_ladder(state, layout.value_register, 0.977, controls=(3,))
-            state = apply_qft_inverse(state, layout.value_register)
+            state = HadamardLayer(layout.key_register).apply(state)
+            state = PhaseLadder(layout.value_register, 0.977, (3,)).apply(state)
+            state = QftGate(layout.value_register, inverse=True).apply(state)
             return state.amplitudes
 
         first, second = pipeline(), pipeline()
         assert np.array_equal(first, second)
+
+
+def unit_vector(size, rng):
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return v / np.linalg.norm(v)
+
+
+# each kind built on a register and a control set drawn outside it
+OP_KINDS = {
+    "HadamardLayer": lambda reg, controls, rng: HadamardLayer(reg),
+    "PhaseLadder": lambda reg, controls, rng: PhaseLadder(reg, rng.uniform(-4, 4), controls),
+    "ControlledPhase": lambda reg, controls, rng: ControlledPhase(controls, rng.uniform(-4, 4)),
+    "DiagonalPhase": lambda reg, controls, rng: DiagonalPhase(reg, rng.uniform(-4, 4, reg.size)),
+    "QftGate": lambda reg, controls, rng: QftGate(reg, inverse=bool(rng.integers(2))),
+    "StatePrep": lambda reg, controls, rng: StatePrep(reg, unit_vector(reg.size, rng)),
+}
+
+
+@st.composite
+def placements(draw):
+    """(num_qubits, register, controls outside the register, seed) up to 10 qubits."""
+    n = draw(st.integers(1, 10))
+    offset = draw(st.integers(0, n - 1))
+    reg = Register(offset, draw(st.integers(1, n - offset)))
+    others = [q for q in range(n) if q not in reg.qubits()]
+    controls = tuple(draw(st.lists(st.sampled_from(others), unique=True))) if others else ()
+    return n, reg, controls, draw(st.integers(0, 2**32 - 1))
+
+
+class TestOperationProperties:
+    @pytest.mark.parametrize("kind", sorted(OP_KINDS))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(placement=placements())
+    def test_norm_and_adjoint_round_trip(self, kind, placement):
+        n, reg, controls, seed = placement
+        rng = np.random.default_rng(seed)
+        op = OP_KINDS[kind](reg, controls, rng)
+        state = random_state(n, rng)
+        out = op.apply(state)
+        assert abs(out.norm() - 1.0) < 1e-12
+        back = op.adjoint().apply(out)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
 
 
 class TestStateVectorAccessors:
@@ -313,7 +397,7 @@ class TestStateVectorAccessors:
         assert zero_state(2).amplitude(0) == 1 + 0j
 
     def test_amplitude_of_superposition(self):
-        state = apply_hadamard_layer(zero_state(3), Register(0, 3))
+        state = HadamardLayer(Register(0, 3)).apply(zero_state(3))
         assert abs(state.amplitude(5) - 1 / math.sqrt(8)) < 1e-14
 
     def test_amplitude_index_range(self):
