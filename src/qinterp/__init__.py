@@ -73,6 +73,7 @@ from .patterns import (
     prepare_lambda,
     prepare_nu2,
     quantum_interpolate,
+    quantum_interpolate_sweep,
     weighted_sum,
 )
 

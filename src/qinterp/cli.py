@@ -40,6 +40,7 @@ from .patterns import (
     prepare_lambda,
     prepare_nu2,
     quantum_interpolate,
+    quantum_interpolate_sweep,
 )
 from .sim import RegisterLayout, check_capacity, zero_state
 from .stateio import format_value, state_to_json, sweep_to_csv
@@ -137,11 +138,10 @@ def _cmd_interpolate(args) -> int:
         return EXIT_OK
     if args.t_steps < 1:
         raise ParseError("sweep needs at least one step")
-    rows = []
-    for i in range(args.t_steps):
-        t = args.t_start + i * (args.t_stop - args.t_start) / args.t_steps
-        result = quantum_interpolate(prep, t, domain, exact_fn)
-        rows.append((t, result.quantum_value, result.classical_value, result.exact_value))
+    sweep = quantum_interpolate_sweep(
+        prep, args.t_start, args.t_stop, args.t_steps, domain, exact_fn
+    )
+    rows = [(t, r.quantum_value, r.classical_value, r.exact_value) for t, r in sweep]
     _write_output(sweep_to_csv(rows), args.csv)
     return EXIT_OK
 

@@ -4,7 +4,8 @@ Two readout schemes built on the encoders:
 
 * scalar interpolation -- overlap of a function state with the real-amplitude
   kernel state, read as the all-zeros amplitude after undoing the function
-  preparation;
+  preparation; a sweep reads a power-of-two block of points from one
+  phase-corrected dictionary whose keys index the points;
 * generalized inner products -- a weighted key register, the phase-corrected
   dictionary, and an undone value-register weight state; the all-zeros
   amplitude equals a kernel-weighted double sum, which rescales to weighted
@@ -25,11 +26,16 @@ import numpy as np
 
 from .dictionary import BinaryPolynomial, dictionary_circuit
 from .encoding import real_encoding_circuit
-from .errors import DomainError, NormalizationError
+from .errors import DomainError, NormalizationError, ValueRangeError
 from .kernels import EncodingDomain, fejer_kernel_row, normalize_to_domain
 from .sim import Circuit, HadamardLayer, Register, RegisterLayout, StatePrep, zero_state
 
 IMAG_WARNING_THRESHOLD = 1e-8
+
+# Widest state a batched sweep block simulates, key and value qubits together.
+# Wider blocks run fewer circuits per sweep but allocate larger buffers; up to
+# this width a sweep's peak memory stays at that of the per-point readout.
+BLOCK_QUBITS = 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,25 +78,29 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class InterpolationResult:
-    """Quantum readout next to its classical companions."""
+    """Quantum readout next to its classical companions.
+
+    ``imag_residual`` is the magnitude of the readout amplitude's imaginary
+    part, on the scale of ``quantum_value``; phase correction makes it zero
+    up to round-off.
+    """
 
     quantum_value: float
     classical_value: float
     exact_value: float | None = None
+    imag_residual: float = 0.0
 
     @property
     def deviation(self) -> float:
         return abs(self.quantum_value - self.classical_value)
 
 
-def _real_amplitude(amplitude: complex, label: str) -> float:
-    if abs(amplitude.imag) > IMAG_WARNING_THRESHOLD:
+def _warn_imag_residual(residual: float, label: str):
+    if residual > IMAG_WARNING_THRESHOLD:
         warnings.warn(
-            f"{label} has imaginary part {amplitude.imag:.3e}; "
-            "phase correction may be broken",
+            f"{label} has imaginary part {residual:.3e}; phase correction may be broken",
             stacklevel=3,
         )
-    return float(amplitude.real)
 
 
 def prepare_amplitudes(target) -> Circuit:
@@ -131,6 +141,90 @@ def prepare_lambda(width: int) -> Circuit:
     return prepare_amplitudes(lambda_amplitudes(width))
 
 
+def _block_readout(
+    function_prep: Circuit, t0: float, step: float, key_width: int, domain: EncodingDomain
+) -> np.ndarray:
+    """Readout amplitudes of the ``2**key_width`` points ``t0 + b * step``.
+
+    A block of one point encodes ``t0`` alone.  A wider block runs the
+    phase-corrected dictionary of the linear polynomial
+    ``t0 + sum_j 2^j step b_j`` on a key register indexing the points, undoes
+    the function preparation on the value register, and reads key ``b``'s
+    all-zeros value amplitude, rescaled by ``sqrt(2**key_width)`` because the
+    keys start in equal superposition.
+    """
+    width = function_prep.num_qubits
+    if key_width == 0:
+        state = real_encoding_circuit(width, t0, domain).apply(zero_state(width))
+        return function_prep.adjoint().apply(state).amplitudes[:1]
+    layout = RegisterLayout(key_width, width)
+    terms = {0: t0, **{1 << j: (1 << j) * step for j in range(key_width)}}
+    poly = BinaryPolynomial(key_width, terms)
+    circuit = dictionary_circuit(layout, poly, domain, phase_corrected=True)
+    state = circuit.apply(zero_state(layout.num_qubits))
+    state = function_prep.adjoint().shifted(0, layout.num_qubits).apply(state)
+    return math.sqrt(layout.num_keys) * state.amplitudes[:: layout.num_values]
+
+
+def quantum_interpolate_sweep(
+    function_prep: Circuit,
+    t_start: float,
+    t_stop: float,
+    steps: int,
+    domain: EncodingDomain = EncodingDomain.UNSIGNED,
+    exact_fn: Callable[[float], float] | None = None,
+) -> list[tuple[float, InterpolationResult]]:
+    """Interpolate the encoded function at ``t_i = t_start + i (t_stop - t_start) / steps``.
+
+    Returns ``(t_i, result)`` for ``i`` in ``0..steps-1``; ``steps`` must be
+    at least 1.  Every point is checked against the domain before any
+    circuit is built.  The points are read in power-of-two blocks, taken by the binary decomposition of the
+    remaining count: a block of ``2**k`` points is one phase-corrected
+    dictionary circuit whose key register is the step index, with ``k``
+    capped so that key and value registers together stay within
+    ``BLOCK_QUBITS``.  The classical value of each point is the
+    kernel-weighted sum of the function samples, read once from the
+    preparation itself.
+    """
+    if steps < 1:
+        raise DomainError("a sweep needs at least one step")
+    width = function_prep.num_qubits
+    modulus = 1 << width
+    ts = [t_start + i * (t_stop - t_start) / steps for i in range(steps)]
+    targets = [normalize_to_domain(t, domain, modulus) for t in ts]
+
+    samples = function_prep.apply(zero_state(width)).amplitudes
+    if np.max(np.abs(samples.imag)) > IMAG_WARNING_THRESHOLD:
+        warnings.warn("function preparation yields non-real amplitudes", stacklevel=2)
+
+    step = (t_stop - t_start) / steps
+    blocks = []
+    start = 0
+    while start < steps:
+        key_width = max(0, min((steps - start).bit_length() - 1, BLOCK_QUBITS - width))
+        try:
+            block = _block_readout(function_prep, ts[start], step, key_width, domain)
+        except ValueRangeError:
+            # Round-off in the block polynomial moved a point that lies within
+            # a few ulps of the domain edge across it: read this point alone.
+            key_width = 0
+            block = _block_readout(function_prep, ts[start], step, key_width, domain)
+        blocks.append(block)
+        start += 1 << key_width
+    readout = np.concatenate(blocks)
+
+    results = []
+    for t, target, amplitude in zip(ts, targets, readout):
+        classical = float(np.dot(samples.real, fejer_kernel_row(modulus, target)))
+        exact = float(exact_fn(t)) if exact_fn is not None else None
+        results.append(
+            (t, InterpolationResult(float(amplitude.real), classical, exact, abs(amplitude.imag)))
+        )
+    worst = max(result.imag_residual for _, result in results)
+    _warn_imag_residual(worst, "interpolation amplitude")
+    return results
+
+
 def quantum_interpolate(
     function_prep: Circuit,
     t: float,
@@ -142,23 +236,11 @@ def quantum_interpolate(
     The quantum value is the real part of the all-zeros amplitude after
     encoding ``t`` and undoing the function preparation; the classical value
     is the kernel-weighted sum of the function samples read from the
-    preparation itself.
+    preparation itself.  This is the one-point case of
+    :func:`quantum_interpolate_sweep`.
     """
-    width = function_prep.num_qubits
-    modulus = 1 << width
-    target = normalize_to_domain(t, domain, modulus)
-
-    samples = function_prep.apply(zero_state(width)).amplitudes
-    if np.max(np.abs(samples.imag)) > IMAG_WARNING_THRESHOLD:
-        warnings.warn("function preparation yields non-real amplitudes", stacklevel=2)
-    classical = float(np.dot(samples.real, fejer_kernel_row(modulus, target)))
-
-    state = real_encoding_circuit(width, t, domain).apply(zero_state(width))
-    state = function_prep.adjoint().apply(state)
-    quantum = _real_amplitude(state.amplitude(0), "interpolation amplitude")
-
-    exact = float(exact_fn(t)) if exact_fn is not None else None
-    return InterpolationResult(quantum, classical, exact)
+    ((_, result),) = quantum_interpolate_sweep(function_prep, t, t, 1, domain, exact_fn)
+    return result
 
 
 def generalized_inner_product(
@@ -181,7 +263,9 @@ def generalized_inner_product(
     state = circuit.apply(state)
     state = HadamardLayer(layout.key_register).apply(state)
     state = StatePrep(layout.value_register, value_weights.amplitudes).adjoint().apply(state)
-    return _real_amplitude(state.amplitude(0), "inner-product amplitude")
+    amplitude = state.amplitude(0)
+    _warn_imag_residual(abs(amplitude.imag), "inner-product amplitude")
+    return amplitude.real
 
 
 def kernel_double_sum(

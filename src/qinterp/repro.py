@@ -31,6 +31,7 @@ from .patterns import (
     prepare_lambda,
     prepare_nu2,
     quantum_interpolate,
+    quantum_interpolate_sweep,
 )
 from .sim import HadamardLayer, RegisterLayout, StatePrep, zero_state
 
@@ -335,13 +336,10 @@ def format_report(results: list[ReproResult]) -> str:
 
 
 def _interp_sweep(prep, exact_fn, width: int) -> list[tuple[float, float, float, float | None]]:
+    """Readout at every quarter step of the unsigned domain."""
     modulus = 1 << width
-    rows = []
-    for i in range(4 * modulus):
-        t = i / 4.0
-        result = quantum_interpolate(prep, t, exact_fn=exact_fn)
-        rows.append((t, result.quantum_value, result.classical_value, result.exact_value))
-    return rows
+    sweep = quantum_interpolate_sweep(prep, 0.0, float(modulus), 4 * modulus, exact_fn=exact_fn)
+    return [(t, r.quantum_value, r.classical_value, r.exact_value) for t, r in sweep]
 
 
 def _reconstruction_table(fn, num_samples: int, period: float, grid: int):

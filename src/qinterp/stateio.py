@@ -32,15 +32,31 @@ def state_to_json(state: StateVector, layout: RegisterLayout | None = None) -> s
     return json.dumps(state_to_dict(state, layout), indent=2) + "\n"
 
 
+def _integer_field(data: dict, name: str) -> int:
+    value = data[name]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def state_from_dict(data: dict) -> tuple[StateVector, RegisterLayout | None]:
     try:
-        num_qubits = int(data["num_qubits"])
+        num_qubits = _integer_field(data, "num_qubits")
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+        widths = None
+        if "key_width" in data and "value_width" in data:
+            widths = _integer_field(data, "key_width"), _integer_field(data, "value_width")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed state dump: {exc}") from exc
     layout = None
-    if "key_width" in data and "value_width" in data:
-        layout = RegisterLayout(int(data["key_width"]), int(data["value_width"]))
+    if widths is not None:
+        if sum(widths) != num_qubits:
+            raise ParseError(
+                f"key_width {widths[0]} + value_width {widths[1]} != num_qubits {num_qubits}"
+            )
+        layout = RegisterLayout(*widths)
     return StateVector(num_qubits, amps), layout
 
 

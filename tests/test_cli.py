@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from qinterp import EncodingDomain, prepare_nu2, quantum_interpolate
 from qinterp.cli import main
-from qinterp.stateio import state_from_json
+from qinterp.stateio import format_value, state_from_json
 
 DEMO_POLY_TEXT = "0.725: 1\n2.451: k1\n2.716: k2\n1.321: k0*k2\n"
 
@@ -103,6 +104,41 @@ class TestInterpolate:
             fields = line.split(",")
             assert float(fields[0]) == float(k)
             assert abs(float(fields[1]) - amps[k]) < 1e-9
+
+    def test_sweep_leaving_domain_writes_no_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        code, _, err = run(
+            capsys, "interpolate", "--source", "nu2", "-m", "3",
+            "--t-start", "4", "--t-stop", "12", "--t-steps", "8", "--csv", str(csv_path),
+        )  # fmt: skip
+        assert code == 3
+        assert err.startswith("error:")
+        assert not csv_path.exists()
+
+    def test_sweep_rows_match_one_point_sweeps(self, tmp_path, capsys):
+        # 100 points run as blocks of 64, 32 and 4; each row must equal the
+        # one-point sweep at its t, which reads that point on its own
+        t_start, t_stop, steps = -30.7, 29.9, 100
+        common = ["interpolate", "--source", "nu2", "-m", "6", "--domain", "twos"]
+
+        def sweep_rows(start, count):
+            csv_path = tmp_path / "sweep.csv"
+            code, _, _ = run(
+                capsys, *common, f"--t-start={start!r}", f"--t-stop={t_stop!r}",
+                "--t-steps", str(count), "--csv", str(csv_path),
+            )  # fmt: skip
+            assert code == 0
+            return [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+
+        rows = sweep_rows(t_start, steps)
+        assert len(rows) == steps
+        prep = prepare_nu2(6)
+        for i, row in enumerate(rows):
+            t = t_start + i * (t_stop - t_start) / steps
+            (single,) = sweep_rows(t, 1)
+            assert (row[0], row[2], row[3]) == (single[0], single[2], single[3])
+            expected = quantum_interpolate(prep, t, EncodingDomain.TWOS_COMPLEMENT)
+            assert abs(float(row[1]) - float(format_value(expected.quantum_value))) <= 1e-12
 
     def test_table_source(self, tmp_path, capsys):
         table = tmp_path / "table.txt"

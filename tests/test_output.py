@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -47,6 +48,21 @@ class TestStateJson:
             state_from_json("{not json")
         with pytest.raises(ParseError):
             state_from_json("{}")
+
+    @pytest.mark.parametrize("field", ["key_width", "value_width"])
+    @pytest.mark.parametrize("bad", ["abc", None, 1.5, True])
+    def test_non_integer_width_is_parse_error(self, field, bad):
+        data = state_to_dict(zero_state(2), RegisterLayout(1, 1))
+        data[field] = bad
+        with pytest.raises(ParseError):
+            state_from_json(json.dumps(data))
+
+    def test_widths_must_sum_to_qubit_count(self):
+        data = state_to_dict(zero_state(1))
+        data["key_width"] = 1
+        data["value_width"] = 1
+        with pytest.raises(ParseError, match="num_qubits"):
+            state_from_json(json.dumps(data))
 
 
 class TestCsv:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinterp import (
     BinaryPolynomial,
@@ -22,6 +24,7 @@ from qinterp import (
     prepare_lambda,
     prepare_nu2,
     quantum_interpolate,
+    quantum_interpolate_sweep,
     weighted_sum,
     zero_state,
 )
@@ -154,6 +157,79 @@ class TestQuantumInterpolate:
         expected = float(np.dot(nu2_amplitudes(3), row))
         assert abs(result.quantum_value - expected) < 1e-10
 
+    def test_corrected_readout_records_no_imaginary_residual(self):
+        assert quantum_interpolate(prepare_nu2(6), 44.8).imag_residual <= 1e-12
+        sweep = quantum_interpolate_sweep(prepare_lambda(6), -20.5, 30.25, 37, TWOS)
+        assert max(result.imag_residual for _, result in sweep) <= 1e-12
+
+
+def check_sweep(samples, t_start, t_stop, steps, domain):
+    """Every sweep point against the one-point readout and the Fejer oracle."""
+    prep = prepare_amplitudes(samples)
+    modulus = samples.size
+    sweep = quantum_interpolate_sweep(prep, t_start, t_stop, steps, domain)
+    assert [t for t, _ in sweep] == [
+        t_start + i * (t_stop - t_start) / steps for i in range(steps)
+    ]
+    for t, result in sweep:
+        single = quantum_interpolate(prep, t, domain)
+        target = t + modulus if t < 0 else t
+        oracle = float(np.dot(samples, fejer_kernel_row(modulus, target)))
+        assert abs(result.quantum_value - single.quantum_value) <= 1e-12
+        assert result.classical_value == single.classical_value
+        assert abs(result.quantum_value - oracle) <= 1e-9
+        assert result.imag_residual <= 1e-9
+
+
+@st.composite
+def sweeps(draw):
+    width = draw(st.integers(1, 7))
+    modulus = 1 << width
+    source = draw(st.sampled_from(["nu2", "lambda", "table"]))
+    if source == "nu2":
+        samples = nu2_amplitudes(width)
+    elif source == "lambda":
+        samples = lambda_amplitudes(width)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        samples = rng.normal(size=modulus)
+        samples /= np.linalg.norm(samples)
+    domain = draw(st.sampled_from([EncodingDomain.UNSIGNED, TWOS]))
+    lo, hi = (0.0, modulus) if domain is EncodingDomain.UNSIGNED else (-modulus / 2, modulus / 2)
+    # Points lie between t_start and t_stop (t_stop excluded), so both ends in
+    # [lo, hi) keep every point in the domain, for rising and falling sweeps.
+    ends = st.floats(lo, hi, exclude_max=True, allow_nan=False)
+    return samples, draw(ends), draw(ends), draw(st.integers(1, 130)), domain
+
+
+class TestQuantumInterpolateSweep:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(case=sweeps())
+    def test_points_match_single_readout_and_oracle(self, case):
+        check_sweep(*case)
+
+    def test_points_at_the_domain_edge(self):
+        # The points lie within 19 ulps of 8; in a batched block, round-off in
+        # the polynomial's partial sums reaches 8 itself.
+        start = 8.0 - 19 * math.ulp(8.0)
+        check_sweep(nu2_amplitudes(3), start, 8.0, 44, EncodingDomain.UNSIGNED)
+
+    def test_wide_register_spans_several_blocks(self):
+        # With BLOCK_QUBITS = 14, 11 points at m=12 run as blocks of 4, 4, 2 and 1
+        check_sweep(nu2_amplitudes(12), 100.3, 3000.7, 11, EncodingDomain.UNSIGNED)
+
+    def test_twos_complement_sweep_crosses_zero(self):
+        # negative block values exercise the dictionary's wrap compensation
+        check_sweep(lambda_amplitudes(5), -10.3, 9.7, 64, TWOS)
+
+    def test_out_of_domain_point_rejected(self):
+        with pytest.raises(DomainError):
+            quantum_interpolate_sweep(prepare_nu2(3), 4.0, 12.0, 8)
+
+    def test_needs_a_step(self):
+        with pytest.raises(DomainError):
+            quantum_interpolate_sweep(prepare_nu2(3), 1.0, 2.0, 0)
+
 
 class TestGeneralizedInnerProduct:
     def test_reference_instance(self):
@@ -268,5 +344,7 @@ class TestImaginaryPartWarning:
         prep = prepare_amplitudes(target)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            quantum_interpolate(prep, 2.5)
+            result = quantum_interpolate(prep, 2.5)
         assert any("non-real" in str(w.message) for w in caught)
+        assert result.imag_residual > 1e-8
+        assert any(f"{result.imag_residual:.3e}" in str(w.message) for w in caught)
