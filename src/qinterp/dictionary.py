@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ParseError, ValueRangeError
-from .kernels import INTEGER_TOLERANCE, EncodingDomain, normalize_to_domain
+from .kernels import INTEGER_TOLERANCE, EncodingDomain, domain_bounds, normalize_to_domain
 from .sim import (
     Circuit,
     ControlledPhase,
@@ -26,6 +26,7 @@ from .sim import (
     QftGate,
     RegisterLayout,
     StateVector,
+    subset_sums,
 )
 
 _TERM_RE = re.compile(r"^k(\d+)$")
@@ -62,7 +63,10 @@ class BinaryPolynomial:
         return float(sum(c for mask, c in self.terms.items() if mask & ~k == 0))
 
     def values_table(self) -> np.ndarray:
-        return np.array([self.evaluate(k) for k in range(self.num_keys)])
+        """``evaluate`` at every key, as one subset-sum (zeta) transform of the coefficients."""
+        coeffs = np.zeros(self.num_keys)
+        coeffs[list(self.terms)] = list(self.terms.values())
+        return subset_sums(coeffs)
 
     def scaled(self, factor: float) -> "BinaryPolynomial":
         return BinaryPolynomial(self.num_vars, {m: c * factor for m, c in self.terms.items()})
@@ -81,12 +85,7 @@ def polynomial_from_table(values) -> BinaryPolynomial:
     n = int(math.log2(table.size)) if table.size > 0 else 0
     if table.size < 2 or (1 << n) != table.size:
         raise DomainError(f"table length {table.size} is not a power of two >= 2")
-    coeffs = table.copy()
-    for j in range(n):
-        bit = 1 << j
-        for mask in range(table.size):
-            if mask & bit:
-                coeffs[mask] -= coeffs[mask ^ bit]
+    coeffs = subset_sums(table, inverse=True)
     terms = {mask: float(c) for mask, c in enumerate(coeffs) if c != 0.0}
     if not terms:
         terms = {0: 0.0}
@@ -151,14 +150,18 @@ def validate_values(poly: BinaryPolynomial, value_width: int, domain: EncodingDo
     """Reject values whose encoding would alias across the domain boundary.
 
     Non-integer values must sit strictly inside the declared domain; integer
-    values are exact and may use the full unsigned range either way.
+    values are exact and may use the full unsigned range either way.  The
+    error names the lowest offending key.
     """
     modulus = 1 << value_width
-    for k in range(poly.num_keys):
-        value = poly.evaluate(k)
-        is_integer = abs(value - round(value)) < INTEGER_TOLERANCE
-        if is_integer and 0 <= value < modulus:
-            continue
+    values = poly.values_table()
+    lo, hi = domain_bounds(domain, modulus)
+    is_integer = np.abs(values - np.round(values)) < INTEGER_TOLERANCE
+    allowed = (is_integer & (values >= 0) & (values < modulus)) | ((values >= lo) & (values < hi))
+    offending = np.flatnonzero(~allowed)
+    if offending.size:
+        k = int(offending[0])
+        value = float(values[k])
         try:
             normalize_to_domain(value, domain, modulus)
         except DomainError as exc:
@@ -209,14 +212,15 @@ def _wrap_compensation(layout: RegisterLayout, poly: BinaryPolynomial) -> Diagon
     The kernel is anti-periodic in its target (period M flips the sign), so
     keys whose raw value is negative would come out with flipped real
     amplitudes if the correction used the raw value alone.  A diagonal pi
-    phase on those keys restores the normalized-kernel sign.
+    phase on those keys restores the normalized-kernel sign.  Values within
+    ``INTEGER_TOLERANCE`` of an integer count as that integer, as in the
+    kernel row, so a value that is 0 up to negative round-off is not wrapped.
     """
     modulus = layout.num_values
-    phases = np.zeros(layout.num_keys)
-    for k in range(layout.num_keys):
-        raw = poly.evaluate(k)
-        wraps = round(((raw % modulus) - raw) / modulus)
-        phases[k] = math.pi * wraps
+    raw = poly.values_table()
+    nearest = np.round(raw)
+    raw = np.where(np.abs(raw - nearest) < INTEGER_TOLERANCE, nearest, raw)
+    phases = math.pi * np.round((np.mod(raw, modulus) - raw) / modulus)
     if not phases.any():
         return None
     return DiagonalPhase(layout.key_register, phases)

@@ -27,20 +27,23 @@ class EncodingDomain(enum.Enum):
     TWOS_COMPLEMENT = "twos_complement"
 
 
+def domain_bounds(domain: EncodingDomain, modulus: int) -> tuple[int, int]:
+    """The half-open range ``[lo, hi)`` of values the domain accepts."""
+    if domain is EncodingDomain.UNSIGNED:
+        return 0, modulus
+    return -modulus // 2, modulus // 2
+
+
 def normalize_to_domain(t: float, domain: EncodingDomain, modulus: int) -> float:
     """Map ``t`` into [0, M), rejecting values outside the declared domain.
 
     Unsigned values pass through; two's-complement values in [-M/2, 0) map to
     ``t + M``.
     """
-    if domain is EncodingDomain.UNSIGNED:
-        if not 0 <= t < modulus:
-            raise DomainError(f"value {t} outside unsigned domain [0, {modulus})")
-        return float(t)
-    if not -modulus / 2 <= t < modulus / 2:
-        raise DomainError(
-            f"value {t} outside two's-complement domain [{-modulus // 2}, {modulus // 2})"
-        )
+    lo, hi = domain_bounds(domain, modulus)
+    if not lo <= t < hi:
+        name = "unsigned" if domain is EncodingDomain.UNSIGNED else "two's-complement"
+        raise DomainError(f"value {t} outside {name} domain [{lo}, {hi})")
     return float(t) if t >= 0 else float(t + modulus)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .dictionary import BinaryPolynomial, dictionary_circuit
 from .encoding import real_encoding_circuit
 from .errors import DomainError, NormalizationError, ValueRangeError
-from .kernels import EncodingDomain, fejer_kernel_row, normalize_to_domain
+from .kernels import INTEGER_TOLERANCE, EncodingDomain, fejer_kernel_row, normalize_to_domain
 from .sim import Circuit, HadamardLayer, Register, RegisterLayout, StatePrep, zero_state
 
 IMAG_WARNING_THRESHOLD = 1e-8
@@ -277,14 +277,23 @@ def kernel_double_sum(
     """Classical oracle for :func:`generalized_inner_product`.
 
     Direct evaluation of ``(1/sqrt(N)) sum_k a_k sum_v b_v c_{M,f(k)}(v)``
-    with the kernel row computed per key; no simulation involved.
+    with the kernel row computed per key; no simulation involved.  It
+    evaluates the polynomial key by key through ``BinaryPolynomial.evaluate``
+    on purpose: the circuit and ``values_table`` use the subset-sum
+    transform, and the oracle must stay separate code from both.  Like the
+    dictionary, it takes integer values in ``[0, M)`` as they are in either
+    domain.
     """
     a = np.asarray(key_amplitudes, dtype=np.float64)
     b = np.asarray(value_amplitudes, dtype=np.float64)
     modulus = b.size
     total = 0.0
     for k in range(a.size):
-        target = normalize_to_domain(poly.evaluate(k), domain, modulus)
+        value = poly.evaluate(k)
+        if abs(value - round(value)) < INTEGER_TOLERANCE and 0 <= value < modulus:
+            target = value
+        else:
+            target = normalize_to_domain(value, domain, modulus)
         total += a[k] * float(np.dot(b, fejer_kernel_row(modulus, target)))
     return total / math.sqrt(a.size)
 
@@ -320,12 +329,8 @@ def direct_weighted_sum(weights, poly: BinaryPolynomial, hash_values) -> float:
     """
     w = np.asarray(weights, dtype=np.float64)
     h = np.asarray(hash_values, dtype=np.float64)
-    total = 0.0
-    for k in range(w.size):
-        value = poly.evaluate(k)
-        index = int(round(value)) % h.size
-        total += w[k] * h[index]
-    return total
+    index = np.round(poly.values_table()).astype(np.int64) % h.size
+    return float(np.dot(w, h[index]))
 
 
 def direct_weighted_identity_sum(weights, poly: BinaryPolynomial) -> float:

@@ -8,9 +8,11 @@ sequence of them.  States are immutable; applying an operation returns a new
 :class:`StateVector`.
 
 Each operation is one numpy transform of the amplitude buffer.  The Fourier
-transform is one unitary FFT along the register axis.  Controlled operations
-act on a view with one length-2 axis per qubit, each control axis sliced to
-its set half, so no index array is built.
+transform is one unitary FFT along the register axis.  A Hadamard layer is one
+matrix product per block of up to four qubits.  Controlled operations act on a
+view with one length-2 axis per qubit, each control axis sliced to its set
+half, so no index array is built.  :meth:`Circuit.apply` fuses each run of
+adjacent diagonal operations into one multiplication by a phase table.
 
 Qubit convention: qubit 0 is the least significant bit of the basis index.
 A :class:`RegisterLayout` places the value register on the low-order qubits,
@@ -181,6 +183,66 @@ def _register_view(amps: np.ndarray, register: Register) -> np.ndarray:
     return amps.reshape(-1, register.size, post)
 
 
+def subset_sums(values, inverse: bool = False) -> np.ndarray:
+    """Zeta transform over the subsets of the index bits: ``out[k] = sum_{J subset of k} values[J]``.
+
+    One pass per index bit, O(n 2^n) for a table of length 2^n.  ``inverse``
+    gives the Moebius transform, its exact inverse.
+    """
+    out = np.array(values, dtype=np.float64)
+    bit = 1
+    while bit < out.size:
+        pairs = out.reshape(-1, 2, bit)
+        if inverse:
+            pairs[:, 1] -= pairs[:, 0]
+        else:
+            pairs[:, 1] += pairs[:, 0]
+        bit <<= 1
+    return out
+
+
+def _phase_ramps(offset: np.ndarray, slope: np.ndarray, width: int) -> np.ndarray:
+    """``exp(i (offset + slope * r))`` for ``r`` in ``[0, 2**width)`` on axis 1.
+
+    ``offset`` and ``slope`` have shape (H, L); the (H, 2**width, L) table is
+    built by doubling over the bits of ``r``, with ``width + 1`` exponentials
+    per (H, L) entry instead of one per table entry.
+    """
+    table = np.empty((offset.shape[0], 1 << width, offset.shape[1]), dtype=np.complex128)
+    table[:, 0, :] = np.exp(1j * offset)
+    filled = 1
+    while filled < table.shape[1]:
+        step = np.exp(1j * filled * slope)[:, None, :]
+        np.multiply(table[:, :filled], step, out=table[:, filled : 2 * filled])
+        filled <<= 1
+    return table
+
+
+_HADAMARD_BLOCK = 4  # register qubits per matrix product of a Hadamard layer
+_HADAMARD_CHUNK = 1 << 15  # float64 entries per in-place product, about half an L2 cache
+
+
+def _hadamard_matrix(width: int) -> np.ndarray:
+    """Unitary ``H^{(x) width}``: a +-1 Sylvester matrix scaled once, by ``2^(-width/2)``."""
+    signs = np.ones((1, 1))
+    for _ in range(width):
+        signs = np.block([[signs, signs], [signs, -signs]])
+    return signs * 2.0 ** (-width / 2)
+
+
+_HADAMARD_MATRICES = tuple(_hadamard_matrix(b) for b in range(_HADAMARD_BLOCK + 1))
+
+
+def _chunks(view: np.ndarray):
+    """Slices of a (X, B, Q) view of about ``_HADAMARD_CHUNK`` entries each."""
+    rows, size, cols = view.shape
+    if size * cols <= _HADAMARD_CHUNK:
+        step = _HADAMARD_CHUNK // (size * cols)
+        return [view[i : i + step] for i in range(0, rows, step)]
+    step = _HADAMARD_CHUNK // size
+    return [view[i, :, j : j + step] for i in range(rows) for j in range(0, cols, step)]
+
+
 class Operation:
     """Common interface of the gate set; subclasses are value-like descriptions."""
 
@@ -196,20 +258,26 @@ class Operation:
 
 @dataclass(frozen=True, eq=False)
 class HadamardLayer(Operation):
-    """H on every qubit of the register; self-inverse."""
+    """H on every qubit of the register; self-inverse.
+
+    Applied in place as one real matrix product per block of up to four
+    qubits, in cache-sized chunks.
+    """
 
     register: Register
 
     def apply(self, state: StateVector) -> StateVector:
         _require_register(state, self.register)
         amps = state.amplitudes.copy()
-        for q in self.register.qubits():
-            pairs = amps.reshape(-1, 2, 1 << q)
-            lo, hi = pairs[:, 0, :], pairs[:, 1, :]
-            lo += hi  # a + b
-            hi *= -2.0
-            hi += lo  # a - b
-        amps *= 2.0 ** (-self.register.width / 2)
+        # The matrices are real, so they act on a float64 view that interleaves
+        # real and imaginary parts: the low axis of qubit q's view is 2 << q long.
+        floats = amps.view(np.float64)
+        top = self.register.offset + self.register.width
+        for q in range(self.register.offset, top, _HADAMARD_BLOCK):
+            width = min(_HADAMARD_BLOCK, top - q)
+            matrix = _HADAMARD_MATRICES[width]
+            for part in _chunks(floats.reshape(-1, 1 << width, 2 << q)):
+                part[...] = matrix @ part
         return StateVector(state.num_qubits, amps)
 
     def adjoint(self) -> "HadamardLayer":
@@ -236,7 +304,7 @@ class PhaseLadder(Operation):
         _require_register(state, self.register)
         _require_controls(state, self.controls, self.register)
         reg = self.register
-        ramp = np.exp(1j * self.theta * np.arange(reg.size))
+        ramp = _phase_ramps(np.zeros((1, 1)), np.full((1, 1), self.theta), reg.width)
         amps = state.amplitudes.copy()
         view = _qubit_view(amps, state.num_qubits, self.controls)
         view *= ramp.reshape((2,) * reg.width + (1,) * reg.offset)
@@ -377,6 +445,107 @@ class StatePrep(Operation):
         )
 
 
+def _outside_bit(qubit: int, register: Register) -> int:
+    """Position of ``qubit`` in the index over the qubits outside ``register``."""
+    return qubit if qubit < register.offset else qubit - register.width
+
+
+def _outside_mask(qubits, register: Register) -> int:
+    mask = 0
+    for q in qubits:
+        mask |= 1 << _outside_bit(q, register)
+    return mask
+
+
+@dataclass(frozen=True, eq=False)
+class _PhaseTable(Operation):
+    """Phase ``offset[c] + slope[c] * r``, fused from a run of diagonal operations.
+
+    ``r`` is the index of ``register`` and ``c`` the index over the other
+    qubits, least significant first, so the table shares the amplitude order.
+    """
+
+    register: Register
+    offset: np.ndarray
+    slope: np.ndarray
+
+    @classmethod
+    def fuse(cls, run, register: Register, num_qubits: int) -> "_PhaseTable":
+        """Each ladder adds its theta to ``slope`` and each controlled phase its
+        angle to ``offset``, at its control mask; one zeta transform then sums
+        them over every ``c``.  Diagonal tables on outside qubits add last."""
+        offset = np.zeros(1 << (num_qubits - register.width))
+        slope = np.zeros_like(offset)
+        tables = []
+        for op in run:
+            if isinstance(op, PhaseLadder):
+                slope[_outside_mask(op.controls, register)] += op.theta
+            elif isinstance(op, ControlledPhase):
+                offset[_outside_mask(op.controls, register)] += op.angle
+            else:
+                tables.append(op)
+        offset = subset_sums(offset)
+        for op in tables:
+            low = _outside_bit(op.register.offset, register)
+            _register_view(offset, Register(low, op.register.width))[...] += op.phases[None, :, None]
+        return cls(register, offset, subset_sums(slope))
+
+    def apply(self, state: StateVector) -> StateVector:
+        reg = self.register
+        shape = (1 << (state.num_qubits - reg.offset - reg.width), 1 << reg.offset)
+        table = _phase_ramps(self.offset.reshape(shape), self.slope.reshape(shape), reg.width)
+        amps = table.reshape(-1)
+        amps *= state.amplitudes
+        return StateVector(state.num_qubits, amps)
+
+
+def _fits(op: Operation, register: Register, num_qubits: int) -> bool:
+    """Whether ``op`` is valid on the state and of the :class:`_PhaseTable` form over ``register``."""
+    if isinstance(op, PhaseLadder) and op.register == register:
+        qubits = op.controls
+    elif isinstance(op, ControlledPhase):
+        qubits = op.controls
+    elif isinstance(op, DiagonalPhase):
+        qubits = op.register.qubits()
+    else:
+        return False
+    lo, hi = register.offset, register.offset + register.width
+    return all(0 <= q < num_qubits and not lo <= q < hi for q in qubits)
+
+
+def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
+    """The gate list with each run of two or more fusable diagonal ops as one :class:`_PhaseTable`.
+
+    A run's register is that of the first ladder up to the next non-diagonal
+    op; the run ends at the first op the form cannot express.  Diagonal ops
+    commute, so fusing keeps the circuit's action.
+    """
+    fused = []
+    i = 0
+    while i < len(ops):
+        end = i
+        while end < len(ops) and isinstance(ops[end], (PhaseLadder, ControlledPhase, DiagonalPhase)):
+            end += 1
+        register = next(
+            (
+                op.register
+                for op in ops[i:end]
+                if isinstance(op, PhaseLadder) and op.register.offset + op.register.width <= num_qubits
+            ),
+            None,
+        )
+        stop = i
+        while register is not None and stop < end and _fits(ops[stop], register, num_qubits):
+            stop += 1
+        if stop - i >= 2:
+            fused.append(_PhaseTable.fuse(ops[i:stop], register, num_qubits))
+            i = stop
+        else:
+            fused.append(ops[i])
+            i += 1
+    return fused
+
+
 @dataclass(frozen=True, eq=False)
 class Circuit:
     """An ordered gate sequence over a fixed number of qubits."""
@@ -385,11 +554,12 @@ class Circuit:
     ops: tuple[Operation, ...]
 
     def apply(self, state: StateVector) -> StateVector:
+        """Apply the ops in order, each run of diagonal ops fused into one phase table."""
         if state.num_qubits != self.num_qubits:
             raise LayoutError(
                 f"{self.num_qubits}-qubit circuit applied to {state.num_qubits}-qubit state"
             )
-        for op in self.ops:
+        for op in _fuse_diagonals(self.ops, self.num_qubits):
             state = op.apply(state)
         return state
 

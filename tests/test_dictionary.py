@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from polynomials import KINDS, in_domain_polynomial, random_polynomial
 
 from qinterp import (
     BinaryPolynomial,
@@ -18,8 +21,10 @@ from qinterp import (
     normalize_to_domain,
     parse_polynomial,
     polynomial_from_table,
+    validate_values,
     zero_state,
 )
+from qinterp.sim import StateVector
 
 TWOS = EncodingDomain.TWOS_COMPLEMENT
 
@@ -68,6 +73,27 @@ class TestFromTable:
     def test_non_power_of_two(self):
         with pytest.raises(DomainError):
             polynomial_from_table([1.0, 2.0, 3.0])
+
+
+@st.composite
+def polynomials(draw):
+    """Dense or sparse polynomials over 1..10 variables, coefficients in [-1, 1]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_polynomial(rng, draw(st.integers(1, 10)), draw(st.booleans()))
+
+
+class TestSubsetSums:
+    @settings(max_examples=40)
+    @given(poly=polynomials())
+    def test_values_table_matches_evaluate(self, poly):
+        expected = [poly.evaluate(k) for k in range(poly.num_keys)]
+        assert np.max(np.abs(poly.values_table() - expected)) < 1e-12
+
+    @settings(max_examples=40)
+    @given(poly=polynomials())
+    def test_from_table_inverts_values_table(self, poly):
+        table = poly.values_table()
+        assert np.max(np.abs(polynomial_from_table(table).values_table() - table)) < 1e-12
 
 
 class TestTextFormat:
@@ -224,6 +250,63 @@ class TestRangeChecking:
         layout = RegisterLayout(3, 3)
         with pytest.raises(DomainError):
             apply_f(zero_state(6), layout, LINEAR)
+
+    @pytest.mark.parametrize(
+        "domain, table",
+        [
+            # offending keys 2, 4, 5 and 7 (a 2-qubit register holds [0, 4))
+            (EncodingDomain.UNSIGNED, [0.5, 1.5, 9.5, 2.5, 7.5, -1.5, 3.5, 12.5]),
+            # offending keys 3, 5 and 6 ([-2, 2), plus the integers 0..3)
+            (TWOS, [-1.5, 3.0, 1.5, 2.5, -2.0, -2.5, 7.5, 0.5]),
+        ],
+    )
+    def test_lowest_of_several_offending_keys_named(self, domain, table):
+        # halves keep every subset sum exact, so the loop and the transform agree bit for bit
+        poly = polynomial_from_table(table)
+        with pytest.raises(ValueRangeError) as caught:
+            validate_values(poly, 2, domain)
+        assert str(caught.value) == loop_validation_message(poly, 2, domain)
+
+
+def loop_validation_message(poly, value_width, domain):
+    """The per-key loop ``validate_values`` used to run, kept as its reference."""
+    modulus = 1 << value_width
+    for k in range(poly.num_keys):
+        value = poly.evaluate(k)
+        if abs(value - round(value)) < 1e-12 and 0 <= value < modulus:
+            continue
+        try:
+            normalize_to_domain(value, domain, modulus)
+        except DomainError as exc:
+            return f"value {value} at key {k} would alias in a {value_width}-qubit register: {exc}"
+    return None
+
+
+@st.composite
+def dictionaries(draw):
+    """(layout, polynomial, domain, phase_corrected, prepare_keys, seed) on up to 12 qubits."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 12 - n))
+    domain = draw(st.sampled_from([EncodingDomain.UNSIGNED, TWOS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poly = in_domain_polynomial(rng, n, m, domain, draw(st.sampled_from(KINDS)))
+    flags = draw(st.booleans()), draw(st.booleans())
+    return RegisterLayout(n, m), poly, domain, *flags, int(rng.integers(2**32))
+
+
+class TestFusedCircuit:
+    @settings(max_examples=40)
+    @given(case=dictionaries())
+    def test_fused_apply_matches_op_by_op(self, case):
+        layout, poly, domain, phase_corrected, prepare_keys, seed = case
+        circuit = dictionary_circuit(layout, poly, domain, phase_corrected, prepare_keys)
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=1 << layout.num_qubits) + 1j * rng.normal(size=1 << layout.num_qubits)
+        state = StateVector(layout.num_qubits, amps / np.linalg.norm(amps))
+        expected = state
+        for op in circuit.ops:
+            expected = op.apply(expected)
+        assert np.max(np.abs(circuit.apply(state).amplitudes - expected.amplitudes)) < 1e-12
 
 
 class TestKeyPreparation:

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from polynomials import KINDS, in_domain_polynomial
 
 from qinterp import (
     BinaryPolynomial,
     DomainError,
     EncodingDomain,
     NormalizationError,
+    RegisterLayout,
     WeightSpec,
+    dictionary_circuit,
     direct_weighted_identity_sum,
+    direct_weighted_sum,
     expected_value,
     fejer_kernel_row,
     generalized_inner_product,
@@ -203,7 +207,7 @@ def sweeps(draw):
 
 
 class TestQuantumInterpolateSweep:
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(case=sweeps())
     def test_points_match_single_readout_and_oracle(self, case):
         check_sweep(*case)
@@ -267,6 +271,31 @@ class TestGeneralizedInnerProduct:
             classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, TWOS)
             assert abs(quantum - classical) < 1e-9
 
+    def test_oracle_takes_integers_of_the_unsigned_range_in_twos_complement(self):
+        # the dictionary accepts the integer 3 in a 2-qubit two's-complement register
+        poly = BinaryPolynomial(1, {0: 3.0, 1: -2.0})  # values 3 and 1
+        key_spec = WeightSpec.from_weights([0.6, 0.8])
+        value_spec = WeightSpec.from_weights([0.1, 0.2, 0.3, 0.4])
+        quantum = generalized_inner_product(key_spec, poly, value_spec, TWOS)
+        classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, TWOS)
+        expected = (0.6 * value_spec.amplitudes[3] + 0.8 * value_spec.amplitudes[1]) / math.sqrt(2)
+        assert abs(classical - expected) < 1e-15
+        assert abs(quantum - classical) < 1e-12
+
+    def test_value_zero_up_to_negative_round_off_in_twos_complement(self):
+        # key 3 evaluates to 0.3 - 0.1 - 0.2 = -2.8e-17: the value 0, not M
+        poly = BinaryPolynomial(2, {0: 0.3, 1: -0.1, 2: -0.2})
+        assert -1e-16 < poly.evaluate(3) < 0
+        key_spec = WeightSpec.from_weights([0.1, 0.2, 0.3, 0.9])
+        value_spec = WeightSpec.from_weights(np.arange(1.0, 9.0))
+        quantum = generalized_inner_product(key_spec, poly, value_spec, TWOS)
+        classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, TWOS)
+        assert abs(quantum - classical) < 1e-12
+        # the phase-corrected dictionary holds +1/2 at value 0 for key 3
+        circuit = dictionary_circuit(RegisterLayout(2, 3), poly, TWOS, phase_corrected=True)
+        slice3 = circuit.apply(zero_state(5)).amplitudes.reshape(4, 8)[3]
+        assert np.max(np.abs(slice3 - fejer_kernel_row(8, 0.0) / 2)) < 1e-12
+
     def test_uniform_keys_basis_value_selector(self):
         # f == 0 everywhere, value weights pick out |0>: every key contributes
         poly = BinaryPolynomial(2, {0: 0.0})
@@ -278,6 +307,46 @@ class TestGeneralizedInnerProduct:
         classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes)
         assert abs(quantum - classical) < 1e-12
         assert abs(quantum - 1.0) < 1e-12  # all four keys project back onto |0> coherently
+
+
+@st.composite
+def weighted_dictionaries(draw, domains=(EncodingDomain.UNSIGNED, TWOS), kinds=KINDS):
+    """(key weights, polynomial, value weights, domain) with n + m up to 11 qubits."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 11 - n))
+    domain = draw(st.sampled_from(domains))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poly = in_domain_polynomial(rng, n, m, domain, draw(st.sampled_from(kinds)))
+    key_spec = WeightSpec.from_weights(rng.normal(size=1 << n))
+    value_spec = WeightSpec.from_weights(rng.normal(size=1 << m))
+    return key_spec, poly, value_spec, domain
+
+
+class TestInnerProductProperties:
+    @settings(max_examples=40)
+    @given(case=weighted_dictionaries())
+    def test_matches_kernel_double_sum(self, case):
+        key_spec, poly, value_spec, domain = case
+        quantum = generalized_inner_product(key_spec, poly, value_spec, domain)
+        classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, domain)
+        assert abs(quantum - classical) < 1e-9
+
+    @settings(max_examples=30)
+    @given(case=weighted_dictionaries(domains=(TWOS,), kinds=("tenths",)))
+    def test_matches_kernel_double_sum_at_round_off_zeros(self, case):
+        key_spec, poly, value_spec, domain = case
+        quantum = generalized_inner_product(key_spec, poly, value_spec, domain)
+        classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, domain)
+        assert abs(quantum - classical) < 1e-9
+
+    def test_direct_weighted_sum_matches_key_loop(self):
+        rng = np.random.default_rng(14)
+        for kind in KINDS:
+            poly = in_domain_polynomial(rng, 6, 4, EncodingDomain.UNSIGNED, kind)
+            w = rng.normal(size=64)
+            h = rng.normal(size=16)
+            loop = sum(w[k] * h[int(round(poly.evaluate(k))) % 16] for k in range(64))
+            assert abs(direct_weighted_sum(w, poly, h) - loop) < 1e-12
 
 
 class TestWeightedSum:

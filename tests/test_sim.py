@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qinterp import (
+    BinaryPolynomial,
     CapacityError,
     Circuit,
     ControlledPhase,
@@ -19,9 +20,14 @@ from qinterp import (
     StatePrep,
     StateVector,
     dft_matrix,
+    dictionary_circuit,
     zero_state,
 )
+from qinterp.kernels import EncodingDomain
 from qinterp.patterns import prepare_nu2
+from qinterp.sim import _fuse_diagonals
+
+TWOS = EncodingDomain.TWOS_COMPLEMENT
 
 
 def random_state(num_qubits, rng):
@@ -95,6 +101,19 @@ class TestHadamardLayer:
     def test_register_must_fit(self):
         with pytest.raises(LayoutError):
             HadamardLayer(Register(1, 3)).apply(zero_state(2))
+
+    def test_matches_per_qubit_reference_on_wide_states(self):
+        # Wide registers and offsets: several blocks, partial last blocks and
+        # several cache-sized chunks per block.
+        rng = np.random.default_rng(12)
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        for n, offset, width in ((16, 0, 16), (16, 3, 9), (16, 12, 4), (15, 5, 10), (13, 1, 11)):
+            state = random_state(n, rng)
+            expected = state.amplitudes.copy()
+            for q in range(offset, offset + width):
+                expected = np.matmul(h, expected.reshape(-1, 2, 1 << q)).reshape(-1)
+            out = HadamardLayer(Register(offset, width)).apply(state)
+            assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
 
 
 class TestPhaseLadder:
@@ -216,6 +235,16 @@ class TestDiagonalAndControlledPhase:
                 out = ControlledPhase(controls, angle).apply(state)
                 expected = reference_phases(state, controls, lambda x: angle)
                 assert np.max(np.abs(out.amplitudes - expected)) < 1e-14
+
+    def test_input_state_left_untouched(self):
+        rng = np.random.default_rng(9)
+        state = random_state(5, rng)
+        before = state.amplitudes.copy()
+        for controls in ((), (1, 4)):
+            out = ControlledPhase(controls, 0.7).apply(state)
+            assert np.array_equal(state.amplitudes, before)
+            expected = reference_phases(state, controls, lambda x: 0.7)
+            assert np.max(np.abs(out.amplitudes - expected)) < 1e-15
 
     def test_phase_ladder_only_where_controls_set(self):
         rng = np.random.default_rng(7)
@@ -379,7 +408,7 @@ def placements(draw):
 
 class TestOperationProperties:
     @pytest.mark.parametrize("kind", sorted(OP_KINDS))
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(placement=placements())
     def test_norm_and_adjoint_round_trip(self, kind, placement):
         n, reg, controls, seed = placement
@@ -390,6 +419,72 @@ class TestOperationProperties:
         assert abs(out.norm() - 1.0) < 1e-12
         back = op.adjoint().apply(out)
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+
+def apply_one_by_one(ops, state):
+    for op in ops:
+        state = op.apply(state)
+    return state
+
+
+@st.composite
+def diagonal_runs(draw):
+    """(num_qubits, ops, seed): diagonal ops on random registers and controls.
+
+    Ladders use one of two registers; controlled phases and diagonal tables
+    may touch a ladder's register, and a Hadamard layer may sit between
+    them, so some runs cannot be fused or end early.
+    """
+    n = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def register():
+        offset = int(rng.integers(0, n))
+        return Register(offset, int(rng.integers(1, n - offset + 1)))
+
+    def subset(qubits):
+        return tuple(q for q in qubits if rng.random() < 0.4)
+
+    ladders = [register(), register()]
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(["ladder", "phase", "table", "hadamard"]), max_size=12)):
+        if kind == "ladder":
+            reg = ladders[int(rng.integers(2))]
+            controls = subset([q for q in range(n) if q not in reg.qubits()])
+            ops.append(PhaseLadder(reg, rng.uniform(-4, 4), controls))
+        elif kind == "phase":
+            ops.append(ControlledPhase(subset(range(n)), rng.uniform(-4, 4)))
+        elif kind == "table":
+            reg = register()
+            ops.append(DiagonalPhase(reg, rng.uniform(-4, 4, reg.size)))
+        else:
+            ops.append(HadamardLayer(register()))
+    return n, ops, int(rng.integers(2**32))
+
+
+class TestCircuitFusion:
+    @settings(max_examples=60)
+    @given(case=diagonal_runs())
+    def test_fused_apply_matches_op_by_op(self, case):
+        n, ops, seed = case
+        state = random_state(n, np.random.default_rng(seed))
+        fused = Circuit(n, tuple(ops)).apply(state)
+        assert np.max(np.abs(fused.amplitudes - apply_one_by_one(ops, state).amplitudes)) < 1e-12
+
+    def test_dictionary_runs_fuse_into_two_tables(self):
+        layout = RegisterLayout(3, 4)
+        poly = BinaryPolynomial(3, {0: -2.5, 0b011: 1.25, 0b100: 3.0})
+        circuit = dictionary_circuit(layout, poly, TWOS, phase_corrected=True)
+        fused = _fuse_diagonals(circuit.ops, circuit.num_qubits)
+        assert [type(op).__name__ for op in fused] == [
+            "HadamardLayer", "HadamardLayer", "_PhaseTable", "QftGate", "_PhaseTable",
+        ]  # fmt: skip
+
+    def test_invalid_op_raises_in_order(self):
+        # the fusion pass leaves an op that does not fit the state to its own apply
+        circuit = Circuit(3, (PhaseLadder(Register(0, 2), 0.3), ControlledPhase((5,), 0.2)))
+        with pytest.raises(LayoutError, match="control qubit 5 out of range"):
+            circuit.apply(zero_state(3))
 
 
 class TestStateVectorAccessors:
