@@ -25,7 +25,6 @@ from .kernels import (
 )
 from .sim import (
     MAX_QUBITS,
-    BasisOutcome,
     Circuit,
     ControlledPhase,
     DiagonalPhase,

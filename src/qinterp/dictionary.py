@@ -15,19 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encoding import correction_ops, encoder_ops
 from .errors import DomainError, ParseError, ValueRangeError
 from .kernels import INTEGER_TOLERANCE, EncodingDomain, domain_bounds, normalize_to_domain
-from .sim import (
-    Circuit,
-    ControlledPhase,
-    DiagonalPhase,
-    HadamardLayer,
-    PhaseLadder,
-    QftGate,
-    RegisterLayout,
-    StateVector,
-    subset_sums,
-)
+from .sim import Circuit, DiagonalPhase, HadamardLayer, RegisterLayout, StateVector, subset_sums
 
 _TERM_RE = re.compile(r"^k(\d+)$")
 
@@ -150,14 +141,17 @@ def validate_values(poly: BinaryPolynomial, value_width: int, domain: EncodingDo
     """Reject values whose encoding would alias across the domain boundary.
 
     Non-integer values must sit strictly inside the declared domain; integer
-    values are exact and may use the full unsigned range either way.  The
+    values (within ``INTEGER_TOLERANCE`` of one) are exact and may use the
+    full unsigned range either way.  The lower bound applies to the rounded
+    value, so a 0 with negative round-off is accepted in both domains.  The
     error names the lowest offending key.
     """
     modulus = 1 << value_width
     values = poly.values_table()
     lo, hi = domain_bounds(domain, modulus)
-    is_integer = np.abs(values - np.round(values)) < INTEGER_TOLERANCE
-    allowed = (is_integer & (values >= 0) & (values < modulus)) | ((values >= lo) & (values < hi))
+    nearest = np.round(values)
+    is_integer = np.abs(values - nearest) < INTEGER_TOLERANCE
+    allowed = (is_integer & (nearest >= 0) & (values < modulus)) | ((values >= lo) & (values < hi))
     offending = np.flatnonzero(~allowed)
     if offending.size:
         k = int(offending[0])
@@ -195,17 +189,6 @@ class DictionaryState:
         return probs.reshape(self.layout.num_keys, self.layout.num_values).sum(axis=1)
 
 
-def _encoding_ladders(layout: RegisterLayout, poly: BinaryPolynomial) -> list[PhaseLadder]:
-    modulus = layout.num_values
-    value_reg = layout.value_register
-    key_offset = layout.key_register.offset
-    ladders = []
-    for mask, coef in poly.sorted_terms():
-        controls = tuple(key_offset + j for j in range(poly.num_vars) if mask & (1 << j))
-        ladders.append(PhaseLadder(value_reg, 2.0 * math.pi * coef / modulus, controls))
-    return ladders
-
-
 def _wrap_compensation(layout: RegisterLayout, poly: BinaryPolynomial) -> DiagonalPhase | None:
     """Sign fix for values that the domain mapping shifts by M.
 
@@ -233,34 +216,31 @@ def dictionary_circuit(
     phase_corrected: bool = False,
     prepare_keys: bool = True,
 ) -> Circuit:
-    """The key-value encoder: controlled phase ladders between two registers.
+    """The key-value encoder: :func:`~qinterp.encoding.encoder_ops` with one term per monomial.
 
-    With ``prepare_keys`` the key register is brought into equal superposition
+    Each term is controlled by its monomial's key qubits.  With
+    ``prepare_keys`` the key register is brought into equal superposition
     first (the from-zero form); without it the caller supplies the key
     superposition and only the value register is prepared.  The
-    phase-corrected form appends the correction: a value-register ladder, one
-    controlled phase per monomial, and (two's complement only) the per-key
-    wrap compensation.
+    phase-corrected form appends the correction of
+    :func:`~qinterp.encoding.correction_ops` (a value-register ladder, one
+    controlled phase per monomial) and, for values the domain mapping wraps,
+    the per-key compensation.
     """
     if poly.num_vars != layout.key_width:
         raise DomainError(
             f"polynomial over {poly.num_vars} variables does not match key width {layout.key_width}"
         )
     validate_values(poly, layout.value_width, domain)
-    modulus = layout.num_values
-    ops: list = []
-    if prepare_keys:
-        ops.append(HadamardLayer(layout.key_register))
-    ops.append(HadamardLayer(layout.value_register))
-    ops.extend(_encoding_ladders(layout, poly))
-    ops.append(QftGate(layout.value_register, inverse=True))
+    key_offset = layout.key_register.offset
+    terms = [
+        (tuple(key_offset + j for j in range(poly.num_vars) if mask & (1 << j)), coef)
+        for mask, coef in poly.sorted_terms()
+    ]
+    ops = [HadamardLayer(layout.key_register)] if prepare_keys else []
+    ops += encoder_ops(layout.value_register, terms)
     if phase_corrected:
-        m_minus_1 = modulus - 1
-        ops.append(PhaseLadder(layout.value_register, math.pi * m_minus_1 / modulus))
-        key_offset = layout.key_register.offset
-        for mask, coef in poly.sorted_terms():
-            controls = tuple(key_offset + j for j in range(poly.num_vars) if mask & (1 << j))
-            ops.append(ControlledPhase(controls, -math.pi * m_minus_1 * coef / modulus))
+        ops += correction_ops(layout.value_register, terms)
         compensation = _wrap_compensation(layout, poly)
         if compensation is not None:
             ops.append(compensation)

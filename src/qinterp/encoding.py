@@ -6,6 +6,10 @@ three steps: an equal superposition, a phase ladder with angle
 follow the interpolation kernel of :mod:`qinterp.kernels` up to a residual
 phase ``exp(i pi (M-1)(t - k) / M)``; the correction operator removes that
 phase (including the global part) so the amplitudes become literally real.
+
+:func:`encoder_ops` and :func:`correction_ops` build that gate list for a
+sum of controlled terms, so the scalar encoders here and the key-value
+dictionary of :mod:`qinterp.dictionary` share one builder.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .kernels import EncodingDomain, normalize_to_domain
+from .kernels import INTEGER_TOLERANCE, EncodingDomain, normalize_to_domain
 from .sim import (
     Circuit,
     ControlledPhase,
     HadamardLayer,
+    Operation,
     PhaseLadder,
     QftGate,
     Register,
@@ -46,7 +51,15 @@ class ValueEncoding:
 
     @property
     def normalized_target(self) -> float:
-        return normalize_to_domain(self.target, self.domain, self.modulus)
+        """The target mapped into [0, M).
+
+        Within ``INTEGER_TOLERANCE`` of an integer it is that integer mod M,
+        as in the kernel row and the dictionary's wrap compensation, so
+        round-off never flips the sign of the encoded amplitudes.
+        """
+        t = normalize_to_domain(self.target, self.domain, self.modulus)
+        nearest = round(t)
+        return float(nearest % self.modulus) if abs(t - nearest) < INTEGER_TOLERANCE else t
 
     @property
     def theta(self) -> float:
@@ -62,18 +75,47 @@ def encode_geometric(width: int, theta: float) -> StateVector:
     return PhaseLadder(register, theta).apply(state)
 
 
+def encoder_ops(register: Register, terms) -> list[Operation]:
+    """The encoder's gate list: Hadamard layer, one phase ladder per term, inverse QFT.
+
+    A term ``(controls, value)`` adds the ladder angle ``2 pi value / M``
+    where every control qubit is set; the values of the terms whose controls
+    a basis state satisfies add up to the value encoded there.  A scalar is
+    one uncontrolled term, a dictionary one term per monomial.
+    """
+    modulus = register.size
+    return [
+        HadamardLayer(register),
+        *(PhaseLadder(register, 2.0 * math.pi * value / modulus, controls) for controls, value in terms),
+        QftGate(register, inverse=True),
+    ]
+
+
+def correction_ops(register: Register, terms) -> list[Operation]:
+    """The phase correction of :func:`encoder_ops` for the same terms.
+
+    Removes ``e^{i pi (M-1)(t - k)/M}`` exactly: a k-dependent ladder, then
+    one phase ``-pi (M-1) value / M`` per term under its controls, so the
+    corrected amplitudes are real numbers rather than real up to a common
+    phase.
+    """
+    modulus = register.size
+    m_minus_1 = modulus - 1
+    return [
+        PhaseLadder(register, math.pi * m_minus_1 / modulus),
+        *(ControlledPhase(controls, -math.pi * m_minus_1 * value / modulus) for controls, value in terms),
+    ]
+
+
+def _scalar(width: int, t: float, domain: EncodingDomain) -> tuple[Register, tuple]:
+    """The register and the single uncontrolled term that encode ``t``."""
+    target = ValueEncoding(width, t, domain).normalized_target
+    return Register(0, width), (((), target),)
+
+
 def value_encoding_circuit(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> Circuit:
     """Hadamard layer, phase ladder, inverse Fourier transform."""
-    enc = ValueEncoding(width, t, domain)
-    register = Register(0, width)
-    return Circuit(
-        width,
-        (
-            HadamardLayer(register),
-            PhaseLadder(register, enc.theta),
-            QftGate(register, inverse=True),
-        ),
-    )
+    return Circuit(width, tuple(encoder_ops(*_scalar(width, t, domain))))
 
 
 def encode_value(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> StateVector:
@@ -82,22 +124,8 @@ def encode_value(width: int, t: float, domain: EncodingDomain = EncodingDomain.U
 
 
 def phase_correction_circuit(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> Circuit:
-    """The correction operator: removes ``e^{i pi (M-1)(t - k)/M}`` exactly.
-
-    Split into a k-dependent phase ladder and an explicit global phase, so the
-    corrected amplitudes are real numbers rather than real up to a common
-    phase.
-    """
-    enc = ValueEncoding(width, t, domain)
-    m_minus_1 = enc.modulus - 1
-    register = Register(0, width)
-    return Circuit(
-        width,
-        (
-            PhaseLadder(register, math.pi * m_minus_1 / enc.modulus),
-            ControlledPhase((), -math.pi * m_minus_1 * enc.normalized_target / enc.modulus),
-        ),
-    )
+    """The correction operator of :func:`correction_ops` for the scalar ``t``."""
+    return Circuit(width, tuple(correction_ops(*_scalar(width, t, domain))))
 
 
 def apply_phase_correction(
@@ -112,10 +140,10 @@ def real_encoding_circuit(width: int, t: float, domain: EncodingDomain = Encodin
 
     Applied to the zero state it produces the real-amplitude kernel state.
     """
-    return value_encoding_circuit(width, t, domain).then(phase_correction_circuit(width, t, domain))
+    register, terms = _scalar(width, t, domain)
+    return Circuit(width, tuple(encoder_ops(register, terms) + correction_ops(register, terms)))
 
 
 def encode_value_real(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> StateVector:
     """Encode ``t`` with real amplitudes equal to the kernel coefficients."""
     return real_encoding_circuit(width, t, domain).apply(zero_state(width))
-

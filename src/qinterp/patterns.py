@@ -162,7 +162,7 @@ def _block_readout(
     poly = BinaryPolynomial(key_width, terms)
     circuit = dictionary_circuit(layout, poly, domain, phase_corrected=True)
     state = circuit.apply(zero_state(layout.num_qubits))
-    state = function_prep.adjoint().shifted(0, layout.num_qubits).apply(state)
+    state = Circuit(layout.num_qubits, function_prep.adjoint().ops).apply(state)
     return math.sqrt(layout.num_keys) * state.amplitudes[:: layout.num_values]
 
 
@@ -282,7 +282,7 @@ def kernel_double_sum(
     on purpose: the circuit and ``values_table`` use the subset-sum
     transform, and the oracle must stay separate code from both.  Like the
     dictionary, it takes integer values in ``[0, M)`` as they are in either
-    domain.
+    domain, with the lower bound on the rounded value.
     """
     a = np.asarray(key_amplitudes, dtype=np.float64)
     b = np.asarray(value_amplitudes, dtype=np.float64)
@@ -290,7 +290,7 @@ def kernel_double_sum(
     total = 0.0
     for k in range(a.size):
         value = poly.evaluate(k)
-        if abs(value - round(value)) < INTEGER_TOLERANCE and 0 <= value < modulus:
+        if abs(value - round(value)) < INTEGER_TOLERANCE and round(value) >= 0 and value < modulus:
             target = value
         else:
             target = normalize_to_domain(value, domain, modulus)

@@ -3,8 +3,8 @@
 The gate set is deliberately small: Hadamard layers, phase ladders,
 multi-controlled diagonal phases, the (inverse) quantum Fourier transform,
 and an exact amplitude loader.  Every operation is a value-like description
-with ``apply``, ``adjoint`` and ``shifted``; a :class:`Circuit` is a plain
-sequence of them.  States are immutable; applying an operation returns a new
+with ``apply`` and ``adjoint``; a :class:`Circuit` is a plain sequence of
+them.  States are immutable; applying an operation returns a new
 :class:`StateVector`.
 
 Each operation is one numpy transform of the amplitude buffer.  The Fourier
@@ -89,16 +89,6 @@ class RegisterLayout:
         return (key << self.value_width) | value
 
 
-@dataclass(frozen=True)
-class BasisOutcome:
-    index: int
-    amplitude: complex
-
-    @property
-    def probability(self) -> float:
-        return abs(self.amplitude) ** 2
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Immutable dense state: ``amplitudes[k]`` is the coefficient of basis ``k``."""
@@ -128,9 +118,6 @@ class StateVector:
 
     def probability(self, index: int) -> float:
         return abs(self.amplitude(index)) ** 2
-
-    def outcomes(self) -> list[BasisOutcome]:
-        return [BasisOutcome(i, complex(a)) for i, a in enumerate(self.amplitudes)]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -252,9 +239,6 @@ class Operation:
     def adjoint(self) -> "Operation":
         raise NotImplementedError
 
-    def shifted(self, offset: int) -> "Operation":
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, eq=False)
 class HadamardLayer(Operation):
@@ -283,9 +267,6 @@ class HadamardLayer(Operation):
     def adjoint(self) -> "HadamardLayer":
         return self
 
-    def shifted(self, offset: int) -> "HadamardLayer":
-        return HadamardLayer(Register(self.register.offset + offset, self.register.width))
-
 
 @dataclass(frozen=True, eq=False)
 class PhaseLadder(Operation):
@@ -313,13 +294,6 @@ class PhaseLadder(Operation):
     def adjoint(self) -> "PhaseLadder":
         return PhaseLadder(self.register, -self.theta, self.controls)
 
-    def shifted(self, offset: int) -> "PhaseLadder":
-        return PhaseLadder(
-            Register(self.register.offset + offset, self.register.width),
-            self.theta,
-            tuple(q + offset for q in self.controls),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ControlledPhase(Operation):
@@ -341,9 +315,6 @@ class ControlledPhase(Operation):
 
     def adjoint(self) -> "ControlledPhase":
         return ControlledPhase(self.controls, -self.angle)
-
-    def shifted(self, offset: int) -> "ControlledPhase":
-        return ControlledPhase(tuple(q + offset for q in self.controls), self.angle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,9 +339,6 @@ class DiagonalPhase(Operation):
     def adjoint(self) -> "DiagonalPhase":
         return DiagonalPhase(self.register, -self.phases)
 
-    def shifted(self, offset: int) -> "DiagonalPhase":
-        return DiagonalPhase(Register(self.register.offset + offset, self.register.width), self.phases)
-
 
 @dataclass(frozen=True, eq=False)
 class QftGate(Operation):
@@ -393,9 +361,6 @@ class QftGate(Operation):
 
     def adjoint(self) -> "QftGate":
         return QftGate(self.register, not self.inverse)
-
-    def shifted(self, offset: int) -> "QftGate":
-        return QftGate(Register(self.register.offset + offset, self.register.width), self.inverse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,11 +403,6 @@ class StatePrep(Operation):
 
     def adjoint(self) -> "StatePrep":
         return StatePrep(self.register, self.target, not self.dagger)
-
-    def shifted(self, offset: int) -> "StatePrep":
-        return StatePrep(
-            Register(self.register.offset + offset, self.register.width), self.target, self.dagger
-        )
 
 
 def _outside_bit(qubit: int, register: Register) -> int:
@@ -565,15 +525,4 @@ class Circuit:
 
     def adjoint(self) -> "Circuit":
         return Circuit(self.num_qubits, tuple(op.adjoint() for op in reversed(self.ops)))
-
-    def shifted(self, offset: int, num_qubits: int) -> "Circuit":
-        """Embed into a wider state with the circuit's qubit 0 at ``offset``."""
-        if offset + self.num_qubits > num_qubits:
-            raise LayoutError("shifted circuit does not fit the requested qubit count")
-        return Circuit(num_qubits, tuple(op.shifted(offset) for op in self.ops))
-
-    def then(self, other: "Circuit") -> "Circuit":
-        if other.num_qubits != self.num_qubits:
-            raise LayoutError("cannot chain circuits of different widths")
-        return Circuit(self.num_qubits, self.ops + other.ops)
 

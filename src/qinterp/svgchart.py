@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from .sim import RegisterLayout, StateVector
 
+NOISE = 1e-12  # amplitude parts this small are round-off, not phase
+
 
 @dataclass(frozen=True)
 class ChartBar:
@@ -30,8 +32,15 @@ class ChartSpec:
 
 
 def hue_of(amplitude: complex) -> float:
-    """Phase of the amplitude mapped to [0, 360) degrees."""
-    angle = math.atan2(amplitude.imag, amplitude.real) % (2.0 * math.pi)
+    """Phase of the amplitude mapped to [0, 360) degrees.
+
+    An imaginary part within ``NOISE`` counts as zero and an amplitude of
+    magnitude within ``NOISE`` gets hue 0, so round-off never sets a hue.
+    """
+    if abs(amplitude) <= NOISE:
+        return 0.0
+    imag = amplitude.imag if abs(amplitude.imag) > NOISE else 0.0
+    angle = math.atan2(imag, amplitude.real) % (2.0 * math.pi)
     return (angle / (2.0 * math.pi)) * 360.0 % 360.0
 
 
@@ -43,13 +52,13 @@ def chart_from_state(
 ) -> ChartSpec:
     """One bar per basis state, labeled by index or by key:value pair."""
     bars = []
-    for outcome in state.outcomes():
+    for index, amplitude in enumerate(state.amplitudes.tolist()):
         if layout is None:
-            label = str(outcome.index)
+            label = str(index)
         else:
-            key, value = layout.split_index(outcome.index)
+            key, value = layout.split_index(index)
             label = f"{key}:{value}"
-        bars.append(ChartBar(label, abs(outcome.amplitude), hue_of(outcome.amplitude)))
+        bars.append(ChartBar(label, abs(amplitude), hue_of(amplitude)))
     if width is None:
         width = max(360, 14 * len(bars) + 80)
     return ChartSpec(tuple(bars), width, height)

@@ -22,9 +22,11 @@ def in_domain_polynomial(rng, num_vars, value_width, domain, kind):
     ``dense``: interpolates a table of values inside the domain; ``sparse``:
     ``num_vars + 1`` terms whose sums stay inside it; ``integer``: interpolates
     integers, which may also use the full unsigned range in two's complement;
-    ``tenths``: sparse with coefficients on a grid of tenths; in two's
-    complement the four terms under key 3 sum to 0 in decimal, so that value
-    is 0 up to round-off of either sign.
+    ``tenths``: sparse with coefficients on a grid of tenths, where the four
+    terms under key 3 sum to 0 in decimal, so that value is 0 up to round-off
+    of either sign; in the unsigned domain the terms of keys 1 and 2 are
+    negative and no larger than the constant, so every value stays >= 0 in
+    decimal.
     """
     modulus = 1 << value_width
     lo, hi = domain_bounds(domain, modulus)
@@ -41,7 +43,9 @@ def in_domain_polynomial(rng, num_vars, value_width, domain, kind):
     if kind == "tenths":
         top = int(5 * bound)
         tenths = rng.integers(-top if low < 0 else 0, top + 1, len(masks))
-        if low < 0 and num_vars >= 2:
+        if num_vars >= 2:
+            if low == 0:
+                tenths[1:3] = -rng.integers(0, tenths[0] + 1, 2)
             tenths[3] = -tenths[:3].sum()
         return BinaryPolynomial(num_vars, {m: t / 10 for m, t in zip(masks, tenths)})
     return BinaryPolynomial(num_vars, {m: rng.uniform(low, bound) for m in masks})

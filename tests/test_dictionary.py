@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from polynomials import KINDS, in_domain_polynomial, random_polynomial
 
@@ -24,6 +24,7 @@ from qinterp import (
     validate_values,
     zero_state,
 )
+from qinterp.kernels import domain_bounds
 from qinterp.sim import StateVector
 
 TWOS = EncodingDomain.TWOS_COMPLEMENT
@@ -269,11 +270,11 @@ class TestRangeChecking:
 
 
 def loop_validation_message(poly, value_width, domain):
-    """The per-key loop ``validate_values`` used to run, kept as its reference."""
+    """The rule of ``validate_values`` as a per-key loop, kept as its reference."""
     modulus = 1 << value_width
     for k in range(poly.num_keys):
         value = poly.evaluate(k)
-        if abs(value - round(value)) < 1e-12 and 0 <= value < modulus:
+        if abs(value - round(value)) < 1e-12 and round(value) >= 0 and value < modulus:
             continue
         try:
             normalize_to_domain(value, domain, modulus)
@@ -307,6 +308,33 @@ class TestFusedCircuit:
         for op in circuit.ops:
             expected = op.apply(expected)
         assert np.max(np.abs(circuit.apply(state).amplitudes - expected.amplitudes)) < 1e-12
+
+
+@st.composite
+def constant_dictionaries(draw):
+    """(key width, value width, domain, t) with ``t`` anywhere in the domain, integers included."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    domain = draw(st.sampled_from([EncodingDomain.UNSIGNED, TWOS]))
+    lo, hi = domain_bounds(domain, 1 << m)
+    t = draw(st.one_of(st.integers(lo, hi - 1).map(float), st.floats(lo, hi, exclude_max=True)))
+    return k, m, domain, t
+
+
+class TestSharedEncoder:
+    @settings(max_examples=60)
+    @given(case=constant_dictionaries())
+    @example(case=(1, 3, TWOS, -1e-17))  # 0 up to negative round-off
+    @example(case=(2, 3, EncodingDomain.UNSIGNED, 8.0 - 8 * 2**-52))  # 8 up to round-off, which aliases 0
+    def test_constant_dictionary_slices_match_scalar_encoding(self, case):
+        # in two's complement a negative t meets the dictionary's wrap
+        # compensation on one side and the scalar's normalized target on the other
+        k, m, domain, t = case
+        poly = BinaryPolynomial(k, {0: t})
+        circuit = dictionary_circuit(RegisterLayout(k, m), poly, domain, phase_corrected=True)
+        slices = circuit.apply(zero_state(k + m)).amplitudes.reshape(1 << k, 1 << m)
+        expected = encode_value_real(m, t, domain).amplitudes / np.sqrt(1 << k)
+        assert np.max(np.abs(slices - expected)) < 1e-12
 
 
 class TestKeyPreparation:

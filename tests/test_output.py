@@ -130,6 +130,16 @@ class TestSvg:
         assert abs(hue_of(-1 + 0j) - 180.0) < 1e-9
         assert abs(hue_of(1j) - 90.0) < 1e-9
 
+    def test_round_off_sets_no_hue(self):
+        assert hue_of(-1e-17 - 1e-18j) == 0.0  # a zero-height bar
+        assert hue_of(0.7 - 1e-15j) == 0.0  # not 360
+        assert hue_of(-0.7 - 1e-15j) == 180.0
+        assert hue_of(-0.7 + 1e-15j) == 180.0
+        assert hue_of(0.7 + 1e-9j) > 0.0  # a phase above round-off still shows
+        # every bar of a phase-corrected encoding is exactly red or blue-cyan
+        svg = render_state_svg(encode_value_real(4, 5.5))
+        assert set(HSL_RE.findall(svg)) == {"0.000000", "180.000000"}
+
     def test_key_value_labels(self):
         layout = RegisterLayout(2, 3)
         chart = chart_from_state(zero_state(5), layout)

@@ -235,6 +235,22 @@ class TestQuantumInterpolateSweep:
             quantum_interpolate_sweep(prepare_nu2(3), 1.0, 2.0, 0)
 
 
+def check_round_off_zero(domain):
+    """A key whose value is 0 up to negative round-off reads as the value 0 in ``domain``."""
+    # key 3 evaluates to 0.3 - 0.1 - 0.2 = -2.8e-17: the value 0, not M or out of range
+    poly = BinaryPolynomial(2, {0: 0.3, 1: -0.1, 2: -0.2})
+    assert -1e-16 < poly.evaluate(3) < 0
+    key_spec = WeightSpec.from_weights([0.1, 0.2, 0.3, 0.9])
+    value_spec = WeightSpec.from_weights(np.arange(1.0, 9.0))
+    quantum = generalized_inner_product(key_spec, poly, value_spec, domain)
+    classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, domain)
+    assert abs(quantum - classical) < 1e-12
+    # the phase-corrected dictionary holds +1/2 at value 0 for key 3
+    circuit = dictionary_circuit(RegisterLayout(2, 3), poly, domain, phase_corrected=True)
+    slice3 = circuit.apply(zero_state(5)).amplitudes.reshape(4, 8)[3]
+    assert np.max(np.abs(slice3 - fejer_kernel_row(8, 0.0) / 2)) < 1e-12
+
+
 class TestGeneralizedInnerProduct:
     def test_reference_instance(self):
         w = demo_weights()
@@ -283,18 +299,10 @@ class TestGeneralizedInnerProduct:
         assert abs(quantum - classical) < 1e-12
 
     def test_value_zero_up_to_negative_round_off_in_twos_complement(self):
-        # key 3 evaluates to 0.3 - 0.1 - 0.2 = -2.8e-17: the value 0, not M
-        poly = BinaryPolynomial(2, {0: 0.3, 1: -0.1, 2: -0.2})
-        assert -1e-16 < poly.evaluate(3) < 0
-        key_spec = WeightSpec.from_weights([0.1, 0.2, 0.3, 0.9])
-        value_spec = WeightSpec.from_weights(np.arange(1.0, 9.0))
-        quantum = generalized_inner_product(key_spec, poly, value_spec, TWOS)
-        classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, TWOS)
-        assert abs(quantum - classical) < 1e-12
-        # the phase-corrected dictionary holds +1/2 at value 0 for key 3
-        circuit = dictionary_circuit(RegisterLayout(2, 3), poly, TWOS, phase_corrected=True)
-        slice3 = circuit.apply(zero_state(5)).amplitudes.reshape(4, 8)[3]
-        assert np.max(np.abs(slice3 - fejer_kernel_row(8, 0.0) / 2)) < 1e-12
+        check_round_off_zero(TWOS)
+
+    def test_value_zero_up_to_negative_round_off_in_unsigned(self):
+        check_round_off_zero(EncodingDomain.UNSIGNED)
 
     def test_uniform_keys_basis_value_selector(self):
         # f == 0 everywhere, value weights pick out |0>: every key contributes
@@ -331,8 +339,8 @@ class TestInnerProductProperties:
         classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, domain)
         assert abs(quantum - classical) < 1e-9
 
-    @settings(max_examples=30)
-    @given(case=weighted_dictionaries(domains=(TWOS,), kinds=("tenths",)))
+    @settings(max_examples=40)
+    @given(case=weighted_dictionaries(kinds=("tenths",)))
     def test_matches_kernel_double_sum_at_round_off_zeros(self, case):
         key_spec, poly, value_spec, domain = case
         quantum = generalized_inner_product(key_spec, poly, value_spec, domain)

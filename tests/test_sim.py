@@ -316,23 +316,6 @@ class TestAdjoint:
         out = circuit.adjoint().apply(circuit.apply(state))
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
-    def test_circuit_shifted_onto_key_register(self):
-        # a 2-qubit circuit embedded at offset 3 acts on the key register only
-        reg = Register(0, 2)
-        circuit = Circuit(2, (HadamardLayer(reg), PhaseLadder(reg, 0.9)))
-        layout = RegisterLayout(2, 3)
-        shifted = circuit.shifted(3, 5)
-        out = shifted.apply(zero_state(5))
-        small = circuit.apply(zero_state(2))
-        expected = np.kron(small.amplitudes, zero_state(3).amplitudes)
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
-        assert layout.key_register.offset == 3
-
-    def test_circuit_shifted_must_fit(self):
-        circuit = Circuit(2, (HadamardLayer(Register(0, 2)),))
-        with pytest.raises(LayoutError):
-            circuit.shifted(3, 4)
-
 
 class TestInvariants:
     OPS = None
