@@ -39,7 +39,6 @@ from .sim import (
 )
 from .encoding import (
     ValueEncoding,
-    apply_phase_correction,
     encode_geometric,
     encode_value,
     encode_value_real,
@@ -49,9 +48,6 @@ from .encoding import (
 )
 from .dictionary import (
     BinaryPolynomial,
-    DictionaryState,
-    apply_f,
-    apply_f_prime,
     dictionary_circuit,
     format_polynomial,
     parse_polynomial,

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dictionary
 from . import repro as repro_mod
-from .dictionary import apply_f, apply_f_prime, parse_polynomial
+from .dictionary import parse_polynomial
 from .encoding import encode_value, encode_value_real
 from .errors import (
     CapacityError,
@@ -150,12 +151,12 @@ def _cmd_dict(args) -> int:
     domain = _parse_domain(args.domain)
     poly = parse_polynomial(Path(args.poly_file).read_text(encoding="utf-8"), args.key_qubits)
     layout = RegisterLayout(args.key_qubits, args.value_qubits)
-    encode = apply_f_prime if args.prime else apply_f
-    result = encode(zero_state(layout.num_qubits), layout, poly, domain)
+    circuit = dictionary.dictionary_circuit(layout, poly, domain, phase_corrected=args.prime)
+    state = circuit.apply(zero_state(layout.num_qubits))
     if args.out == "svg":
-        _write_output(render_state_svg(result.state, layout), args.output)
+        _write_output(render_state_svg(state, layout), args.output)
     else:
-        _write_output(state_to_json(result.state, layout), args.output)
+        _write_output(state_to_json(state, layout), args.output)
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .encoding import correction_ops, encoder_ops
 from .errors import DomainError, ParseError, ValueRangeError
 from .kernels import INTEGER_TOLERANCE, EncodingDomain, domain_bounds, normalize_to_domain
-from .sim import Circuit, DiagonalPhase, HadamardLayer, RegisterLayout, StateVector, subset_sums
+from .sim import Circuit, DiagonalPhase, HadamardLayer, RegisterLayout, subset_sums
 
 _TERM_RE = re.compile(r"^k(\d+)$")
 
@@ -164,31 +164,6 @@ def validate_values(poly: BinaryPolynomial, value_width: int, domain: EncodingDo
             ) from exc
 
 
-@dataclass(frozen=True, eq=False)
-class DictionaryState:
-    """Entangled key-value state together with its register layout."""
-
-    layout: RegisterLayout
-    state: StateVector
-
-    def conditional_value_amplitudes(self, key: int) -> np.ndarray:
-        """Raw value-register slice of one key (not renormalized)."""
-        m = self.layout.num_values
-        return self.state.amplitudes[key * m : (key + 1) * m].copy()
-
-    def conditional_value_state(self, key: int) -> np.ndarray:
-        """Renormalized value-register state conditioned on the key."""
-        slice_ = self.conditional_value_amplitudes(key)
-        norm = np.linalg.norm(slice_)
-        if norm == 0:
-            raise DomainError(f"key {key} has zero probability")
-        return slice_ / norm
-
-    def key_probabilities(self) -> np.ndarray:
-        probs = self.state.probabilities()
-        return probs.reshape(self.layout.num_keys, self.layout.num_values).sum(axis=1)
-
-
 def _wrap_compensation(layout: RegisterLayout, poly: BinaryPolynomial) -> DiagonalPhase | None:
     """Sign fix for values that the domain mapping shifts by M.
 
@@ -218,14 +193,17 @@ def dictionary_circuit(
 ) -> Circuit:
     """The key-value encoder: :func:`~qinterp.encoding.encoder_ops` with one term per monomial.
 
-    Each term is controlled by its monomial's key qubits.  With
-    ``prepare_keys`` the key register is brought into equal superposition
-    first (the from-zero form); without it the caller supplies the key
-    superposition and only the value register is prepared.  The
-    phase-corrected form appends the correction of
-    :func:`~qinterp.encoding.correction_ops` (a value-register ladder, one
-    controlled phase per monomial) and, for values the domain mapping wraps,
-    the per-key compensation.
+    Each term is controlled by its monomial's key qubits.  The plain form is
+    the paper's operator F: value slices carry the kernel magnitudes and the
+    residual phases.  The phase-corrected form is F': it appends the
+    correction of :func:`~qinterp.encoding.correction_ops` (a value-register
+    ladder, one controlled phase per monomial) and, for values the domain
+    mapping wraps, the per-key compensation, so every value slice is real.
+
+    With ``prepare_keys`` the key register is brought into equal
+    superposition first, for a circuit applied to the all-zeros state.
+    Pass ``prepare_keys=False`` when the caller has prepared the key
+    register; only the value register, which must be zero, is encoded.
     """
     if poly.num_vars != layout.key_width:
         raise DomainError(
@@ -245,49 +223,3 @@ def dictionary_circuit(
         if compensation is not None:
             ops.append(compensation)
     return Circuit(layout.num_qubits, tuple(ops))
-
-
-def _from_zero(state: StateVector) -> bool:
-    return abs(state.amplitude(0) - 1.0) < 1e-12
-
-
-def apply_dictionary(
-    state: StateVector,
-    layout: RegisterLayout,
-    poly: BinaryPolynomial,
-    domain: EncodingDomain = EncodingDomain.UNSIGNED,
-    phase_corrected: bool = False,
-    prepare_keys: bool | None = None,
-) -> DictionaryState:
-    """Encode the polynomial into ``state``.
-
-    ``state`` must be the all-zeros state or a key superposition with the
-    value register zeroed.  When ``prepare_keys`` is not given, the key
-    Hadamards are included exactly when the input is the all-zeros state.
-    """
-    if prepare_keys is None:
-        prepare_keys = _from_zero(state)
-    circuit = dictionary_circuit(layout, poly, domain, phase_corrected, prepare_keys)
-    return DictionaryState(layout, circuit.apply(state))
-
-
-def apply_f(
-    state: StateVector,
-    layout: RegisterLayout,
-    poly: BinaryPolynomial,
-    domain: EncodingDomain = EncodingDomain.UNSIGNED,
-    prepare_keys: bool | None = None,
-) -> DictionaryState:
-    """Key-value encoding with residual phases left in place."""
-    return apply_dictionary(state, layout, poly, domain, False, prepare_keys)
-
-
-def apply_f_prime(
-    state: StateVector,
-    layout: RegisterLayout,
-    poly: BinaryPolynomial,
-    domain: EncodingDomain = EncodingDomain.UNSIGNED,
-    prepare_keys: bool | None = None,
-) -> DictionaryState:
-    """Phase-corrected key-value encoding: every value slice has real amplitudes."""
-    return apply_dictionary(state, layout, poly, domain, True, prepare_keys)

@@ -128,13 +128,6 @@ def phase_correction_circuit(width: int, t: float, domain: EncodingDomain = Enco
     return Circuit(width, tuple(correction_ops(*_scalar(width, t, domain))))
 
 
-def apply_phase_correction(
-    state: StateVector, width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED
-) -> StateVector:
-    """Correct the residual phases of an encoded state; magnitudes unchanged."""
-    return phase_correction_circuit(width, t, domain).apply(state)
-
-
 def real_encoding_circuit(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> Circuit:
     """The full encoder: value encoding followed by phase correction.
 

@@ -37,10 +37,13 @@ def domain_bounds(domain: EncodingDomain, modulus: int) -> tuple[int, int]:
 def normalize_to_domain(t: float, domain: EncodingDomain, modulus: int) -> float:
     """Map ``t`` into [0, M), rejecting values outside the declared domain.
 
-    Unsigned values pass through; two's-complement values in [-M/2, 0) map to
-    ``t + M``.
+    Unsigned values pass through, and a value less than ``INTEGER_TOLERANCE``
+    below 0 counts as 0, as in :func:`qinterp.dictionary.validate_values`;
+    two's-complement values in [-M/2, 0) map to ``t + M``.
     """
     lo, hi = domain_bounds(domain, modulus)
+    if domain is EncodingDomain.UNSIGNED and -INTEGER_TOLERANCE < t < 0:
+        return 0.0
     if not lo <= t < hi:
         name = "unsigned" if domain is EncodingDomain.UNSIGNED else "two's-complement"
         raise DomainError(f"value {t} outside {name} domain [{lo}, {hi})")

@@ -55,7 +55,7 @@ class WeightSpec:
         if n < 2 or (n & (n - 1)) != 0:
             raise DomainError(f"weight vector length {n} is not a power of two >= 2")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN norm fails too
             raise NormalizationError(f"weight state norm {norm} is not 1")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -64,8 +64,8 @@ class WeightSpec:
         """Normalize raw weights; the common factor is 1 over their norm."""
         w = np.asarray(weights, dtype=np.float64)
         norm = np.linalg.norm(w)
-        if norm == 0:
-            raise NormalizationError("weight vector is all zeros")
+        if not 0 < norm < math.inf:
+            raise NormalizationError(f"weight vector norm {norm} is not positive and finite")
         return cls(w / norm, 1.0 / norm)
 
     @property
@@ -151,18 +151,19 @@ def _block_readout(
     ``t0 + sum_j 2^j step b_j`` on a key register indexing the points, undoes
     the function preparation on the value register, and reads key ``b``'s
     all-zeros value amplitude, rescaled by ``sqrt(2**key_width)`` because the
-    keys start in equal superposition.
+    keys start in equal superposition.  Either way the block is one circuit:
+    the encoder's gates, then the adjoint of the function preparation.
     """
     width = function_prep.num_qubits
+    unprepare = function_prep.adjoint().ops
     if key_width == 0:
-        state = real_encoding_circuit(width, t0, domain).apply(zero_state(width))
-        return function_prep.adjoint().apply(state).amplitudes[:1]
+        encoder = real_encoding_circuit(width, t0, domain)
+        return Circuit(width, encoder.ops + unprepare).apply(zero_state(width)).amplitudes[:1]
     layout = RegisterLayout(key_width, width)
     terms = {0: t0, **{1 << j: (1 << j) * step for j in range(key_width)}}
     poly = BinaryPolynomial(key_width, terms)
-    circuit = dictionary_circuit(layout, poly, domain, phase_corrected=True)
-    state = circuit.apply(zero_state(layout.num_qubits))
-    state = Circuit(layout.num_qubits, function_prep.adjoint().ops).apply(state)
+    encoder = dictionary_circuit(layout, poly, domain, phase_corrected=True)
+    state = Circuit(layout.num_qubits, encoder.ops + unprepare).apply(zero_state(layout.num_qubits))
     return math.sqrt(layout.num_keys) * state.amplitudes[:: layout.num_values]
 
 
@@ -251,19 +252,21 @@ def generalized_inner_product(
 ) -> float:
     """All-zeros amplitude of the weighted, phase-corrected dictionary pipeline.
 
-    Simulates: load key weights, apply the phase-corrected dictionary, then
-    Hadamards on the keys and the inverse value-weight loader.  The result
-    equals ``(1/sqrt(N)) sum_k a_k sum_v b_v c(v)`` with ``c`` the kernel row
-    of ``f(k)``.
+    One circuit on the all-zeros state: load key weights, apply the
+    phase-corrected dictionary, then Hadamards on the keys and the inverse
+    value-weight loader.  The result equals
+    ``(1/sqrt(N)) sum_k a_k sum_v b_v c(v)`` with ``c`` the kernel row of ``f(k)``.
     """
     layout = RegisterLayout(key_weights.num_qubits, value_weights.num_qubits)
-    state = zero_state(layout.num_qubits)
-    state = StatePrep(layout.key_register, key_weights.amplitudes).apply(state)
-    circuit = dictionary_circuit(layout, poly, domain, phase_corrected=True, prepare_keys=False)
-    state = circuit.apply(state)
-    state = HadamardLayer(layout.key_register).apply(state)
-    state = StatePrep(layout.value_register, value_weights.amplitudes).adjoint().apply(state)
-    amplitude = state.amplitude(0)
+    keys, values = layout.key_register, layout.value_register
+    dictionary = dictionary_circuit(layout, poly, domain, phase_corrected=True, prepare_keys=False)
+    ops = (
+        StatePrep(keys, key_weights.amplitudes),
+        *dictionary.ops,
+        HadamardLayer(keys),
+        StatePrep(values, value_weights.amplitudes).adjoint(),
+    )
+    amplitude = Circuit(layout.num_qubits, ops).apply(zero_state(layout.num_qubits)).amplitude(0)
     _warn_imag_residual(abs(amplitude.imag), "inner-product amplitude")
     return amplitude.real
 

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import patterns, stateio, svgchart
-from .dictionary import BinaryPolynomial, apply_f, apply_f_prime
+from . import dictionary, patterns, stateio, svgchart
+from .dictionary import BinaryPolynomial
 from .encoding import encode_value, encode_value_real
 from .kernels import EncodingDomain, SampledSignal, classical_interpolate
 from .patterns import (
@@ -33,7 +33,7 @@ from .patterns import (
     quantum_interpolate,
     quantum_interpolate_sweep,
 )
-from .sim import HadamardLayer, RegisterLayout, StatePrep, zero_state
+from .sim import Circuit, HadamardLayer, RegisterLayout, StatePrep, zero_state
 
 # Three-variable demo polynomial of the reference weighted-sum cases.
 # Variable bit assignment chosen so the published sums reproduce exactly.
@@ -371,27 +371,22 @@ def write_artifacts(directory: str | Path) -> list[Path]:
 
     linear_poly = BinaryPolynomial(2, {0: 1.2, 1: 0.4, 2: 0.8})
     layout = RegisterLayout(2, 3)
-    emit(
-        "dict_linear.svg",
-        svgchart.render_state_svg(apply_f(zero_state(5), layout, linear_poly).state, layout),
-    )
-    emit(
-        "dict_linear_real.svg",
-        svgchart.render_state_svg(apply_f_prime(zero_state(5), layout, linear_poly).state, layout),
-    )
+    for name, corrected in (("dict_linear.svg", False), ("dict_linear_real.svg", True)):
+        circuit = dictionary.dictionary_circuit(layout, linear_poly, phase_corrected=corrected)
+        emit(name, svgchart.render_state_svg(circuit.apply(zero_state(5)), layout))
 
     demo_layout = RegisterLayout(3, 4)
-    state = zero_state(7)
-    state = StatePrep(demo_layout.key_register, patterns.nu2_amplitudes(3)).apply(state)
-    weighted = apply_f_prime(state, demo_layout, DEMO_POLY).state
-    emit("dict_weighted_keys.svg", svgchart.render_state_svg(weighted, demo_layout))
-
-    value_profile = zero_state(7)
-    value_profile = HadamardLayer(demo_layout.key_register).apply(value_profile)
-    value_profile = StatePrep(demo_layout.value_register, patterns.lambda_amplitudes(4)).apply(
-        value_profile
+    keys, values = demo_layout.key_register, demo_layout.value_register
+    encoder = dictionary.dictionary_circuit(
+        demo_layout, DEMO_POLY, phase_corrected=True, prepare_keys=False
     )
-    emit("value_weight_profile.svg", svgchart.render_state_svg(value_profile, demo_layout))
+    weighted_keys = Circuit(7, (StatePrep(keys, patterns.nu2_amplitudes(3)), *encoder.ops))
+    value_profile = Circuit(7, (HadamardLayer(keys), StatePrep(values, patterns.lambda_amplitudes(4))))
+    for name, circuit in (
+        ("dict_weighted_keys.svg", weighted_keys),
+        ("value_weight_profile.svg", value_profile),
+    ):
+        emit(name, svgchart.render_state_svg(circuit.apply(zero_state(7)), demo_layout))
 
     emit(
         "sweep_nu2.csv",

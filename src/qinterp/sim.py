@@ -381,7 +381,7 @@ class StatePrep(Operation):
         if target.shape != (self.register.size,):
             raise LayoutError("target length must equal the register size")
         norm = np.linalg.norm(target)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # written so that a NaN norm fails too
             raise NormalizationError(f"target vector norm {norm} is not 1")
         object.__setattr__(self, "target", target)
 

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import ParseError
-from .sim import RegisterLayout, StateVector
+from .sim import MAX_QUBITS, RegisterLayout, StateVector
 
 
 def format_value(value: float) -> str:
@@ -50,6 +50,8 @@ def state_from_dict(data: dict) -> tuple[StateVector, RegisterLayout | None]:
             widths = _integer_field(data, "key_width"), _integer_field(data, "value_width")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed state dump: {exc}") from exc
+    if not 1 <= num_qubits <= MAX_QUBITS or amps.size != 1 << num_qubits:
+        raise ParseError(f"{amps.size} amplitudes are not a state of num_qubits {num_qubits}")
     layout = None
     if widths is not None:
         if sum(widths) != num_qubits:

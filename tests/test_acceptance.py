@@ -33,7 +33,7 @@ from qinterp import (
     weighted_sum,
     zero_state,
 )
-from qinterp.dictionary import apply_f_prime
+from qinterp.dictionary import dictionary_circuit
 from qinterp.repro import DEMO_POLY, build_cases, format_report, run_cases
 
 TWOS = EncodingDomain.TWOS_COMPLEMENT
@@ -273,9 +273,9 @@ def test_criterion_09_dictionary_slice_identity():
         table = rng.uniform(0, modulus, 4)
         poly = polynomial_from_table(table)
         layout = RegisterLayout(2, m)
-        result = apply_f_prime(zero_state(2 + m), layout, poly)
-        for key in range(4):
-            slice_ = result.conditional_value_state(key)
+        state = dictionary_circuit(layout, poly, phase_corrected=True).apply(zero_state(2 + m))
+        for key, row in enumerate(state.amplitudes.reshape(4, modulus)):
+            slice_ = row / np.linalg.norm(row)
             reference = fejer_kernel_row(modulus, table[key])
             fidelity = abs(np.dot(np.conj(slice_), reference)) ** 2
             worst = max(worst, 1.0 - fidelity)

@@ -55,6 +55,12 @@ class TestEncode:
         assert code == 3
         assert "domain" in err
 
+    def test_negative_round_off_encodes_zero(self, capsys):
+        # "-t=" because argparse reads a bare "-1e-17" as an option
+        code, out, _ = run(capsys, "encode", "-m", "3", "-t=-1e-17")
+        assert code == 0
+        assert out == run(capsys, "encode", "-m", "3", "-t", "0")[1]
+
     def test_twos_complement_flag(self, capsys):
         code, out, _ = run(capsys, "encode", "-m", "3", "-t", "-4", "--domain", "twos")
         assert code == 0

@@ -11,8 +11,6 @@ from qinterp import (
     ParseError,
     RegisterLayout,
     ValueRangeError,
-    apply_f,
-    apply_f_prime,
     dictionary_circuit,
     encode_value,
     encode_value_real,
@@ -30,6 +28,16 @@ from qinterp.sim import StateVector
 TWOS = EncodingDomain.TWOS_COMPLEMENT
 
 LINEAR = BinaryPolynomial(2, {0b00: 1.2, 0b01: 0.4, 0b10: 0.8})  # f(k) = 1.2 + 0.4 k
+
+
+def conditional_value_state(state, layout, key):
+    """Value-register state of one key, renormalized."""
+    slice_ = state.amplitudes.reshape(layout.num_keys, layout.num_values)[key]
+    return slice_ / np.linalg.norm(slice_)
+
+
+def key_probabilities(state, layout):
+    return state.probabilities().reshape(layout.num_keys, layout.num_values).sum(axis=1)
 
 
 class TestEvaluate:
@@ -137,29 +145,28 @@ class TestOperatorF:
     def test_constant_integer_function(self):
         poly = BinaryPolynomial(1, {0: 4.0})
         layout = RegisterLayout(1, 3)
-        result = apply_f(zero_state(4), layout, poly)
-        probs = result.state.probabilities()
+        probs = dictionary_circuit(layout, poly).apply(zero_state(4)).probabilities()
         for key in (0, 1):
             assert abs(probs[layout.combined_index(key, 4)] - 0.5) < 1e-12
 
     def test_key_marginal_uniform(self):
         layout = RegisterLayout(2, 3)
-        result = apply_f(zero_state(5), layout, LINEAR)
-        assert np.max(np.abs(result.key_probabilities() - 0.25)) < 1e-10
+        state = dictionary_circuit(layout, LINEAR).apply(zero_state(5))
+        assert np.max(np.abs(key_probabilities(state, layout) - 0.25)) < 1e-10
 
     def test_integer_poly_measures_exact_pairs(self):
         poly = BinaryPolynomial(2, {0: 1.0, 0b01: 2.0, 0b10: 4.0})
         layout = RegisterLayout(2, 3)
-        probs = apply_f(zero_state(5), layout, poly).state.probabilities()
+        probs = dictionary_circuit(layout, poly).apply(zero_state(5)).probabilities()
         for key in range(4):
             value = int(poly.evaluate(key))
             assert abs(probs[layout.combined_index(key, value)] - 0.25) < 1e-12
 
     def test_slices_match_plain_encoding(self):
         layout = RegisterLayout(2, 3)
-        result = apply_f(zero_state(5), layout, LINEAR)
+        state = dictionary_circuit(layout, LINEAR).apply(zero_state(5))
         for key in range(4):
-            slice_ = result.conditional_value_state(key)
+            slice_ = conditional_value_state(state, layout, key)
             reference = encode_value(3, LINEAR.evaluate(key)).amplitudes
             assert np.max(np.abs(slice_ - reference)) < 1e-10
 
@@ -167,32 +174,32 @@ class TestOperatorF:
 class TestOperatorFPrime:
     def test_all_amplitudes_real(self):
         layout = RegisterLayout(2, 3)
-        result = apply_f_prime(zero_state(5), layout, LINEAR)
-        assert np.max(np.abs(result.state.amplitudes.imag)) < 1e-10
+        state = dictionary_circuit(layout, LINEAR, phase_corrected=True).apply(zero_state(5))
+        assert np.max(np.abs(state.amplitudes.imag)) < 1e-10
 
     def test_slices_match_real_encoding(self):
         layout = RegisterLayout(2, 3)
-        result = apply_f_prime(zero_state(5), layout, LINEAR)
+        state = dictionary_circuit(layout, LINEAR, phase_corrected=True).apply(zero_state(5))
         for key in range(4):
-            slice_ = result.conditional_value_state(key)
+            slice_ = conditional_value_state(state, layout, key)
             reference = encode_value_real(3, LINEAR.evaluate(key)).amplitudes
             assert np.max(np.abs(slice_ - reference)) < 1e-10
 
     def test_integer_poly_same_distribution_as_f(self):
         poly = BinaryPolynomial(2, {0: 1.0, 0b01: 2.0, 0b10: 4.0})
         layout = RegisterLayout(2, 3)
-        plain = apply_f(zero_state(5), layout, poly)
-        corrected = apply_f_prime(zero_state(5), layout, poly)
-        assert np.max(np.abs(plain.state.probabilities() - corrected.state.probabilities())) < 1e-10
-        assert np.max(np.abs(corrected.state.amplitudes.imag)) < 1e-10
+        plain = dictionary_circuit(layout, poly).apply(zero_state(5))
+        corrected = dictionary_circuit(layout, poly, phase_corrected=True).apply(zero_state(5))
+        assert np.max(np.abs(plain.probabilities() - corrected.probabilities())) < 1e-10
+        assert np.max(np.abs(corrected.amplitudes.imag)) < 1e-10
 
     def test_twos_complement_negative_values(self):
         poly = BinaryPolynomial(2, {0: -1.3, 0b01: 0.9, 0b10: 2.1})
         layout = RegisterLayout(2, 3)
-        result = apply_f_prime(zero_state(5), layout, poly, TWOS)
-        assert np.max(np.abs(result.state.amplitudes.imag)) < 1e-10
+        state = dictionary_circuit(layout, poly, TWOS, phase_corrected=True).apply(zero_state(5))
+        assert np.max(np.abs(state.amplitudes.imag)) < 1e-10
         for key in range(4):
-            slice_ = result.conditional_value_state(key)
+            slice_ = conditional_value_state(state, layout, key)
             target = normalize_to_domain(poly.evaluate(key), TWOS, 8)
             assert np.max(np.abs(slice_ - fejer_kernel_row(8, target))) < 1e-10
 
@@ -202,9 +209,9 @@ class TestOperatorFPrime:
         other = parse_polynomial("0.7: 1\n0.5: 1\n0.4: k0\n0.8: k1\n0.0: k0*k1\n", 2)
         assert np.max(np.abs(other.values_table() - LINEAR.values_table())) < 1e-12
         layout = RegisterLayout(2, 3)
-        lhs = apply_f_prime(zero_state(5), layout, other)
-        rhs = apply_f_prime(zero_state(5), layout, LINEAR)
-        assert np.max(np.abs(lhs.state.amplitudes - rhs.state.amplitudes)) < 1e-10
+        lhs = dictionary_circuit(layout, other, phase_corrected=True).apply(zero_state(5))
+        rhs = dictionary_circuit(layout, LINEAR, phase_corrected=True).apply(zero_state(5))
+        assert np.max(np.abs(lhs.amplitudes - rhs.amplitudes)) < 1e-10
 
     def test_unitarity(self):
         layout = RegisterLayout(2, 3)
@@ -220,9 +227,9 @@ class TestOperatorFPrime:
             table = rng.uniform(0, modulus, 4)
             poly = polynomial_from_table(table)
             layout = RegisterLayout(2, m)
-            result = apply_f_prime(zero_state(2 + m), layout, poly)
+            state = dictionary_circuit(layout, poly, phase_corrected=True).apply(zero_state(2 + m))
             for key in range(4):
-                slice_ = result.conditional_value_state(key)
+                slice_ = conditional_value_state(state, layout, key)
                 reference = fejer_kernel_row(modulus, table[key])
                 assert np.max(np.abs(slice_ - reference)) < 1e-10
 
@@ -232,25 +239,24 @@ class TestRangeChecking:
         poly = BinaryPolynomial(2, {0: 6.5, 0b01: 2.0})  # key 1 evaluates to 8.5
         layout = RegisterLayout(2, 3)
         with pytest.raises(ValueRangeError, match="key 1"):
-            apply_f(zero_state(5), layout, poly)
+            dictionary_circuit(layout, poly)
 
     def test_integer_values_may_fill_range(self):
         poly = BinaryPolynomial(2, {0: 6.0, 0b01: 1.0})  # integers 6 and 7 allowed in TC
         layout = RegisterLayout(2, 3)
-        result = apply_f(zero_state(5), layout, poly, TWOS)
-        probs = result.state.probabilities()
+        probs = dictionary_circuit(layout, poly, TWOS).apply(zero_state(5)).probabilities()
         assert abs(probs[layout.combined_index(1, 7)] - 0.25) < 1e-12
 
     def test_noninteger_outside_twos_domain_rejected(self):
         poly = BinaryPolynomial(2, {0: 3.9, 0b01: 0.7})
         layout = RegisterLayout(2, 3)
         with pytest.raises(ValueRangeError):
-            apply_f(zero_state(5), layout, poly, TWOS)
+            dictionary_circuit(layout, poly, TWOS)
 
     def test_key_width_mismatch(self):
         layout = RegisterLayout(3, 3)
         with pytest.raises(DomainError):
-            apply_f(zero_state(6), layout, LINEAR)
+            dictionary_circuit(layout, LINEAR)
 
     @pytest.mark.parametrize(
         "domain, table",
@@ -338,23 +344,19 @@ class TestSharedEncoder:
 
 
 class TestKeyPreparation:
-    def test_from_zero_includes_key_hadamards(self):
-        layout = RegisterLayout(2, 3)
-        result = apply_f(zero_state(5), layout, LINEAR)
-        assert np.max(np.abs(result.key_probabilities() - 0.25)) < 1e-10
-
     def test_existing_key_superposition_kept(self):
         layout = RegisterLayout(2, 3)
         from qinterp import StatePrep
 
         weights = np.array([0.9, 0.1, 0.3, np.sqrt(1 - 0.81 - 0.01 - 0.09)])
         state = StatePrep(layout.key_register, weights).apply(zero_state(5))
-        result = apply_f_prime(state, layout, LINEAR)
-        assert np.max(np.abs(result.key_probabilities() - weights**2)) < 1e-10
+        circuit = dictionary_circuit(layout, LINEAR, phase_corrected=True, prepare_keys=False)
+        state = circuit.apply(state)
+        assert np.max(np.abs(key_probabilities(state, layout) - weights**2)) < 1e-10
 
     def test_explicit_override(self):
         layout = RegisterLayout(2, 3)
         # basis-key-0 input with prepare_keys disabled: all mass stays on key 0
-        result = apply_f(zero_state(5), layout, LINEAR, prepare_keys=False)
-        key_probs = result.key_probabilities()
+        state = dictionary_circuit(layout, LINEAR, prepare_keys=False).apply(zero_state(5))
+        key_probs = key_probabilities(state, layout)
         assert abs(key_probs[0] - 1.0) < 1e-12

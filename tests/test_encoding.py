@@ -7,11 +7,11 @@ from qinterp import (
     DomainError,
     EncodingDomain,
     ValueEncoding,
-    apply_phase_correction,
     encode_geometric,
     encode_value,
     encode_value_real,
     fejer_kernel_row,
+    phase_correction_circuit,
     real_encoding_circuit,
     zero_state,
 )
@@ -68,18 +68,18 @@ class TestEncodeValue:
 class TestPhaseCorrection:
     def test_integer_state_unchanged(self):
         plain = encode_value(3, 4)
-        corrected = apply_phase_correction(plain, 3, 4)
+        corrected = phase_correction_circuit(3, 4).apply(plain)
         assert np.max(np.abs(corrected.amplitudes - plain.amplitudes)) < 1e-12
 
     def test_amplitudes_equal_kernel(self):
-        corrected = apply_phase_correction(encode_value(3, 2.7), 3, 2.7)
+        corrected = phase_correction_circuit(3, 2.7).apply(encode_value(3, 2.7))
         row = fejer_kernel_row(8, 2.7)
         assert np.max(np.abs(corrected.amplitudes - row)) < 1e-10
         assert np.max(np.abs(corrected.amplitudes.imag)) < 1e-10
 
     def test_probabilities_preserved(self):
         plain = encode_value(3, 2.7)
-        corrected = apply_phase_correction(plain, 3, 2.7)
+        corrected = phase_correction_circuit(3, 2.7).apply(plain)
         assert np.max(np.abs(corrected.probabilities() - plain.probabilities())) < 1e-12
 
 
@@ -145,3 +145,7 @@ class TestValueEncoding:
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             ValueEncoding(3, 8.0)
+
+    def test_negative_round_off_encodes_zero(self):
+        assert ValueEncoding(3, -1e-17).normalized_target == 0.0
+        assert np.array_equal(encode_value_real(3, -1e-17).amplitudes, encode_value_real(3, 0).amplitudes)

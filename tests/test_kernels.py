@@ -93,6 +93,12 @@ class TestNormalizeToDomain:
         with pytest.raises(DomainError):
             normalize_to_domain(8, EncodingDomain.UNSIGNED, 8)
 
+    def test_unsigned_round_off_below_zero_is_zero(self):
+        assert normalize_to_domain(-1e-17, EncodingDomain.UNSIGNED, 8) == 0.0
+        assert normalize_to_domain(-0.9e-12, EncodingDomain.UNSIGNED, 8) == 0.0
+        with pytest.raises(DomainError):
+            normalize_to_domain(-1e-12, EncodingDomain.UNSIGNED, 8)
+
     def test_twos_complement_bounds(self):
         assert normalize_to_domain(-4.0, EncodingDomain.TWOS_COMPLEMENT, 8) == 4.0
         with pytest.raises(DomainError):

@@ -64,6 +64,20 @@ class TestStateJson:
         with pytest.raises(ParseError, match="num_qubits"):
             state_from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("num_qubits", [0, -1])
+    def test_qubit_count_below_one_is_parse_error(self, num_qubits):
+        data = state_to_dict(zero_state(1))
+        data["num_qubits"] = num_qubits
+        with pytest.raises(ParseError):
+            state_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_amplitude_count_must_match_qubits(self, count):
+        data = state_to_dict(zero_state(2))
+        data["amplitudes"] = [[1.0, 0.0]] + [[0.0, 0.0]] * (count - 1)
+        with pytest.raises(ParseError):
+            state_from_json(json.dumps(data))
+
 
 class TestCsv:
     def test_reparse_precision(self):

@@ -57,6 +57,15 @@ class TestWeightSpec:
         with pytest.raises(NormalizationError):
             WeightSpec.from_weights([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(NormalizationError):
+            WeightSpec.from_weights([bad, 1.0])
+
+    def test_nan_amplitudes_rejected(self):
+        with pytest.raises(NormalizationError):
+            WeightSpec(np.array([math.nan, 0.0]), 1.0)
+
     def test_length_power_of_two(self):
         with pytest.raises(DomainError):
             WeightSpec.from_weights([1.0, 2.0, 3.0])
@@ -86,6 +95,10 @@ class TestPrepareAmplitudes:
     def test_normalization_required(self):
         with pytest.raises(NormalizationError):
             prepare_amplitudes(np.ones(4))
+
+    def test_nan_target_rejected(self):
+        with pytest.raises(NormalizationError):
+            prepare_amplitudes([math.nan, 1.0])
 
 
 class TestNamedPreparations:
@@ -121,6 +134,10 @@ class TestNamedPreparations:
 
 
 class TestQuantumInterpolate:
+    def test_negative_round_off_reads_zero(self):
+        result = quantum_interpolate(prepare_nu2(3), -1e-17)
+        assert result == quantum_interpolate(prepare_nu2(3), 0.0)
+
     def test_nu2_reference_point(self):
         result = quantum_interpolate(prepare_nu2(6), 44.8)
         assert abs(result.quantum_value - 0.1336) < 5e-4
@@ -207,6 +224,12 @@ def sweeps(draw):
 
 
 class TestQuantumInterpolateSweep:
+    def test_start_at_negative_round_off(self):
+        sweep = quantum_interpolate_sweep(prepare_nu2(3), -1e-17, 8.0, 16)
+        reference = quantum_interpolate_sweep(prepare_nu2(3), 0.0, 8.0, 16)
+        for (_, point), (_, expected) in zip(sweep, reference):
+            assert abs(point.quantum_value - expected.quantum_value) < 1e-12
+            assert point.classical_value == expected.classical_value
     @settings(max_examples=25)
     @given(case=sweeps())
     def test_points_match_single_readout_and_oracle(self, case):
