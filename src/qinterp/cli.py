@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -282,8 +283,21 @@ def _cmd_repro(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e-17`` as a negative number, as argparse already reads ``-5`` and ``-.5``.
+
+    Without this an exponent-form negative value given as its own argument,
+    as in ``-t -1e-17``, is taken for an unknown option.  Subcommand parsers
+    are made with the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qinterp",
         description="Amplitude encoding, quantum dictionaries, and interpolated readout "
         "on a dense statevector simulator.",

@@ -152,19 +152,22 @@ def _block_readout(
     the function preparation on the value register, and reads key ``b``'s
     all-zeros value amplitude, rescaled by ``sqrt(2**key_width)`` because the
     keys start in equal superposition.  Either way the block is one circuit:
-    the encoder's gates, then the adjoint of the function preparation.
+    the encoder's gates, then the adjoint of the function preparation, read
+    by :meth:`~qinterp.sim.Circuit.readout` with the key register kept.
     """
     width = function_prep.num_qubits
     unprepare = function_prep.adjoint().ops
     if key_width == 0:
         encoder = real_encoding_circuit(width, t0, domain)
-        return Circuit(width, encoder.ops + unprepare).apply(zero_state(width)).amplitudes[:1]
-    layout = RegisterLayout(key_width, width)
-    terms = {0: t0, **{1 << j: (1 << j) * step for j in range(key_width)}}
-    poly = BinaryPolynomial(key_width, terms)
-    encoder = dictionary_circuit(layout, poly, domain, phase_corrected=True)
-    state = Circuit(layout.num_qubits, encoder.ops + unprepare).apply(zero_state(layout.num_qubits))
-    return math.sqrt(layout.num_keys) * state.amplitudes[:: layout.num_values]
+        registers, keep = (Register(0, width),), None
+    else:
+        layout = RegisterLayout(key_width, width)
+        terms = {0: t0, **{1 << j: (1 << j) * step for j in range(key_width)}}
+        poly = BinaryPolynomial(key_width, terms)
+        encoder = dictionary_circuit(layout, poly, domain, phase_corrected=True)
+        registers, keep = (layout.value_register, layout.key_register), layout.key_register
+    amplitudes = Circuit(encoder.num_qubits, encoder.ops + unprepare).readout(registers, keep)
+    return math.sqrt(1 << key_width) * np.atleast_1d(amplitudes)
 
 
 def quantum_interpolate_sweep(
@@ -254,7 +257,8 @@ def generalized_inner_product(
 
     One circuit on the all-zeros state: load key weights, apply the
     phase-corrected dictionary, then Hadamards on the keys and the inverse
-    value-weight loader.  The result equals
+    value-weight loader, read by :meth:`~qinterp.sim.Circuit.readout`.  The
+    result equals
     ``(1/sqrt(N)) sum_k a_k sum_v b_v c(v)`` with ``c`` the kernel row of ``f(k)``.
     """
     layout = RegisterLayout(key_weights.num_qubits, value_weights.num_qubits)
@@ -266,7 +270,7 @@ def generalized_inner_product(
         HadamardLayer(keys),
         StatePrep(values, value_weights.amplitudes).adjoint(),
     )
-    amplitude = Circuit(layout.num_qubits, ops).apply(zero_state(layout.num_qubits)).amplitude(0)
+    amplitude = Circuit(layout.num_qubits, ops).readout((values, keys))
     _warn_imag_residual(abs(amplitude.imag), "inner-product amplitude")
     return amplitude.real
 

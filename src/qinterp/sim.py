@@ -13,6 +13,9 @@ matrix product per block of up to four qubits.  Controlled operations act on a
 view with one length-2 axis per qubit, each control axis sliced to its set
 half, so no index array is built.  :meth:`Circuit.apply` fuses each run of
 adjacent diagonal operations into one multiplication by a phase table.
+:meth:`Circuit.readout` reads amplitudes of ``U|0...0>`` with the operations
+that act inside one register run on that register's factor or on its bra,
+so only the operations that span registers touch the full buffer.
 
 Qubit convention: qubit 0 is the least significant bit of the basis index.
 A :class:`RegisterLayout` places the value register on the low-order qubits,
@@ -22,7 +25,8 @@ so the value amplitudes of key ``k`` form the contiguous slice
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -405,16 +409,22 @@ class StatePrep(Operation):
         return StatePrep(self.register, self.target, not self.dagger)
 
 
-def _outside_bit(qubit: int, register: Register) -> int:
+def _outside_bit(qubit: int, register: Register | None) -> int:
     """Position of ``qubit`` in the index over the qubits outside ``register``."""
-    return qubit if qubit < register.offset else qubit - register.width
+    if register is None or qubit < register.offset:
+        return qubit
+    return qubit - register.width
 
 
-def _outside_mask(qubits, register: Register) -> int:
+def _outside_mask(qubits, register: Register | None, low: int) -> int:
+    """Bitmask of ``qubits`` in the index over the qubits from ``low`` up outside ``register``."""
     mask = 0
     for q in qubits:
-        mask |= 1 << _outside_bit(q, register)
-    return mask
+        mask |= 1 << q
+    if register is not None:
+        below = (1 << register.offset) - 1
+        mask = mask & below | mask >> register.width & ~below
+    return mask >> low
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,27 +439,6 @@ class _PhaseTable(Operation):
     offset: np.ndarray
     slope: np.ndarray
 
-    @classmethod
-    def fuse(cls, run, register: Register, num_qubits: int) -> "_PhaseTable":
-        """Each ladder adds its theta to ``slope`` and each controlled phase its
-        angle to ``offset``, at its control mask; one zeta transform then sums
-        them over every ``c``.  Diagonal tables on outside qubits add last."""
-        offset = np.zeros(1 << (num_qubits - register.width))
-        slope = np.zeros_like(offset)
-        tables = []
-        for op in run:
-            if isinstance(op, PhaseLadder):
-                slope[_outside_mask(op.controls, register)] += op.theta
-            elif isinstance(op, ControlledPhase):
-                offset[_outside_mask(op.controls, register)] += op.angle
-            else:
-                tables.append(op)
-        offset = subset_sums(offset)
-        for op in tables:
-            low = _outside_bit(op.register.offset, register)
-            _register_view(offset, Register(low, op.register.width))[...] += op.phases[None, :, None]
-        return cls(register, offset, subset_sums(slope))
-
     def apply(self, state: StateVector) -> StateVector:
         reg = self.register
         shape = (1 << (state.num_qubits - reg.offset - reg.width), 1 << reg.offset)
@@ -458,52 +447,159 @@ class _PhaseTable(Operation):
         amps *= state.amplitudes
         return StateVector(state.num_qubits, amps)
 
+    def adjoint(self) -> "_PhaseTable":
+        return _PhaseTable(self.register, -self.offset, -self.slope)
 
-def _fits(op: Operation, register: Register, num_qubits: int) -> bool:
-    """Whether ``op`` is valid on the state and of the :class:`_PhaseTable` form over ``register``."""
-    if isinstance(op, PhaseLadder) and op.register == register:
-        qubits = op.controls
+
+def _fuse(run, register: Register | None, num_qubits: int, low: int) -> Operation:
+    """One op with the action of a run of diagonal ops that :func:`_fits` ``register``.
+
+    Each ladder adds its theta to ``slope`` and each controlled phase its
+    angle to ``offset``, at its control mask; one zeta transform then sums
+    them over every ``c``.  Diagonal tables on outside qubits add last.
+    Without a ladder register the offsets are one :class:`DiagonalPhase` on
+    every qubit.
+    """
+    width = register.width if register is not None else 0
+    offset = np.zeros(1 << (num_qubits - width))
+    slope = np.zeros_like(offset)
+    tables = []
+    for op in run:
+        if isinstance(op, PhaseLadder):
+            slope[_outside_mask(op.controls, register, low)] += op.theta
+        elif isinstance(op, ControlledPhase):
+            offset[_outside_mask(op.controls, register, low)] += op.angle
+        else:
+            tables.append(op)
+    offset = subset_sums(offset)
+    for op in tables:
+        bit = _outside_bit(op.register.offset, register) - low
+        _register_view(offset, Register(bit, op.register.width))[...] += op.phases[None, :, None]
+    if register is None:
+        return DiagonalPhase(Register(0, num_qubits), offset)
+    return _PhaseTable(Register(register.offset - low, register.width), offset, subset_sums(slope))
+
+
+_DIAGONAL_KINDS = (PhaseLadder, ControlledPhase, DiagonalPhase)
+
+
+def _fits(op: Operation, register: Register | None, num_qubits: int, low: int) -> bool:
+    """Whether ``op`` lies on qubits ``low`` to ``low + num_qubits - 1`` and fuses over ``register``.
+
+    ``register`` None stands for a run without a ladder.
+    """
+    if isinstance(op, DiagonalPhase):
+        qubits = op.register.qubits()
     elif isinstance(op, ControlledPhase):
         qubits = op.controls
-    elif isinstance(op, DiagonalPhase):
-        qubits = op.register.qubits()
+    elif isinstance(op, PhaseLadder) and op.register == register:
+        qubits = op.controls
     else:
         return False
+    if qubits and not (low <= min(qubits) and max(qubits) < low + num_qubits):
+        return False
+    if register is None:
+        return True
     lo, hi = register.offset, register.offset + register.width
-    return all(0 <= q < num_qubits and not lo <= q < hi for q in qubits)
+    return all(q < lo or hi <= q for q in qubits)
 
 
-def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
-    """The gate list with each run of two or more fusable diagonal ops as one :class:`_PhaseTable`.
+def _fuse_diagonals(ops, num_qubits: int, low: int = 0) -> list[Operation]:
+    """The gate list with each run of two or more fusable diagonal ops as one op.
 
-    A run's register is that of the first ladder up to the next non-diagonal
-    op; the run ends at the first op the form cannot express.  Diagonal ops
-    commute, so fusing keeps the circuit's action.
+    A run's register is that of its next valid ladder before the next
+    non-diagonal op; the run ends at the first op that does not fit it.  A
+    run with no ladder left fuses its controlled phases and diagonal tables.
+    Diagonal ops commute, so fusing keeps the circuit's action.  One pass from
+    the end finds every position's next ladder, so the pass is linear.
+
+    With ``low`` the ops act on qubits ``low`` to ``low + num_qubits - 1``
+    of a wider circuit; the list comes back lowered by ``low``, for the
+    factor of those qubits.
     """
+    registers: list[Register | None] = [None] * len(ops)
+    ladder = None
+    for i in range(len(ops) - 1, -1, -1):
+        op = ops[i]
+        if not isinstance(op, _DIAGONAL_KINDS):
+            ladder = None
+        elif isinstance(op, PhaseLadder) and low <= op.register.offset and (
+            op.register.offset + op.register.width <= low + num_qubits
+        ):
+            ladder = op.register
+        registers[i] = ladder
     fused = []
     i = 0
     while i < len(ops):
-        end = i
-        while end < len(ops) and isinstance(ops[end], (PhaseLadder, ControlledPhase, DiagonalPhase)):
-            end += 1
-        register = next(
-            (
-                op.register
-                for op in ops[i:end]
-                if isinstance(op, PhaseLadder) and op.register.offset + op.register.width <= num_qubits
-            ),
-            None,
-        )
         stop = i
-        while register is not None and stop < end and _fits(ops[stop], register, num_qubits):
+        while stop < len(ops) and _fits(ops[stop], registers[i], num_qubits, low):
             stop += 1
         if stop - i >= 2:
-            fused.append(_PhaseTable.fuse(ops[i:stop], register, num_qubits))
+            fused.append(_fuse(ops[i:stop], registers[i], num_qubits, low))
             i = stop
         else:
-            fused.append(ops[i])
+            fused.append(_lowered(ops[i], low))
             i += 1
     return fused
+
+
+def _home(op: Operation, registers: tuple[Register, ...]) -> int | None:
+    """Index of the register that holds every qubit of ``op``; None if none does.
+
+    A global phase acts on no qubit and stays in the first register.  An op
+    kind not known here counts as acting on every register.
+    """
+    if isinstance(op, ControlledPhase):
+        if not op.controls:
+            return 0
+        lo, hi = min(op.controls), max(op.controls)
+    elif isinstance(op, (HadamardLayer, PhaseLadder, DiagonalPhase, QftGate, StatePrep)):
+        lo, hi = op.register.offset, op.register.offset + op.register.width - 1
+        if isinstance(op, PhaseLadder) and op.controls:
+            lo, hi = min(lo, *op.controls), max(hi, *op.controls)
+    else:
+        return None
+    for i, reg in enumerate(registers):
+        if reg.offset <= lo and hi < reg.offset + reg.width:
+            return i
+    return None
+
+
+def _local_prefix(ops, registers: tuple[Register, ...]) -> tuple[list[list[Operation]], int]:
+    """The leading ops that each act inside one register, grouped by register, and their count."""
+    groups: list[list[Operation]] = [[] for _ in registers]
+    for count, op in enumerate(ops):
+        home = _home(op, registers)
+        if home is None:
+            return groups, count
+        groups[home].append(op)
+    return groups, len(ops)
+
+
+def _lowered(op: Operation, offset: int) -> Operation:
+    """``op`` with every qubit lowered by ``offset``: the same gate on its register's factor."""
+    if offset == 0:
+        return op
+    if isinstance(op, ControlledPhase):
+        return ControlledPhase(tuple(q - offset for q in op.controls), op.angle)
+    register = Register(op.register.offset - offset, op.register.width)
+    if isinstance(op, PhaseLadder):
+        return PhaseLadder(register, op.theta, tuple(q - offset for q in op.controls))
+    return replace(op, register=register)
+
+
+def _require_partition(registers: tuple[Register, ...], keep: Register | None, num_qubits: int):
+    """Raise :class:`LayoutError` unless ``registers`` tile the qubits and hold ``keep``."""
+    message = f"registers {registers} do not partition {num_qubits} qubits"
+    top = 0
+    for reg in sorted(registers, key=lambda r: r.offset):
+        if reg.offset != top:
+            raise LayoutError(message)
+        top += reg.width
+    if top != num_qubits:
+        raise LayoutError(message)
+    if keep is not None and keep not in registers:
+        raise LayoutError(f"kept register {keep} is not one of the readout registers")
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,7 +610,7 @@ class Circuit:
     ops: tuple[Operation, ...]
 
     def apply(self, state: StateVector) -> StateVector:
-        """Apply the ops in order, each run of diagonal ops fused into one phase table."""
+        """Apply the ops in order, each run of diagonal ops fused into one op."""
         if state.num_qubits != self.num_qubits:
             raise LayoutError(
                 f"{self.num_qubits}-qubit circuit applied to {state.num_qubits}-qubit state"
@@ -526,3 +622,47 @@ class Circuit:
     def adjoint(self) -> "Circuit":
         return Circuit(self.num_qubits, tuple(op.adjoint() for op in reversed(self.ops)))
 
+    def readout(self, registers, keep: Register | None = None):
+        """``<0|`` on every register but ``keep``, applied to ``U|0...0>``.
+
+        ``registers`` partition the circuit's qubits.  With ``keep`` None the
+        result is the amplitude ``<0...0|U|0...0>``; otherwise it is the vector
+        over ``keep``'s basis, entry ``r`` being the amplitude of the basis
+        state with ``r`` in ``keep`` and 0 elsewhere.
+
+        Only part of the circuit runs on the full buffer.  The leading ops
+        that each act inside one register run on that register's factor of
+        the product state, and the factors are joined by one outer product.
+        The trailing ops that each act inside one register run as adjoints on
+        the ``<0|`` factor of their register, except that those on ``keep``
+        run forward on the contracted vector.  The ops between run on the
+        joined buffer, which one contraction with the bra factors then reads.
+        Each register's ops are fused before they are moved to its factor.
+        """
+        registers = tuple(registers)
+        check_capacity(self.num_qubits)
+        _require_partition(registers, keep, self.num_qubits)
+        heads, front = _local_prefix(self.ops, registers)
+        tails, peeled = _local_prefix(self.ops[front:][::-1], registers)
+        back = len(self.ops) - peeled
+
+        def factor(i: int, group) -> Circuit:
+            reg = registers[i]
+            return Circuit(reg.width, tuple(_fuse_diagonals(group, reg.width, reg.offset)))
+
+        order = sorted(range(len(registers)), key=lambda i: -registers[i].offset)
+        kets = [factor(i, heads[i]).apply(zero_state(registers[i].width)).amplitudes for i in order]
+        middle = Circuit(self.num_qubits, self.ops[front:back])
+        # the outer product is passed without a name, so it is freed once the first middle op
+        # has replaced it
+        state = middle.apply(StateVector(self.num_qubits, reduce(np.multiply.outer, kets).reshape(-1)))
+        tensor = state.amplitudes.reshape([registers[i].size for i in order])
+        for axis in reversed(range(len(order))):
+            i = order[axis]
+            if registers[i] != keep:
+                bra = factor(i, tails[i][::-1]).adjoint().apply(zero_state(registers[i].width))
+                tensor = np.tensordot(tensor, bra.amplitudes.conj(), axes=(axis, 0))
+        if keep is None:
+            return complex(tensor)
+        i = registers.index(keep)
+        return factor(i, tails[i][::-1]).apply(StateVector(keep.width, tensor)).amplitudes

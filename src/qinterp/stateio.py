@@ -54,6 +54,8 @@ def state_from_dict(data: dict) -> tuple[StateVector, RegisterLayout | None]:
         raise ParseError(f"{amps.size} amplitudes are not a state of num_qubits {num_qubits}")
     layout = None
     if widths is not None:
+        if min(widths) < 1:
+            raise ParseError(f"key_width {widths[0]} and value_width {widths[1]} must be >= 1")
         if sum(widths) != num_qubits:
             raise ParseError(
                 f"key_width {widths[0]} + value_width {widths[1]} != num_qubits {num_qubits}"

@@ -56,10 +56,16 @@ class TestEncode:
         assert "domain" in err
 
     def test_negative_round_off_encodes_zero(self, capsys):
-        # "-t=" because argparse reads a bare "-1e-17" as an option
         code, out, _ = run(capsys, "encode", "-m", "3", "-t=-1e-17")
         assert code == 0
         assert out == run(capsys, "encode", "-m", "3", "-t", "0")[1]
+
+    @pytest.mark.parametrize("value", ["-1e-17", "-2.5E+0", "-.35e1", "-3"])
+    def test_negative_value_as_its_own_argument(self, capsys, value):
+        joined = run(capsys, "encode", "-m", "3", f"-t={value}", "--domain", "twos")
+        separate = run(capsys, "encode", "-m", "3", "-t", value, "--domain", "twos")
+        assert separate == joined
+        assert separate[0] == 0
 
     def test_twos_complement_flag(self, capsys):
         code, out, _ = run(capsys, "encode", "-m", "3", "-t", "-4", "--domain", "twos")
@@ -110,6 +116,13 @@ class TestInterpolate:
             fields = line.split(",")
             assert float(fields[0]) == float(k)
             assert abs(float(fields[1]) - amps[k]) < 1e-9
+
+    def test_negative_sweep_bounds_as_their_own_arguments(self, capsys):
+        common = ["interpolate", "--source", "nu2", "-m", "3", "--t-steps", "4", "--domain", "twos"]
+        joined = run(capsys, *common, "--t-start=-1e-17", "--t-stop=-2.5e0")
+        separate = run(capsys, *common, "--t-start", "-1e-17", "--t-stop", "-2.5e0")
+        assert separate == joined
+        assert separate[0] == 0 and separate[1].count("\n") == 5
 
     def test_sweep_leaving_domain_writes_no_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"

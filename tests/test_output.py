@@ -64,6 +64,13 @@ class TestStateJson:
         with pytest.raises(ParseError, match="num_qubits"):
             state_from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("widths", [(0, 2), (2, 0), (-1, 3)])
+    def test_widths_below_one_are_parse_errors(self, widths):
+        data = state_to_dict(zero_state(2))
+        data["key_width"], data["value_width"] = widths
+        with pytest.raises(ParseError, match=">= 1"):
+            state_from_json(json.dumps(data))
+
     @pytest.mark.parametrize("num_qubits", [0, -1])
     def test_qubit_count_below_one_is_parse_error(self, num_qubits):
         data = state_to_dict(zero_state(1))

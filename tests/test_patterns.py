@@ -327,6 +327,16 @@ class TestGeneralizedInnerProduct:
     def test_value_zero_up_to_negative_round_off_in_unsigned(self):
         check_round_off_zero(EncodingDomain.UNSIGNED)
 
+    def test_matches_oracle_at_the_qubit_cap(self):
+        # 10 key and 14 value qubits fill the 24-qubit cap; 1024 dense terms
+        rng = np.random.default_rng(24)
+        poly = in_domain_polynomial(rng, 10, 14, EncodingDomain.UNSIGNED, "dense")
+        key_spec = WeightSpec.from_weights(rng.uniform(0.1, 1.0, 1 << 10))
+        value_spec = WeightSpec.from_weights(rng.uniform(0.1, 1.0, 1 << 14))
+        quantum = generalized_inner_product(key_spec, poly, value_spec)
+        classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes)
+        assert abs(quantum - classical) < 1e-9
+
     def test_uniform_keys_basis_value_selector(self):
         # f == 0 everywhere, value weights pick out |0>: every key contributes
         poly = BinaryPolynomial(2, {0: 0.0})

@@ -469,6 +469,134 @@ class TestCircuitFusion:
         with pytest.raises(LayoutError, match="control qubit 5 out of range"):
             circuit.apply(zero_state(3))
 
+    def test_ladder_free_run_fuses_into_one_table(self):
+        # 4096 controlled phases and diagonal tables with no ladder: one op, built in one pass
+        rng = np.random.default_rng(41)
+        n = 6
+        ops = []
+        for _ in range(4096):
+            if rng.random() < 0.1:
+                reg = Register(int(rng.integers(0, n)), 1)
+                ops.append(DiagonalPhase(reg, rng.uniform(-4, 4, 2)))
+            else:
+                controls = tuple(int(q) for q in np.flatnonzero(rng.random(n) < 0.4))
+                ops.append(ControlledPhase(controls, rng.uniform(-4, 4)))
+        fused = _fuse_diagonals(ops, n)
+        assert len(fused) == 1
+        state = random_state(n, rng)
+        expected = apply_one_by_one(ops, state).amplitudes
+        assert np.max(np.abs(fused[0].apply(state).amplitudes - expected)) < 1e-12
+        assert np.max(np.abs(Circuit(n, tuple(ops)).apply(state).amplitudes - expected)) < 1e-12
+
+
+def _sub_register(reg, rng):
+    offset = int(rng.integers(reg.offset, reg.offset + reg.width))
+    return Register(offset, int(rng.integers(1, reg.offset + reg.width - offset + 1)))
+
+
+def _local_op(reg, rng):
+    """A random gate acting inside ``reg``."""
+    sub = _sub_register(reg, rng)
+    rest = [q for q in reg.qubits() if q not in sub.qubits()]
+    kind = rng.choice(["hadamard", "ladder", "phase", "table", "qft", "prep"])
+    if kind == "hadamard":
+        return HadamardLayer(sub)
+    if kind == "ladder":
+        return PhaseLadder(sub, rng.uniform(-4, 4), tuple(q for q in rest if rng.random() < 0.5))
+    if kind == "phase":
+        controls = tuple(q for q in reg.qubits() if rng.random() < 0.5)
+        return ControlledPhase(controls, rng.uniform(-4, 4))
+    if kind == "table":
+        return DiagonalPhase(sub, rng.uniform(-4, 4, sub.size))
+    if kind == "qft":
+        return QftGate(sub, inverse=bool(rng.integers(2)))
+    return StatePrep(sub, unit_vector(sub.size, rng))
+
+
+def _spanning_op(registers, n, rng):
+    """A random gate acting on qubits of at least two registers."""
+    i, j = rng.choice(len(registers), size=2, replace=False)
+    target, other = registers[i], registers[j]
+    kind = rng.choice(["ladder", "phase", "hadamard"])
+    if kind == "ladder":
+        controls = tuple(q for q in other.qubits() if rng.random() < 0.5) or (other.offset,)
+        return PhaseLadder(_sub_register(target, rng), rng.uniform(-4, 4), controls)
+    if kind == "phase":
+        return ControlledPhase((int(rng.choice(target.qubits())), other.offset), rng.uniform(-4, 4))
+    lo = min(target.offset, other.offset)
+    hi = max(target.offset + target.width, other.offset + other.width)
+    return HadamardLayer(Register(lo, hi - lo))
+
+
+@st.composite
+def readout_circuits(draw):
+    """(num_qubits, registers, ops): local ops, spanning ops, then local ops and ladder-free runs.
+
+    The qubits are split into two or three registers, listed in a random
+    order.  The middle may be empty, so some circuits never span registers.
+    """
+    n = draw(st.integers(2, 9))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(2, n - 1))))
+    bounds = [0, *cuts, n]
+    registers = [Register(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    registers = draw(st.permutations(registers))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def local():
+        return _local_op(registers[int(rng.integers(len(registers)))], rng)
+
+    ops = [local() for _ in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.integers(0, 3))):
+        ops.append(_spanning_op(registers, n, rng))
+        ops += [local() for _ in range(int(rng.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 4))):
+        if rng.random() < 0.5:
+            ops.append(local())
+            continue
+        reg = registers[int(rng.integers(len(registers)))]
+        for _ in range(int(rng.integers(2, 9))):  # a ladder-free diagonal run
+            if rng.random() < 0.3:
+                sub = _sub_register(reg, rng)
+                ops.append(DiagonalPhase(sub, rng.uniform(-4, 4, sub.size)))
+            else:
+                controls = tuple(q for q in reg.qubits() if rng.random() < 0.5)
+                ops.append(ControlledPhase(controls, rng.uniform(-4, 4)))
+    return n, tuple(registers), tuple(ops)
+
+
+class TestReadout:
+    @settings(max_examples=80)
+    @given(case=readout_circuits())
+    def test_matches_full_state_slices(self, case):
+        n, registers, ops = case
+        circuit = Circuit(n, ops)
+        full = circuit.apply(zero_state(n)).amplitudes
+        assert abs(circuit.readout(registers) - full[0]) < 1e-12
+        order = sorted(registers, key=lambda r: -r.offset)
+        tensor = full.reshape([r.size for r in order])
+        for keep in registers:
+            expected = tensor[tuple(slice(None) if r == keep else 0 for r in order)]
+            assert np.max(np.abs(circuit.readout(registers, keep) - expected)) < 1e-12
+
+    def test_registers_must_partition_the_qubits(self):
+        circuit = Circuit(4, (HadamardLayer(Register(0, 4)),))
+        gap, overlap = (Register(0, 1), Register(2, 2)), (Register(0, 4), Register(2, 2))
+        for registers in [(), (Register(0, 2),), gap, overlap]:
+            with pytest.raises(LayoutError, match="partition"):
+                circuit.readout(registers)
+        with pytest.raises(LayoutError, match="kept register"):
+            circuit.readout((Register(0, 2), Register(2, 2)), keep=Register(0, 1))
+
+    def test_width_over_cap_raises_before_allocation(self):
+        circuit = Circuit(30, (HadamardLayer(Register(0, 15)), HadamardLayer(Register(15, 15))))
+        with pytest.raises(CapacityError):
+            circuit.readout((Register(0, 15), Register(15, 15)))
+
+    def test_invalid_op_raises(self):
+        circuit = Circuit(3, (HadamardLayer(Register(0, 1)), ControlledPhase((0, 5), 0.2)))
+        with pytest.raises(LayoutError, match="control qubit 5 out of range"):
+            circuit.readout((Register(0, 1), Register(1, 2)))
+
 
 class TestStateVectorAccessors:
     def test_amplitude_of_zero_state(self):
