@@ -19,6 +19,11 @@ from .errors import DomainError, UndersampledError
 INTEGER_TOLERANCE = 1e-12
 SAMPLE_TOLERANCE = 1e-12
 
+# Most kernel entries one chunk of classical_interpolate holds (512 KiB of
+# float64 per temporary); a reconstruction table of 256 points from 32 samples
+# is one chunk.
+KERNEL_CHUNK = 1 << 16
+
 
 class EncodingDomain(enum.Enum):
     """Value domain of an M-outcome register: [0, M) or [-M/2, M/2)."""
@@ -62,15 +67,25 @@ def fejer_kernel(modulus: int, target: float, k: int) -> float:
     return float(fejer_kernel_row(modulus, target)[k])
 
 
-def fejer_kernel_row(modulus: int, target: float) -> np.ndarray:
-    """All M kernel coefficients for one target value."""
-    t = float(target) % modulus
-    if abs(t - round(t)) < INTEGER_TOLERANCE:
-        row = np.zeros(modulus)
-        row[int(round(t)) % modulus] = 1.0
-        return row
-    k = np.arange(modulus)
-    return np.sin(np.pi * (t - k)) / (modulus * np.sin(np.pi * (t - k) / modulus))
+def fejer_kernel_row(modulus: int, target) -> np.ndarray:
+    """All M kernel coefficients for one target value, or one row per target.
+
+    A scalar target gives a length-M row; an array of P targets gives a
+    (P, M) matrix whose rows equal the scalar calls.  Targets within
+    ``INTEGER_TOLERANCE`` of an integer give Kronecker rows without
+    evaluating the quotient, which is 0/0 there.
+    """
+    t = np.asarray(target, dtype=np.float64)
+    flat = t.reshape(-1) % modulus
+    nearest = np.round(flat)
+    integer = np.abs(flat - nearest) < INTEGER_TOLERANCE
+    rows = np.zeros((flat.size, modulus))
+    hits = np.flatnonzero(integer)
+    rows[hits, nearest[hits].astype(np.int64) % modulus] = 1.0
+    if not integer.all():
+        d = flat[~integer, None] - np.arange(modulus)
+        rows[~integer] = np.sin(np.pi * d) / (modulus * np.sin(np.pi * d / modulus))
+    return rows.reshape(t.shape + (modulus,))
 
 
 @dataclass(frozen=True)
@@ -117,7 +132,24 @@ class SampledSignal:
         return np.arange(self.num_samples) * (self.interval_length / self.num_samples)
 
 
-def classical_interpolate(signal: SampledSignal, t: float) -> float:
+def _interpolate_rows(signal: SampledSignal, ts: np.ndarray) -> np.ndarray:
+    """Reconstructed values at the in-range points ``ts``, one kernel row each."""
+    n = signal.num_samples
+    period = signal.interval_length
+    d = ts[:, None] - signal.sample_points()
+    near = np.abs(d) < SAMPLE_TOLERANCE
+    hit = near.any(axis=1)
+    values = np.empty(ts.size)
+    values[hit] = signal.samples[np.argmax(near[hit], axis=1)]
+    if not hit.all():
+        d = d[~hit]
+        kernel = np.sin(np.pi * d * n / period) / (n * np.tan(np.pi * d / period))
+        # vecdot reduces each row as np.dot does; a matrix product may not
+        values[~hit] = np.vecdot(kernel, signal.samples)
+    return values
+
+
+def classical_interpolate(signal: SampledSignal, t):
     """Reconstruct the signal's value at ``t`` from its uniform samples.
 
     Uses the periodic interpolation kernel for an even number of samples,
@@ -126,17 +158,23 @@ def classical_interpolate(signal: SampledSignal, t: float) -> float:
 
     which reproduces band-limited signals (band limit L, N >= 2L + 1 samples)
     exactly and returns the stored sample when ``t`` hits a sample point.
+    A scalar ``t`` gives a float; an array gives an array of the same shape,
+    each entry equal to the scalar call, and every entry must lie in
+    ``[0, T)``.  Points are taken in chunks of at most ``KERNEL_CHUNK``
+    kernel entries, so the kernel matrix never outgrows that whatever the
+    number of points.
     """
-    if not 0 <= t < signal.interval_length:
-        raise DomainError(f"t={t} outside sampling interval [0, {signal.interval_length})")
-    n = signal.num_samples
-    period = signal.interval_length
-    d = t - signal.sample_points()
-    near = np.abs(d) < SAMPLE_TOLERANCE
-    if near.any():
-        return float(signal.samples[int(np.argmax(near))])
-    kernel = np.sin(np.pi * d * n / period) / (n * np.tan(np.pi * d / period))
-    return float(np.dot(signal.samples, kernel))
+    ts = np.asarray(t, dtype=np.float64)
+    flat = ts.reshape(-1)
+    outside = ~((flat >= 0) & (flat < signal.interval_length))
+    if outside.any():
+        bad = t if ts.ndim == 0 else flat[np.argmax(outside)]
+        raise DomainError(f"t={bad} outside sampling interval [0, {signal.interval_length})")
+    rows = max(1, KERNEL_CHUNK // signal.num_samples)
+    values = np.concatenate(
+        [_interpolate_rows(signal, flat[i : i + rows]) for i in range(0, max(flat.size, 1), rows)]
+    )
+    return float(values[0]) if ts.ndim == 0 else values.reshape(ts.shape)
 
 
 def dft(samples) -> np.ndarray:

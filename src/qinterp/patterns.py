@@ -26,7 +26,7 @@ import numpy as np
 
 from .dictionary import BinaryPolynomial, dictionary_circuit
 from .encoding import real_encoding_circuit
-from .errors import DomainError, NormalizationError, ValueRangeError
+from .errors import CapacityError, DomainError, NormalizationError, ValueRangeError
 from .kernels import INTEGER_TOLERANCE, EncodingDomain, fejer_kernel_row, normalize_to_domain
 from .sim import Circuit, HadamardLayer, Register, RegisterLayout, StatePrep, zero_state
 
@@ -36,6 +36,12 @@ IMAG_WARNING_THRESHOLD = 1e-8
 # Wider blocks run fewer circuits per sweep but allocate larger buffers; up to
 # this width a sweep's peak memory stays at that of the per-point readout.
 BLOCK_QUBITS = 14
+
+# Most points one sweep reads.  Each point holds Python objects (its t, its
+# result and, in the CLI, its CSV row): about 570 bytes at peak in a CLI sweep,
+# so the cap keeps a sweep near 150 MB.  Larger counts are refused before any
+# point is built.
+MAX_SWEEP_STEPS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,17 +187,21 @@ def quantum_interpolate_sweep(
     """Interpolate the encoded function at ``t_i = t_start + i (t_stop - t_start) / steps``.
 
     Returns ``(t_i, result)`` for ``i`` in ``0..steps-1``; ``steps`` must be
-    at least 1.  Every point is checked against the domain before any
-    circuit is built.  The points are read in power-of-two blocks, taken by the binary decomposition of the
-    remaining count: a block of ``2**k`` points is one phase-corrected
+    at least 1 and at most ``MAX_SWEEP_STEPS``.  Every point is checked
+    against the domain before any circuit is built.  The points are read in
+    power-of-two blocks, taken by the binary decomposition of the remaining
+    count: a block of ``2**k`` points is one phase-corrected
     dictionary circuit whose key register is the step index, with ``k``
     capped so that key and value registers together stay within
     ``BLOCK_QUBITS``.  The classical value of each point is the
     kernel-weighted sum of the function samples, read once from the
-    preparation itself.
+    preparation itself; a block's kernel rows are one matrix, no larger than
+    the block's state.
     """
     if steps < 1:
         raise DomainError("a sweep needs at least one step")
+    if steps > MAX_SWEEP_STEPS:
+        raise CapacityError(f"a sweep of {steps} steps exceeds the cap of {MAX_SWEEP_STEPS}")
     width = function_prep.num_qubits
     modulus = 1 << width
     ts = [t_start + i * (t_stop - t_start) / steps for i in range(steps)]
@@ -203,6 +213,7 @@ def quantum_interpolate_sweep(
 
     step = (t_stop - t_start) / steps
     blocks = []
+    classical = []
     start = 0
     while start < steps:
         key_width = max(0, min((steps - start).bit_length() - 1, BLOCK_QUBITS - width))
@@ -214,15 +225,17 @@ def quantum_interpolate_sweep(
             key_width = 0
             block = _block_readout(function_prep, ts[start], step, key_width, domain)
         blocks.append(block)
-        start += 1 << key_width
+        stop = start + (1 << key_width)
+        # vecdot reduces each row as np.dot does; a matrix product may not
+        classical.append(np.vecdot(fejer_kernel_row(modulus, targets[start:stop]), samples.real))
+        start = stop
     readout = np.concatenate(blocks)
 
     results = []
-    for t, target, amplitude in zip(ts, targets, readout):
-        classical = float(np.dot(samples.real, fejer_kernel_row(modulus, target)))
+    for t, value, amplitude in zip(ts, np.concatenate(classical).tolist(), readout):
         exact = float(exact_fn(t)) if exact_fn is not None else None
         results.append(
-            (t, InterpolationResult(float(amplitude.real), classical, exact, abs(amplitude.imag)))
+            (t, InterpolationResult(float(amplitude.real), value, exact, abs(amplitude.imag)))
         )
     worst = max(result.imag_residual for _, result in results)
     _warn_imag_residual(worst, "interpolation amplitude")
@@ -287,9 +300,12 @@ def kernel_double_sum(
     with the kernel row computed per key; no simulation involved.  It
     evaluates the polynomial key by key through ``BinaryPolynomial.evaluate``
     on purpose: the circuit and ``values_table`` use the subset-sum
-    transform, and the oracle must stay separate code from both.  Like the
-    dictionary, it takes integer values in ``[0, M)`` as they are in either
-    domain, with the lower bound on the rounded value.
+    transform, and the oracle must stay separate code from both.  For the
+    same reason, and for memory, it builds one kernel row per key rather
+    than one N x M matrix: at the 24-qubit cap, (n, m) = (10, 14), that
+    matrix alone would take 128 MB.  Like the dictionary, it takes integer
+    values in ``[0, M)`` as they are in either domain, with the lower bound
+    on the rounded value.
     """
     a = np.asarray(key_amplitudes, dtype=np.float64)
     b = np.asarray(value_amplitudes, dtype=np.float64)

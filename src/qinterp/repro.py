@@ -11,6 +11,7 @@ and never asserted.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,9 @@ DEMO_POLY = BinaryPolynomial(3, {0b000: 0.725, 0b010: 2.451, 0b100: 2.716, 0b101
 # Same polynomial with coefficients scaled by 100 and rounded up to integers;
 # the constant rounds ambiguously (72.5), the reference value matches 73.
 DEMO_POLY_INT100 = BinaryPolynomial(3, {0b000: 73, 0b010: 245, 0b100: 272, 0b101: 132})
+
+# Normalization factor sqrt(sum k^2) of the m=6 identity state.
+LAMBDA_NORM_M6 = math.sqrt(sum(k * k for k in range(1, 64)))
 
 
 def _demo_weights() -> np.ndarray:
@@ -94,12 +98,11 @@ def _weighted_amplitude() -> float:
     return generalized_inner_product(WeightSpec(w * a, a), DEMO_POLY, WeightSpec(h * b, b))
 
 
-def _weighted_amplitude_oracle_gap() -> float:
+def _weighted_amplitude_oracle_gap(quantum: float) -> float:
     w = _demo_weights()
     h = np.arange(16, dtype=np.float64)
     a = 1.0 / float(np.linalg.norm(w))
     b = 1.0 / float(np.linalg.norm(h))
-    quantum = _weighted_amplitude()
     classical = kernel_double_sum(w * a, DEMO_POLY, h * b)
     return abs(quantum - classical)
 
@@ -108,11 +111,15 @@ def _recon_sin_worst() -> float:
     xs = np.arange(8) * (2.0 * math.pi / 8)
     signal = SampledSignal(np.sin(xs), 2.0 * math.pi)
     grid = (np.arange(97) + 0.3) * (2.0 * math.pi / 98)
-    return max(abs(classical_interpolate(signal, t) - math.sin(t)) for t in grid)
+    recon = classical_interpolate(signal, grid)
+    return max(abs(r - math.sin(t)) for t, r in zip(grid, recon))
 
 
 def build_cases() -> list[ReproCase]:
-    lambda_norm = math.sqrt(sum(k * k for k in range(1, 64)))
+    """The reference cases.  Readouts shared by several cases run once per list, on first use."""
+    interp_nu2 = functools.cache(_interp_nu2)
+    interp_lambda = functools.cache(_interp_lambda)
+    weighted_amplitude = functools.cache(_weighted_amplitude)
     cases = [
         ReproCase(
             "encode-integer",
@@ -149,7 +156,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "interp-nu2",
             "squared-sine state, m=6, t=44.8: readout amplitude",
-            lambda: _interp_nu2().quantum_value,
+            lambda: interp_nu2().quantum_value,
             0.1336,
             5e-4,
             "reported",
@@ -157,7 +164,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "interp-nu2-vs-classical",
             "same readout against the kernel-sum oracle",
-            lambda: _interp_nu2().deviation,
+            lambda: interp_nu2().deviation,
             0.0,
             1e-9,
             "derived",
@@ -165,7 +172,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "interp-lambda-classical",
             "identity state, m=6, t=44.8: kernel-sum value",
-            lambda: _interp_lambda().classical_value,
+            lambda: interp_lambda().classical_value,
             0.1546,
             5e-4,
             "reported",
@@ -173,7 +180,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "interp-lambda-vs-classical",
             "exact-loader readout equals the kernel sum",
-            lambda: _interp_lambda().deviation,
+            lambda: interp_lambda().deviation,
             0.0,
             1e-9,
             "derived",
@@ -181,7 +188,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "interp-lambda-heuristic-gap",
             "exact-loader readout near the published heuristic-loader 0.1533",
-            lambda: _interp_lambda().quantum_value,
+            lambda: interp_lambda().quantum_value,
             0.1533,
             2e-3,
             "reported",
@@ -190,7 +197,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "lambda-normalization",
             "normalization factor sqrt(sum k^2) for m=6",
-            lambda: math.sqrt(sum(k * k for k in range(1, 64))),
+            lambda: LAMBDA_NORM_M6,
             292.137,
             1e-3,
             "reported",
@@ -198,7 +205,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "weighted-amplitude-m4",
             "n=3, m=4 weighted inner product: all-zeros amplitude",
-            _weighted_amplitude,
+            weighted_amplitude,
             0.0879,
             1e-3,
             "reported",
@@ -206,7 +213,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "weighted-amplitude-oracle",
             "same amplitude against the kernel double-sum oracle",
-            _weighted_amplitude_oracle_gap,
+            lambda: _weighted_amplitude_oracle_gap(weighted_amplitude()),
             0.0,
             1e-9,
             "derived",
@@ -246,7 +253,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "ref-denormalized-readout",
             "m=6, t=44.8 readout rescaled by the normalization factor",
-            lambda: _interp_lambda().quantum_value * lambda_norm,
+            lambda: interp_lambda().quantum_value * LAMBDA_NORM_M6,
             44.79,
             None,
             "reported",
@@ -266,7 +273,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "ref-hardware-7q-average",
             "published 7-qubit hardware average for the m=6 squared-sine readout",
-            lambda: _interp_nu2().quantum_value,
+            lambda: interp_nu2().quantum_value,
             0.1369,
             None,
             "reported",
@@ -276,7 +283,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "ref-hardware-7q-best",
             "published 7-qubit hardware best run",
-            lambda: _interp_nu2().quantum_value,
+            lambda: interp_nu2().quantum_value,
             0.1342,
             None,
             "reported",
@@ -286,7 +293,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "ref-hardware-16q-average",
             "published 16-qubit hardware average for the m=6 identity readout",
-            lambda: _interp_lambda().quantum_value,
+            lambda: interp_lambda().quantum_value,
             0.1347,
             None,
             "reported",
@@ -296,7 +303,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "ref-hardware-16q-best",
             "published 16-qubit hardware best run",
-            lambda: _interp_lambda().quantum_value,
+            lambda: interp_lambda().quantum_value,
             0.1541,
             None,
             "reported",
@@ -345,13 +352,10 @@ def _interp_sweep(prep, exact_fn, width: int) -> list[tuple[float, float, float,
 def _reconstruction_table(fn, num_samples: int, period: float, grid: int):
     xs = np.arange(num_samples) * (period / num_samples)
     signal = SampledSignal(fn(xs), period)
-    rows = []
-    for i in range(grid):
-        t = i * period / grid
-        recon = classical_interpolate(signal, t)
-        exact = float(fn(np.array([t]))[0])
-        rows.append([t, exact, recon, abs(recon - exact)])
-    return rows
+    ts = np.arange(grid) * period / grid
+    recon = classical_interpolate(signal, ts)
+    exact = fn(ts)
+    return np.column_stack([ts, exact, recon, np.abs(recon - exact)]).tolist()
 
 
 def write_artifacts(directory: str | Path) -> list[Path]:
@@ -403,7 +407,7 @@ def write_artifacts(directory: str | Path) -> list[Path]:
         stateio.sweep_to_csv(
             _interp_sweep(
                 prepare_lambda(6),
-                lambda t: t / math.sqrt(sum(k * k for k in range(1, 64))),
+                lambda t: t / LAMBDA_NORM_M6,
                 6,
             )
         ),

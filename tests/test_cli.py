@@ -134,6 +134,16 @@ class TestInterpolate:
         assert err.startswith("error:")
         assert not csv_path.exists()
 
+    def test_sweep_step_count_over_the_cap_exits_3(self, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        code, _, err = run(
+            capsys, "interpolate", "--source", "nu2", "-m", "3", "--t-stop", "8",
+            "--t-steps", "10000000000", "--csv", str(csv_path),
+        )  # fmt: skip
+        assert code == 3
+        assert err.startswith("error:") and "cap" in err
+        assert not csv_path.exists()
+
     def test_sweep_rows_match_one_point_sweeps(self, tmp_path, capsys):
         # 100 points run as blocks of 64, 32 and 4; each row must equal the
         # one-point sweep at its t, which reads that point on its own

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scalar_oracles
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qinterp import (
     DomainError,
@@ -18,6 +21,7 @@ from qinterp import (
     fourier_coefficients,
     normalize_to_domain,
 )
+from qinterp.kernels import INTEGER_TOLERANCE, KERNEL_CHUNK, SAMPLE_TOLERANCE
 
 
 def interpolate_oracle(samples, period, t):
@@ -222,3 +226,95 @@ class TestFourierCoefficients:
         signal = SampledSignal(np.ones(4), 1.0)
         with pytest.raises(UndersampledError):
             fourier_coefficients(signal, 2)
+
+
+@st.composite
+def kernel_targets(draw):
+    """A modulus and targets at, near and off integers, negative and beyond M."""
+    modulus = 1 << draw(st.integers(1, 12))
+    whole = st.integers(-3 * modulus, 3 * modulus)
+    near = st.floats(-0.9 * INTEGER_TOLERANCE, 0.9 * INTEGER_TOLERANCE, allow_nan=False)
+    target = st.one_of(
+        whole.map(float),
+        st.tuples(whole, near).map(lambda pair: pair[0] + pair[1]),
+        st.floats(-3 * modulus, 3 * modulus, allow_nan=False),
+        st.sampled_from([modulus, -modulus, 2.0 * modulus, modulus - 1e-13, -1e-17]),
+    )
+    return modulus, draw(st.lists(target, min_size=1, max_size=8))
+
+
+class TestKernelRowArrays:
+    @settings(max_examples=150)
+    @given(case=kernel_targets())
+    def test_rows_equal_the_scalar_loop(self, case):
+        modulus, targets = case
+        rows = fejer_kernel_row(modulus, np.array(targets))
+        assert rows.shape == (len(targets), modulus)
+        for row, target in zip(rows, targets):
+            assert np.array_equal(row, scalar_oracles.kernel_row(modulus, target))
+            assert np.array_equal(fejer_kernel_row(modulus, target), row)
+
+    def test_integer_rows_evaluate_no_quotient(self):
+        # tier-1 turns RuntimeWarning into an error, so a 0/0 here would fail
+        rows = fejer_kernel_row(8, np.array([3.0, 3.5, 8.0, -1.0 + 1e-13]))
+        assert np.array_equal(rows[[0, 2, 3]], np.eye(8)[[3, 0, 7]])
+
+    def test_scalar_target_keeps_a_row(self):
+        assert fejer_kernel_row(8, 2.7).shape == (8,)
+        assert fejer_kernel_row(8, np.array([2.7])).shape == (1, 8)
+
+
+@st.composite
+def interpolation_grids(draw):
+    """A seeded signal and points off, at and within ``SAMPLE_TOLERANCE`` of its samples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_samples = draw(st.integers(1, 64))
+    period = draw(st.sampled_from([1.0, 2 * math.pi, 0.37, 12.5]))
+    signal = SampledSignal(rng.normal(size=num_samples), period)
+    points = signal.sample_points()
+    sample = st.integers(0, num_samples - 1).map(lambda k: float(points[k]))
+    near = st.tuples(
+        sample, st.floats(-0.9 * SAMPLE_TOLERANCE, 0.9 * SAMPLE_TOLERANCE, allow_nan=False)
+    ).map(lambda pair: pair[0] + pair[1])
+    t = st.one_of(st.floats(0.0, period, exclude_max=True, allow_nan=False), sample, near)
+    ts = [v for v in draw(st.lists(t, min_size=1, max_size=40)) if 0 <= v < period]
+    return signal, ts or [0.0]
+
+
+class TestClassicalInterpolateArrays:
+    @settings(max_examples=150)
+    @given(case=interpolation_grids())
+    def test_values_equal_the_scalar_loop(self, case):
+        signal, ts = case
+        values = classical_interpolate(signal, np.array(ts))
+        expected = [scalar_oracles.interpolate(signal, t) for t in ts]
+        assert np.array_equal(values, expected)
+        assert [classical_interpolate(signal, t) for t in ts] == expected
+
+    @settings(max_examples=60)
+    @given(
+        case=interpolation_grids(),
+        bad=st.sampled_from([-0.1, -1e-300, 1.0, math.inf, math.nan]),
+        position=st.integers(0, 40),
+    )
+    @example(case=(SampledSignal(np.ones(4), 1.0), [0.5]), bad=1.0, position=0)
+    def test_any_entry_outside_the_interval_raises(self, case, bad, position):
+        signal, ts = case
+        ts = list(ts)
+        ts.insert(position % (len(ts) + 1), bad * signal.interval_length)
+        with pytest.raises(DomainError):
+            classical_interpolate(signal, np.array(ts))
+
+    def test_points_over_several_chunks(self):
+        # 8192 samples leave room for 8 points per chunk: 30 points take 4
+        rng = np.random.default_rng(9)
+        signal = SampledSignal(rng.normal(size=1 << 13), 3.0)
+        assert KERNEL_CHUNK // signal.num_samples == 8
+        ts = np.concatenate([rng.uniform(0, 3.0, 27), signal.sample_points()[[0, 5, 8191]]])
+        expected = [scalar_oracles.interpolate(signal, t) for t in ts]
+        assert np.array_equal(classical_interpolate(signal, ts), expected)
+
+    def test_scalar_t_gives_a_float_and_arrays_keep_their_shape(self):
+        signal = SampledSignal(np.arange(8.0), 1.0)
+        assert type(classical_interpolate(signal, 0.3)) is float
+        assert classical_interpolate(signal, np.full((2, 3), 0.3)).shape == (2, 3)

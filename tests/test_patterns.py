@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from polynomials import KINDS, in_domain_polynomial
+from scalar_oracles import kernel_row
 
 from qinterp import (
     BinaryPolynomial,
+    CapacityError,
     DomainError,
     EncodingDomain,
     NormalizationError,
@@ -32,6 +35,8 @@ from qinterp import (
     weighted_sum,
     zero_state,
 )
+from qinterp import patterns
+from qinterp.kernels import normalize_to_domain
 
 TWOS = EncodingDomain.TWOS_COMPLEMENT
 
@@ -256,6 +261,73 @@ class TestQuantumInterpolateSweep:
     def test_needs_a_step(self):
         with pytest.raises(DomainError):
             quantum_interpolate_sweep(prepare_nu2(3), 1.0, 2.0, 0)
+
+    def test_step_count_capped_before_any_point_is_built(self):
+        prep = prepare_nu2(3)
+        tracemalloc.start()
+        try:
+            for steps in (patterns.MAX_SWEEP_STEPS + 1, 10**10):
+                with pytest.raises(CapacityError):
+                    quantum_interpolate_sweep(prep, 0.0, 8.0, steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def check_classical_column(samples, t_start, t_stop, steps, domain):
+    """The sweep's classical column against one ``np.dot`` per point.
+
+    Returns the key width of every block the sweep tried, each with whether
+    that block's circuit raised.
+    """
+    prep = prepare_amplitudes(samples)
+    modulus = samples.size
+    blocks = []
+    block_readout = patterns._block_readout
+
+    def recording(prep, t0, step, key_width, domain):
+        blocks.append((key_width, True))
+        amplitudes = block_readout(prep, t0, step, key_width, domain)
+        blocks[-1] = (key_width, False)
+        return amplitudes
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(patterns, "_block_readout", recording)
+        sweep = quantum_interpolate_sweep(prep, t_start, t_stop, steps, domain)
+    # the function samples as the sweep reads them, a real view of the prepared state
+    function_samples = prep.apply(zero_state(prep.num_qubits)).amplitudes.real
+    for t, result in sweep:
+        row = kernel_row(modulus, normalize_to_domain(t, domain, modulus))
+        assert result.classical_value == float(np.dot(function_samples, row))
+    return blocks
+
+
+class TestSweepClassicalColumn:
+    @settings(max_examples=12)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        start=st.floats(0.0, 4096.0, exclude_max=True, allow_nan=False),
+        steps=st.integers(5, 40),
+    )
+    def test_wide_register_over_several_blocks(self, seed, start, steps):
+        samples = np.random.default_rng(seed).normal(size=1 << 12)
+        samples /= np.linalg.norm(samples)
+        blocks = check_classical_column(samples, start, 4095.9, steps, EncodingDomain.UNSIGNED)
+        assert len(blocks) > 1 and max(blocks)[0] == patterns.BLOCK_QUBITS - 12
+
+    @settings(max_examples=25)
+    @given(case=sweeps())
+    def test_any_sweep(self, case):
+        check_classical_column(*case)
+
+    def test_one_point_blocks_at_the_domain_edge(self):
+        # as in TestQuantumInterpolateSweep.test_points_at_the_domain_edge:
+        # round-off makes batched blocks fail, and each falls back to one point
+        start = 8.0 - 19 * math.ulp(8.0)
+        blocks = check_classical_column(nu2_amplitudes(3), start, 8.0, 44, EncodingDomain.UNSIGNED)
+        failed = [i for i, (width, raised) in enumerate(blocks) if raised]
+        assert failed and all(blocks[i + 1] == (0, False) for i in failed)
 
 
 def check_round_off_zero(domain):

@@ -1,4 +1,24 @@
+from collections import Counter
+
+import pytest
+
+from qinterp import repro
 from qinterp.repro import build_cases, format_report, run_cases, write_artifacts
+
+
+@pytest.fixture
+def readouts(monkeypatch):
+    """Counts the readouts that repro's cases run, by function name."""
+    calls = Counter()
+    for name in ("quantum_interpolate", "generalized_inner_product"):
+        original = getattr(repro, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(repro, name, counted)
+    return calls
 
 
 class TestCases:
@@ -27,6 +47,18 @@ class TestCases:
         assert results
         assert all(r.case.case_id.startswith("weighted-") for r in results)
         assert run_cases("no-such-case") == []
+
+    def test_shared_readouts_run_once_per_run(self, readouts):
+        run_cases()
+        assert readouts == {"quantum_interpolate": 2, "generalized_inner_product": 1}
+        run_cases()
+        assert readouts == {"quantum_interpolate": 4, "generalized_inner_product": 2}
+
+    def test_filter_runs_only_the_readouts_it_selects(self, readouts):
+        run_cases("interp-nu2*")
+        assert readouts == {"quantum_interpolate": 1}
+        run_cases("encode-*")
+        assert readouts == {"quantum_interpolate": 1}
 
     def test_report_is_deterministic(self):
         assert format_report(run_cases()) == format_report(run_cases())
