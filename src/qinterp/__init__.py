@@ -56,10 +56,8 @@ from .dictionary import (
 )
 from .patterns import (
     InterpolationResult,
-    WeightSpec,
     direct_weighted_identity_sum,
     direct_weighted_sum,
-    expected_value,
     generalized_inner_product,
     kernel_double_sum,
     lambda_amplitudes,

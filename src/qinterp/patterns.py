@@ -44,44 +44,6 @@ BLOCK_QUBITS = 14
 MAX_SWEEP_STEPS = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
-class WeightSpec:
-    """A normalized weight state plus the factor linking it to raw weights.
-
-    ``amplitudes[k] = common_factor * weight_k``; the amplitude vector itself
-    is the unit-norm state loaded into a register.
-    """
-
-    amplitudes: np.ndarray
-    common_factor: float
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.float64)
-        n = amps.size
-        if n < 2 or (n & (n - 1)) != 0:
-            raise DomainError(f"weight vector length {n} is not a power of two >= 2")
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN norm fails too
-            raise NormalizationError(f"weight state norm {norm} is not 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_weights(cls, weights) -> "WeightSpec":
-        """Normalize raw weights; the common factor is 1 over their norm."""
-        w = np.asarray(weights, dtype=np.float64)
-        norm = np.linalg.norm(w)
-        if not 0 < norm < math.inf:
-            raise NormalizationError(f"weight vector norm {norm} is not positive and finite")
-        return cls(w / norm, 1.0 / norm)
-
-    @property
-    def num_qubits(self) -> int:
-        return int(self.amplitudes.size).bit_length() - 1
-
-    def raw_weights(self) -> np.ndarray:
-        return self.amplitudes / self.common_factor
-
-
 @dataclass(frozen=True)
 class InterpolationResult:
     """Quantum readout next to its classical companions.
@@ -187,10 +149,11 @@ def quantum_interpolate_sweep(
     """Interpolate the encoded function at ``t_i = t_start + i (t_stop - t_start) / steps``.
 
     Returns ``(t_i, result)`` for ``i`` in ``0..steps-1``; ``steps`` must be
-    at least 1 and at most ``MAX_SWEEP_STEPS``.  Every point is checked
-    against the domain before any circuit is built.  The points are read in
-    power-of-two blocks, taken by the binary decomposition of the remaining
-    count: a block of ``2**k`` points is one phase-corrected
+    at least 1 and at most ``MAX_SWEEP_STEPS``, and ``t_start``, ``t_stop``
+    and their difference finite (else :class:`DomainError`).  Every point is
+    checked against the domain before any circuit is built.  The points are
+    read in power-of-two blocks, taken by the binary decomposition of the
+    remaining count: a block of ``2**k`` points is one phase-corrected
     dictionary circuit whose key register is the step index, with ``k``
     capped so that key and value registers together stay within
     ``BLOCK_QUBITS``.  The classical value of each point is the
@@ -202,6 +165,8 @@ def quantum_interpolate_sweep(
         raise DomainError("a sweep needs at least one step")
     if steps > MAX_SWEEP_STEPS:
         raise CapacityError(f"a sweep of {steps} steps exceeds the cap of {MAX_SWEEP_STEPS}")
+    if not math.isfinite(t_stop - t_start):  # also inf or nan when a bound is
+        raise DomainError(f"sweep t_start = {t_start} to t_stop = {t_stop} has no finite width")
     width = function_prep.num_qubits
     modulus = 1 << width
     ts = [t_start + i * (t_stop - t_start) / steps for i in range(steps)]
@@ -260,28 +225,50 @@ def quantum_interpolate(
     return result
 
 
+def _norm(vector: np.ndarray) -> float:
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf, which the callers reject
+        return float(np.linalg.norm(vector))
+
+
+def _unit_vector(vector, what: str) -> np.ndarray:
+    """``vector`` as float64, checked to be a unit vector of power-of-two length >= 2."""
+    amps = np.asarray(vector, dtype=np.float64)
+    n = amps.size
+    if n < 2 or (n & (n - 1)) != 0:
+        raise DomainError(f"{what} length {n} is not a power of two >= 2")
+    norm = _norm(amps)
+    if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN norm fails too
+        raise NormalizationError(f"{what} norm {norm} is not 1")
+    return amps
+
+
 def generalized_inner_product(
-    key_weights: WeightSpec,
+    key_amplitudes,
     poly: BinaryPolynomial,
-    value_weights: WeightSpec,
+    value_amplitudes,
     domain: EncodingDomain = EncodingDomain.UNSIGNED,
 ) -> float:
     """All-zeros amplitude of the weighted, phase-corrected dictionary pipeline.
 
-    One circuit on the all-zeros state: load key weights, apply the
-    phase-corrected dictionary, then Hadamards on the keys and the inverse
-    value-weight loader, read by :meth:`~qinterp.sim.Circuit.readout`.  The
-    result equals
+    Takes what its oracle :func:`kernel_double_sum` takes: real unit vectors
+    ``a`` over the keys and ``b`` over the values, each of power-of-two
+    length >= 2 (else :class:`DomainError`) and of norm 1 to within 1e-12
+    (else :class:`NormalizationError`).  One circuit on the all-zeros state:
+    load ``a``, apply the phase-corrected dictionary, then Hadamards on the
+    keys and the inverse loader of ``b``, read by
+    :meth:`~qinterp.sim.Circuit.readout`.  The result equals
     ``(1/sqrt(N)) sum_k a_k sum_v b_v c(v)`` with ``c`` the kernel row of ``f(k)``.
     """
-    layout = RegisterLayout(key_weights.num_qubits, value_weights.num_qubits)
+    a = _unit_vector(key_amplitudes, "key state")
+    b = _unit_vector(value_amplitudes, "value state")
+    layout = RegisterLayout(a.size.bit_length() - 1, b.size.bit_length() - 1)
     keys, values = layout.key_register, layout.value_register
     dictionary = dictionary_circuit(layout, poly, domain, phase_corrected=True, prepare_keys=False)
     ops = (
-        StatePrep(keys, key_weights.amplitudes),
+        StatePrep(keys, a),
         *dictionary.ops,
         HadamardLayer(keys),
-        StatePrep(values, value_weights.amplitudes).adjoint(),
+        StatePrep(values, b).adjoint(),
     )
     amplitude = Circuit(layout.num_qubits, ops).readout((values, keys))
     _warn_imag_residual(abs(amplitude.imag), "inner-product amplitude")
@@ -321,26 +308,35 @@ def kernel_double_sum(
     return total / math.sqrt(a.size)
 
 
+def _inverse_norm(vector: np.ndarray, what: str) -> float:
+    norm = _norm(vector)
+    if not 0 < norm < math.inf:
+        raise NormalizationError(f"{what} norm {norm} is not positive and finite")
+    return 1.0 / norm
+
+
 def weighted_sum(
     weights,
     poly: BinaryPolynomial,
     hash_values,
-    scale_a: float,
-    scale_b: float,
     domain: EncodingDomain = EncodingDomain.UNSIGNED,
-) -> float:
-    """Weighted sum of hashed function values, ``sum_k w_k h(f(k))``.
+) -> tuple[float, float]:
+    """Weighted sum of hashed function values, ``sum_k w_k h(f(k))``, read from one amplitude.
 
-    ``scale_a * weights`` and ``scale_b * hash_values`` must be unit vectors;
-    the returned value rescales the all-zeros amplitude by
-    ``sqrt(N) / (scale_a * scale_b)``.
+    Loads the unit vectors ``w / |w|`` and ``h / |h|`` into
+    :func:`generalized_inner_product` and rescales its amplitude by
+    ``sqrt(N) |w| |h|``.  Returns ``(amplitude, sum)``.  A norm that is not
+    positive and finite, an overflowing one included, raises
+    :class:`NormalizationError` naming the vector.  To buy precision from a
+    wider value register with the identity hash, pass ``poly.scaled(s)`` and
+    divide the sum by ``s``; the identity hash is linear, so this holds.
     """
     w = np.asarray(weights, dtype=np.float64)
     h = np.asarray(hash_values, dtype=np.float64)
-    key_spec = WeightSpec(w * scale_a, scale_a)
-    value_spec = WeightSpec(h * scale_b, scale_b)
-    amplitude = generalized_inner_product(key_spec, poly, value_spec, domain)
-    return math.sqrt(w.size) / (scale_a * scale_b) * amplitude
+    scale_w = _inverse_norm(w, "weight vector")
+    scale_h = _inverse_norm(h, "hash vector")
+    amplitude = generalized_inner_product(w * scale_w, poly, h * scale_h, domain)
+    return amplitude, math.sqrt(w.size) / (scale_w * scale_h) * amplitude
 
 
 def direct_weighted_sum(weights, poly: BinaryPolynomial, hash_values) -> float:
@@ -361,31 +357,3 @@ def direct_weighted_identity_sum(weights, poly: BinaryPolynomial) -> float:
     w = np.asarray(weights, dtype=np.float64)
     return float(np.dot(w, poly.values_table()))
 
-
-def expected_value(
-    weights,
-    poly: BinaryPolynomial,
-    key_width: int,
-    value_width: int,
-    scale: int = 1,
-    domain: EncodingDomain = EncodingDomain.UNSIGNED,
-) -> float:
-    """Weighted sum specialized to the identity hash, with optional scaling.
-
-    With ``scale > 1`` the polynomial coefficients are multiplied by ``scale``
-    before encoding (buying precision from a wider value register) and the
-    recovered sum is divided by ``scale`` again; this presumes the identity
-    hash, which is linear.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size != (1 << key_width):
-        raise DomainError(f"expected {1 << key_width} weights, got {w.size}")
-    if scale < 1 or int(scale) != scale:
-        raise DomainError("scale must be a positive integer")
-    modulus = 1 << value_width
-    hash_values = np.arange(modulus, dtype=np.float64)
-    scale_a = 1.0 / float(np.linalg.norm(w))
-    scale_b = 1.0 / float(np.linalg.norm(hash_values))
-    encoded_poly = poly.scaled(scale) if scale != 1 else poly
-    total = weighted_sum(w, encoded_poly, hash_values, scale_a, scale_b, domain)
-    return total / scale

@@ -24,15 +24,14 @@ from .dictionary import BinaryPolynomial
 from .encoding import encode_value, encode_value_real
 from .kernels import EncodingDomain, SampledSignal, classical_interpolate
 from .patterns import (
-    WeightSpec,
     direct_weighted_identity_sum,
-    expected_value,
     generalized_inner_product,
     kernel_double_sum,
     prepare_lambda,
     prepare_nu2,
     quantum_interpolate,
     quantum_interpolate_sweep,
+    weighted_sum,
 )
 from .sim import Circuit, HadamardLayer, RegisterLayout, StatePrep, zero_state
 
@@ -90,21 +89,21 @@ def _interp_lambda() -> patterns.InterpolationResult:
     return quantum_interpolate(prepare_lambda(6), 44.8)
 
 
-def _weighted_amplitude() -> float:
+def _demo_unit_vectors() -> tuple[np.ndarray, np.ndarray]:
+    """The demo weights and the m=4 identity hash, each scaled to a unit vector."""
     w = _demo_weights()
     h = np.arange(16, dtype=np.float64)
-    a = 1.0 / float(np.linalg.norm(w))
-    b = 1.0 / float(np.linalg.norm(h))
-    return generalized_inner_product(WeightSpec(w * a, a), DEMO_POLY, WeightSpec(h * b, b))
+    return w * (1.0 / float(np.linalg.norm(w))), h * (1.0 / float(np.linalg.norm(h)))
+
+
+def _weighted_amplitude() -> float:
+    a, b = _demo_unit_vectors()
+    return generalized_inner_product(a, DEMO_POLY, b)
 
 
 def _weighted_amplitude_oracle_gap(quantum: float) -> float:
-    w = _demo_weights()
-    h = np.arange(16, dtype=np.float64)
-    a = 1.0 / float(np.linalg.norm(w))
-    b = 1.0 / float(np.linalg.norm(h))
-    classical = kernel_double_sum(w * a, DEMO_POLY, h * b)
-    return abs(quantum - classical)
+    a, b = _demo_unit_vectors()
+    return abs(quantum - kernel_double_sum(a, DEMO_POLY, b))
 
 
 def _recon_sin_worst() -> float:
@@ -221,7 +220,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "weighted-sum-m4",
             "n=3, m=4 rescaled weighted sum",
-            lambda: expected_value(_demo_weights(), DEMO_POLY, 3, 4),
+            lambda: weighted_sum(_demo_weights(), DEMO_POLY, np.arange(16.0))[1],
             15.1555,
             0.2,
             "reported",
@@ -237,7 +236,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "weighted-sum-m10-scale64",
             "m=10 value register, coefficients scaled by 64",
-            lambda: expected_value(_demo_weights(), DEMO_POLY, 3, 10, scale=64),
+            lambda: weighted_sum(_demo_weights(), DEMO_POLY.scaled(64), np.arange(1024.0))[1] / 64,
             15.9186,
             5e-2,
             "reported",
@@ -263,7 +262,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "ref-integer-scaled-sum",
             "integer coefficients x100 in a 10-qubit register, sum / 100",
-            lambda: expected_value(_demo_weights(), DEMO_POLY_INT100, 3, 10) / 100.0,
+            lambda: weighted_sum(_demo_weights(), DEMO_POLY_INT100, np.arange(1024.0))[1] / 100.0,
             15.94,
             None,
             "reported",

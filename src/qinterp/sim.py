@@ -416,15 +416,15 @@ def _outside_bit(qubit: int, register: Register | None) -> int:
     return qubit - register.width
 
 
-def _outside_mask(qubits, register: Register | None, low: int) -> int:
-    """Bitmask of ``qubits`` in the index over the qubits from ``low`` up outside ``register``."""
+def _outside_mask(qubits, register: Register | None) -> int:
+    """Bitmask of ``qubits`` in the index over the qubits outside ``register``."""
     mask = 0
     for q in qubits:
         mask |= 1 << q
     if register is not None:
         below = (1 << register.offset) - 1
         mask = mask & below | mask >> register.width & ~below
-    return mask >> low
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,7 +451,7 @@ class _PhaseTable(Operation):
         return _PhaseTable(self.register, -self.offset, -self.slope)
 
 
-def _fuse(run, register: Register | None, num_qubits: int, low: int) -> Operation:
+def _fuse(run, register: Register | None, num_qubits: int) -> Operation:
     """One op with the action of a run of diagonal ops that :func:`_fits` ``register``.
 
     Each ladder adds its theta to ``slope`` and each controlled phase its
@@ -466,25 +466,25 @@ def _fuse(run, register: Register | None, num_qubits: int, low: int) -> Operatio
     tables = []
     for op in run:
         if isinstance(op, PhaseLadder):
-            slope[_outside_mask(op.controls, register, low)] += op.theta
+            slope[_outside_mask(op.controls, register)] += op.theta
         elif isinstance(op, ControlledPhase):
-            offset[_outside_mask(op.controls, register, low)] += op.angle
+            offset[_outside_mask(op.controls, register)] += op.angle
         else:
             tables.append(op)
     offset = subset_sums(offset)
     for op in tables:
-        bit = _outside_bit(op.register.offset, register) - low
+        bit = _outside_bit(op.register.offset, register)
         _register_view(offset, Register(bit, op.register.width))[...] += op.phases[None, :, None]
     if register is None:
         return DiagonalPhase(Register(0, num_qubits), offset)
-    return _PhaseTable(Register(register.offset - low, register.width), offset, subset_sums(slope))
+    return _PhaseTable(register, offset, subset_sums(slope))
 
 
 _DIAGONAL_KINDS = (PhaseLadder, ControlledPhase, DiagonalPhase)
 
 
-def _fits(op: Operation, register: Register | None, num_qubits: int, low: int) -> bool:
-    """Whether ``op`` lies on qubits ``low`` to ``low + num_qubits - 1`` and fuses over ``register``.
+def _fits(op: Operation, register: Register | None, num_qubits: int) -> bool:
+    """Whether ``op`` lies on qubits 0 to ``num_qubits - 1`` and fuses over ``register``.
 
     ``register`` None stands for a run without a ladder.
     """
@@ -496,7 +496,7 @@ def _fits(op: Operation, register: Register | None, num_qubits: int, low: int) -
         qubits = op.controls
     else:
         return False
-    if qubits and not (low <= min(qubits) and max(qubits) < low + num_qubits):
+    if qubits and not (0 <= min(qubits) and max(qubits) < num_qubits):
         return False
     if register is None:
         return True
@@ -504,7 +504,7 @@ def _fits(op: Operation, register: Register | None, num_qubits: int, low: int) -
     return all(q < lo or hi <= q for q in qubits)
 
 
-def _fuse_diagonals(ops, num_qubits: int, low: int = 0) -> list[Operation]:
+def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
     """The gate list with each run of two or more fusable diagonal ops as one op.
 
     A run's register is that of its next valid ladder before the next
@@ -512,10 +512,6 @@ def _fuse_diagonals(ops, num_qubits: int, low: int = 0) -> list[Operation]:
     run with no ladder left fuses its controlled phases and diagonal tables.
     Diagonal ops commute, so fusing keeps the circuit's action.  One pass from
     the end finds every position's next ladder, so the pass is linear.
-
-    With ``low`` the ops act on qubits ``low`` to ``low + num_qubits - 1``
-    of a wider circuit; the list comes back lowered by ``low``, for the
-    factor of those qubits.
     """
     registers: list[Register | None] = [None] * len(ops)
     ladder = None
@@ -523,22 +519,20 @@ def _fuse_diagonals(ops, num_qubits: int, low: int = 0) -> list[Operation]:
         op = ops[i]
         if not isinstance(op, _DIAGONAL_KINDS):
             ladder = None
-        elif isinstance(op, PhaseLadder) and low <= op.register.offset and (
-            op.register.offset + op.register.width <= low + num_qubits
-        ):
+        elif isinstance(op, PhaseLadder) and op.register.offset + op.register.width <= num_qubits:
             ladder = op.register
         registers[i] = ladder
     fused = []
     i = 0
     while i < len(ops):
         stop = i
-        while stop < len(ops) and _fits(ops[stop], registers[i], num_qubits, low):
+        while stop < len(ops) and _fits(ops[stop], registers[i], num_qubits):
             stop += 1
         if stop - i >= 2:
-            fused.append(_fuse(ops[i:stop], registers[i], num_qubits, low))
+            fused.append(_fuse(ops[i:stop], registers[i], num_qubits))
             i = stop
         else:
-            fused.append(_lowered(ops[i], low))
+            fused.append(ops[i])
             i += 1
     return fused
 
@@ -637,7 +631,8 @@ class Circuit:
         the ``<0|`` factor of their register, except that those on ``keep``
         run forward on the contracted vector.  The ops between run on the
         joined buffer, which one contraction with the bra factors then reads.
-        Each register's ops are fused before they are moved to its factor.
+        Each register's ops are lowered onto its factor, whose ``apply``
+        fuses them.
         """
         registers = tuple(registers)
         check_capacity(self.num_qubits)
@@ -648,7 +643,7 @@ class Circuit:
 
         def factor(i: int, group) -> Circuit:
             reg = registers[i]
-            return Circuit(reg.width, tuple(_fuse_diagonals(group, reg.width, reg.offset)))
+            return Circuit(reg.width, tuple(_lowered(op, reg.offset) for op in group))
 
         order = sorted(range(len(registers)), key=lambda i: -registers[i].offset)
         kets = [factor(i, heads[i]).apply(zero_state(registers[i].width)).amplitudes for i in order]

@@ -17,12 +17,10 @@ from qinterp import (
     EncodingDomain,
     RegisterLayout,
     SampledSignal,
-    WeightSpec,
     classical_interpolate,
     direct_weighted_identity_sum,
     encode_value,
     encode_value_real,
-    expected_value,
     fejer_kernel_row,
     generalized_inner_product,
     kernel_double_sum,
@@ -163,14 +161,9 @@ def test_criterion_06_weighted_sum_reproduction():
     start = time.perf_counter()
     weights = np.sin(np.arange(8) * np.pi / 8) ** 2
     hashes = np.arange(16, dtype=np.float64)
-    scale_a = 1.0 / float(np.linalg.norm(weights))
-    scale_b = 1.0 / float(np.linalg.norm(hashes))
-    amplitude = generalized_inner_product(
-        WeightSpec(weights * scale_a, scale_a), DEMO_POLY, WeightSpec(hashes * scale_b, scale_b)
-    )
-    sum_m4 = weighted_sum(weights, DEMO_POLY, hashes, scale_a, scale_b)
+    amplitude, sum_m4 = weighted_sum(weights, DEMO_POLY, hashes)
     classical = direct_weighted_identity_sum(weights, DEMO_POLY)
-    sum_m10 = expected_value(weights, DEMO_POLY, 3, 10, scale=64)
+    sum_m10 = weighted_sum(weights, DEMO_POLY.scaled(64), np.arange(1024, dtype=np.float64))[1] / 64
     err4 = abs(sum_m4 - classical)
     err10 = abs(sum_m10 - classical)
     elapsed = time.perf_counter() - start
@@ -207,10 +200,11 @@ def test_criterion_07_oracle_equivalence_sweep():
         m = int(rng.integers(1, 6))
         modulus = 1 << m
         poly = polynomial_from_table(rng.uniform(0, modulus, 1 << n))
-        key_spec = WeightSpec.from_weights(rng.normal(size=1 << n))
-        value_spec = WeightSpec.from_weights(rng.normal(size=modulus))
-        quantum = generalized_inner_product(key_spec, poly, value_spec)
-        classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes)
+        a = rng.normal(size=1 << n)
+        b = rng.normal(size=modulus)
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        quantum = generalized_inner_product(a, poly, b)
+        classical = kernel_double_sum(a, poly, b)
         worst = max(worst, abs(quantum - classical))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 60.0

@@ -327,6 +327,34 @@ class TestMalformedInput:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize("key, vector", [("weights", "weight"), ("hash", "hash")])
+    def test_overflowing_vector_norm(self, tmp_path, capsys, key, vector):
+        # every entry is finite but the squares overflow; the error names the vector
+        code, err = self.sum_error(tmp_path, capsys, f"{key} = 1e200 1e200 1e200 1e200\n")
+        assert code == 3
+        assert err == f"error: {vector} vector norm inf is not positive and finite\n"
+
+    def test_zero_hash(self, tmp_path, capsys):
+        code, err = self.sum_error(tmp_path, capsys, "hash = 0 0 0 0\n")
+        assert code == 3
+        assert err == "error: hash vector norm 0.0 is not positive and finite\n"
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ["-t", "inf"],
+            ["--t-start", "0", "--t-stop", "inf", "--t-steps", "4"],
+            ["--t-start", "1e308", "--t-stop", "-1e308", "--t-steps", "4"],
+        ],
+        ids=["point", "stop", "difference"],
+    )
+    def test_sweep_bounds_not_finite(self, capsys, bounds):
+        code, out, err = run(capsys, "interpolate", "--source", "nu2", "-m", "3", *bounds)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "t_start" in err and "t_stop" in err and "nan" not in err
+
     def test_non_finite_poly_coefficient(self, tmp_path, capsys):
         config = tmp_path / "sum.cfg"
         config.write_text("n = 2\nm = 2\npoly = nan: 1\n")

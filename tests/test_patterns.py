@@ -16,11 +16,9 @@ from qinterp import (
     EncodingDomain,
     NormalizationError,
     RegisterLayout,
-    WeightSpec,
     dictionary_circuit,
     direct_weighted_identity_sum,
     direct_weighted_sum,
-    expected_value,
     fejer_kernel_row,
     generalized_inner_product,
     kernel_double_sum,
@@ -41,39 +39,80 @@ from qinterp.kernels import normalize_to_domain
 TWOS = EncodingDomain.TWOS_COMPLEMENT
 
 DEMO_POLY = BinaryPolynomial(3, {0b000: 0.725, 0b010: 2.451, 0b100: 2.716, 0b101: 1.321})
+ONE_VAR = BinaryPolynomial(1, {0: 1.0})
 
 
 def demo_weights():
     return np.sin(np.arange(8) * np.pi / 8) ** 2
 
 
-class TestWeightSpec:
-    def test_from_weights(self):
-        spec = WeightSpec.from_weights([3.0, 4.0])
-        assert np.allclose(spec.amplitudes, [0.6, 0.8])
-        assert spec.common_factor == pytest.approx(0.2)
-        assert np.allclose(spec.raw_weights(), [3.0, 4.0])
+def unit(values):
+    """``values`` as float64, divided by their norm."""
+    v = np.asarray(values, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
+def identity_hash_sum(weights, poly, value_width, scale=1):
+    """Weighted sum of ``poly`` with the identity hash on ``value_width`` qubits.
+
+    The coefficients are encoded scaled by ``scale`` and the sum divided back.
+    """
+    hashes = np.arange(1 << value_width, dtype=np.float64)
+    return weighted_sum(weights, poly.scaled(scale), hashes)[1] / scale
+
+
+class TestUnitVectors:
+    """``weighted_sum`` normalises its vectors; ``generalized_inner_product`` checks them."""
+
+    def test_from_weights(self, monkeypatch):
+        loaded = []
+
+        def recording(key_amplitudes, poly, value_amplitudes, domain):
+            loaded.append(key_amplitudes)
+            return 0.25
+
+        monkeypatch.setattr(patterns, "generalized_inner_product", recording)
+        amplitude, total = weighted_sum([3.0, 4.0], ONE_VAR, [1.0, 0.0])
+        assert np.allclose(loaded[0], [0.6, 0.8])
+        # rescaled by sqrt(N) / 0.2: 0.2 is the factor from the raw weights to the loaded ones
+        assert amplitude / total == pytest.approx(0.2 / math.sqrt(2))
+        assert np.allclose(loaded[0] / 0.2, [3.0, 4.0])
 
     def test_norm_enforced(self):
-        with pytest.raises(NormalizationError):
-            WeightSpec(np.array([0.5, 0.5]), 1.0)
+        with pytest.raises(NormalizationError, match="key state"):
+            generalized_inner_product(np.array([0.5, 0.5]), ONE_VAR, unit([1.0, 1.0]))
+        with pytest.raises(NormalizationError, match="value state"):
+            generalized_inner_product(unit([1.0, 1.0]), ONE_VAR, np.array([0.5, 0.5]))
 
     def test_zero_weights_rejected(self):
-        with pytest.raises(NormalizationError):
-            WeightSpec.from_weights([0.0, 0.0])
+        with pytest.raises(NormalizationError, match="weight vector"):
+            weighted_sum([0.0, 0.0], ONE_VAR, [1.0, 1.0])
+        with pytest.raises(NormalizationError, match="hash vector"):
+            weighted_sum([1.0, 1.0], ONE_VAR, [0.0, 0.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_weights_rejected(self, bad):
         with pytest.raises(NormalizationError):
-            WeightSpec.from_weights([bad, 1.0])
+            weighted_sum([bad, 1.0], ONE_VAR, [1.0, 1.0])
+
+    @pytest.mark.parametrize("vector", ["weight", "hash"])
+    def test_overflowing_norm_rejected(self, vector):
+        # the squares overflow although every entry is finite; pytest's settings
+        # make a RuntimeWarning an error, so this also checks that none is issued
+        big, ones = [1e200, 1e200], [1.0, 1.0]
+        weights, hashes = (big, ones) if vector == "weight" else (ones, big)
+        with pytest.raises(NormalizationError, match=f"{vector} vector norm inf"):
+            weighted_sum(weights, ONE_VAR, hashes)
 
     def test_nan_amplitudes_rejected(self):
         with pytest.raises(NormalizationError):
-            WeightSpec(np.array([math.nan, 0.0]), 1.0)
+            generalized_inner_product(np.array([math.nan, 0.0]), ONE_VAR, unit([1.0, 1.0]))
 
     def test_length_power_of_two(self):
         with pytest.raises(DomainError):
-            WeightSpec.from_weights([1.0, 2.0, 3.0])
+            weighted_sum([1.0, 2.0, 3.0], ONE_VAR, [1.0, 1.0])
+        with pytest.raises(DomainError):
+            generalized_inner_product(unit([1.0, 1.0]), ONE_VAR, unit([1.0, 2.0, 3.0]))
 
 
 class TestPrepareAmplitudes:
@@ -262,6 +301,18 @@ class TestQuantumInterpolateSweep:
         with pytest.raises(DomainError):
             quantum_interpolate_sweep(prepare_nu2(3), 1.0, 2.0, 0)
 
+    @pytest.mark.parametrize(
+        "t_start, t_stop",
+        [(math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0), (1e308, -1e308), (math.nan, 1.0)],
+    )
+    def test_bounds_not_finite_rejected_before_any_point(self, monkeypatch, t_start, t_stop):
+        def no_point(*args):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(patterns, "normalize_to_domain", no_point)
+        with pytest.raises(DomainError, match="t_start = .* t_stop = "):
+            quantum_interpolate_sweep(prepare_nu2(3), t_start, t_stop, 4)
+
     def test_step_count_capped_before_any_point_is_built(self):
         prep = prepare_nu2(3)
         tracemalloc.start()
@@ -335,10 +386,10 @@ def check_round_off_zero(domain):
     # key 3 evaluates to 0.3 - 0.1 - 0.2 = -2.8e-17: the value 0, not M or out of range
     poly = BinaryPolynomial(2, {0: 0.3, 1: -0.1, 2: -0.2})
     assert -1e-16 < poly.evaluate(3) < 0
-    key_spec = WeightSpec.from_weights([0.1, 0.2, 0.3, 0.9])
-    value_spec = WeightSpec.from_weights(np.arange(1.0, 9.0))
-    quantum = generalized_inner_product(key_spec, poly, value_spec, domain)
-    classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, domain)
+    a = unit([0.1, 0.2, 0.3, 0.9])
+    b = unit(np.arange(1.0, 9.0))
+    quantum = generalized_inner_product(a, poly, b, domain)
+    classical = kernel_double_sum(a, poly, b, domain)
     assert abs(quantum - classical) < 1e-12
     # the phase-corrected dictionary holds +1/2 at value 0 for key 3
     circuit = dictionary_circuit(RegisterLayout(2, 3), poly, domain, phase_corrected=True)
@@ -352,9 +403,7 @@ class TestGeneralizedInnerProduct:
         h = np.arange(16, dtype=float)
         a = 1 / np.linalg.norm(w)
         b = 1 / np.linalg.norm(h)
-        amplitude = generalized_inner_product(
-            WeightSpec(w * a, a), DEMO_POLY, WeightSpec(h * b, b)
-        )
+        amplitude = generalized_inner_product(w * a, DEMO_POLY, h * b)
         assert abs(amplitude - 0.0879) < 1e-3
 
     def test_oracle_equivalence_random(self):
@@ -364,10 +413,10 @@ class TestGeneralizedInnerProduct:
             m = int(rng.integers(1, 6))
             modulus = 1 << m
             poly = polynomial_from_table(rng.uniform(0, modulus, 1 << n))
-            key_spec = WeightSpec.from_weights(rng.normal(size=1 << n))
-            value_spec = WeightSpec.from_weights(rng.normal(size=modulus))
+            key_spec = unit(rng.normal(size=1 << n))
+            value_spec = unit(rng.normal(size=modulus))
             quantum = generalized_inner_product(key_spec, poly, value_spec)
-            classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes)
+            classical = kernel_double_sum(key_spec, poly, value_spec)
             assert abs(quantum - classical) < 1e-9
 
     def test_oracle_equivalence_twos_complement(self):
@@ -376,20 +425,20 @@ class TestGeneralizedInnerProduct:
             m = int(rng.integers(2, 5))
             modulus = 1 << m
             poly = polynomial_from_table(rng.uniform(-modulus / 2, modulus / 2, 4))
-            key_spec = WeightSpec.from_weights(rng.normal(size=4))
-            value_spec = WeightSpec.from_weights(rng.normal(size=modulus))
+            key_spec = unit(rng.normal(size=4))
+            value_spec = unit(rng.normal(size=modulus))
             quantum = generalized_inner_product(key_spec, poly, value_spec, TWOS)
-            classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, TWOS)
+            classical = kernel_double_sum(key_spec, poly, value_spec, TWOS)
             assert abs(quantum - classical) < 1e-9
 
     def test_oracle_takes_integers_of_the_unsigned_range_in_twos_complement(self):
         # the dictionary accepts the integer 3 in a 2-qubit two's-complement register
         poly = BinaryPolynomial(1, {0: 3.0, 1: -2.0})  # values 3 and 1
-        key_spec = WeightSpec.from_weights([0.6, 0.8])
-        value_spec = WeightSpec.from_weights([0.1, 0.2, 0.3, 0.4])
+        key_spec = unit([0.6, 0.8])
+        value_spec = unit([0.1, 0.2, 0.3, 0.4])
         quantum = generalized_inner_product(key_spec, poly, value_spec, TWOS)
-        classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, TWOS)
-        expected = (0.6 * value_spec.amplitudes[3] + 0.8 * value_spec.amplitudes[1]) / math.sqrt(2)
+        classical = kernel_double_sum(key_spec, poly, value_spec, TWOS)
+        expected = (0.6 * value_spec[3] + 0.8 * value_spec[1]) / math.sqrt(2)
         assert abs(classical - expected) < 1e-15
         assert abs(quantum - classical) < 1e-12
 
@@ -403,21 +452,21 @@ class TestGeneralizedInnerProduct:
         # 10 key and 14 value qubits fill the 24-qubit cap; 1024 dense terms
         rng = np.random.default_rng(24)
         poly = in_domain_polynomial(rng, 10, 14, EncodingDomain.UNSIGNED, "dense")
-        key_spec = WeightSpec.from_weights(rng.uniform(0.1, 1.0, 1 << 10))
-        value_spec = WeightSpec.from_weights(rng.uniform(0.1, 1.0, 1 << 14))
+        key_spec = unit(rng.uniform(0.1, 1.0, 1 << 10))
+        value_spec = unit(rng.uniform(0.1, 1.0, 1 << 14))
         quantum = generalized_inner_product(key_spec, poly, value_spec)
-        classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes)
+        classical = kernel_double_sum(key_spec, poly, value_spec)
         assert abs(quantum - classical) < 1e-9
 
     def test_uniform_keys_basis_value_selector(self):
         # f == 0 everywhere, value weights pick out |0>: every key contributes
         poly = BinaryPolynomial(2, {0: 0.0})
-        key_spec = WeightSpec.from_weights(np.ones(4))
+        key_spec = unit(np.ones(4))
         selector = np.zeros(8)
         selector[0] = 1.0
-        value_spec = WeightSpec(selector, 1.0)
+        value_spec = selector
         quantum = generalized_inner_product(key_spec, poly, value_spec)
-        classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes)
+        classical = kernel_double_sum(key_spec, poly, value_spec)
         assert abs(quantum - classical) < 1e-12
         assert abs(quantum - 1.0) < 1e-12  # all four keys project back onto |0> coherently
 
@@ -430,8 +479,8 @@ def weighted_dictionaries(draw, domains=(EncodingDomain.UNSIGNED, TWOS), kinds=K
     domain = draw(st.sampled_from(domains))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     poly = in_domain_polynomial(rng, n, m, domain, draw(st.sampled_from(kinds)))
-    key_spec = WeightSpec.from_weights(rng.normal(size=1 << n))
-    value_spec = WeightSpec.from_weights(rng.normal(size=1 << m))
+    key_spec = unit(rng.normal(size=1 << n))
+    value_spec = unit(rng.normal(size=1 << m))
     return key_spec, poly, value_spec, domain
 
 
@@ -441,7 +490,7 @@ class TestInnerProductProperties:
     def test_matches_kernel_double_sum(self, case):
         key_spec, poly, value_spec, domain = case
         quantum = generalized_inner_product(key_spec, poly, value_spec, domain)
-        classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, domain)
+        classical = kernel_double_sum(key_spec, poly, value_spec, domain)
         assert abs(quantum - classical) < 1e-9
 
     @settings(max_examples=40)
@@ -449,7 +498,7 @@ class TestInnerProductProperties:
     def test_matches_kernel_double_sum_at_round_off_zeros(self, case):
         key_spec, poly, value_spec, domain = case
         quantum = generalized_inner_product(key_spec, poly, value_spec, domain)
-        classical = kernel_double_sum(key_spec.amplitudes, poly, value_spec.amplitudes, domain)
+        classical = kernel_double_sum(key_spec, poly, value_spec, domain)
         assert abs(quantum - classical) < 1e-9
 
     def test_direct_weighted_sum_matches_key_loop(self):
@@ -466,56 +515,85 @@ class TestWeightedSum:
     def test_reference_m4(self):
         w = demo_weights()
         h = np.arange(16, dtype=float)
-        total = weighted_sum(w, DEMO_POLY, h, 1 / np.linalg.norm(w), 1 / np.linalg.norm(h))
+        amplitude, total = weighted_sum(w, DEMO_POLY, h)
         assert abs(total - 15.1555) < 0.2
+        assert abs(amplitude - 0.0879) < 1e-3
 
     def test_scaling_invariance(self):
         w = demo_weights()
         h = np.arange(16, dtype=float)
-        base = weighted_sum(w, DEMO_POLY, h, 1 / np.linalg.norm(w), 1 / np.linalg.norm(h))
-        scaled = weighted_sum(
-            3.0 * w, DEMO_POLY, h, 1 / np.linalg.norm(3.0 * w), 1 / np.linalg.norm(h)
-        )
+        base = weighted_sum(w, DEMO_POLY, h)[1]
+        scaled = weighted_sum(3.0 * w, DEMO_POLY, h)[1]
         assert abs(base - scaled / 3.0) < 1e-9
 
     def test_normalization_checked(self):
+        # the inner product takes unit vectors only; weighted_sum normalises first
         w = demo_weights()
         h = np.arange(16, dtype=float)
         with pytest.raises(NormalizationError):
-            weighted_sum(w, DEMO_POLY, h, 1.0, 1 / np.linalg.norm(h))
+            generalized_inner_product(w, DEMO_POLY, unit(h))
+
+
+@st.composite
+def weighted_sum_cases(draw):
+    """(weights, polynomial, hash values, domain): identity or explicit hash, up to 11 qubits."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 11 - n))
+    domain = draw(st.sampled_from((EncodingDomain.UNSIGNED, TWOS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poly = in_domain_polynomial(rng, n, m, domain, draw(st.sampled_from(KINDS)))
+    weights = rng.normal(size=1 << n)
+    if draw(st.booleans()):
+        hashes = np.arange(1 << m, dtype=np.float64)
+    else:
+        hashes = rng.normal(size=1 << m)
+    return weights, poly, hashes, domain
+
+
+class TestWeightedSumProperties:
+    @settings(max_examples=40)
+    @given(case=weighted_sum_cases())
+    def test_rescales_the_oracle_amplitude(self, case):
+        w, poly, h, domain = case
+        amplitude, total = weighted_sum(w, poly, h, domain)
+        factor = math.sqrt(w.size) * np.linalg.norm(w) * np.linalg.norm(h)
+        expected = factor * kernel_double_sum(unit(w), poly, unit(h), domain)
+        # relative to the rescale factor, which bounds |sum| since |amplitude| <= 1
+        assert abs(total - expected) <= 1e-9 * factor
+        a = w * (1.0 / np.linalg.norm(w))
+        b = h * (1.0 / np.linalg.norm(h))
+        assert amplitude == generalized_inner_product(a, poly, b, domain)
 
 
 class TestExpectedValue:
+    """Weighted sums with the identity hash: the expected value of f under the weights."""
+
     def test_reference_m4(self):
-        assert abs(expected_value(demo_weights(), DEMO_POLY, 3, 4) - 15.1555) < 0.2
+        assert abs(identity_hash_sum(demo_weights(), DEMO_POLY, 4) - 15.1555) < 0.2
 
     def test_reference_m10_scaled(self):
-        assert abs(expected_value(demo_weights(), DEMO_POLY, 3, 10, scale=64) - 15.9186) < 5e-2
+        assert abs(identity_hash_sum(demo_weights(), DEMO_POLY, 10, scale=64) - 15.9186) < 5e-2
 
     def test_precision_improves_with_scaling(self):
         target = direct_weighted_identity_sum(demo_weights(), DEMO_POLY)
-        err4 = abs(expected_value(demo_weights(), DEMO_POLY, 3, 4) - target)
-        err10 = abs(expected_value(demo_weights(), DEMO_POLY, 3, 10, scale=64) - target)
+        err4 = abs(identity_hash_sum(demo_weights(), DEMO_POLY, 4) - target)
+        err10 = abs(identity_hash_sum(demo_weights(), DEMO_POLY, 10, scale=64) - target)
         assert err10 < err4
 
     def test_constant_integer_poly(self):
         poly = BinaryPolynomial(2, {0: 5.0})
         weights = np.ones(4)
-        result = expected_value(weights, poly, 2, 3)
+        result = identity_hash_sum(weights, poly, 3)
         assert abs(result - 20.0) < 1e-6
 
     def test_zero_poly(self):
         poly = BinaryPolynomial(2, {0: 0.0})
-        result = expected_value(np.ones(4), poly, 2, 3)
+        result = identity_hash_sum(np.ones(4), poly, 3)
         assert abs(result) < 1e-9
 
     def test_weight_count_checked(self):
         with pytest.raises(DomainError):
-            expected_value(np.ones(4), DEMO_POLY, 3, 4)
-
-    def test_scale_must_be_positive_integer(self):
-        with pytest.raises(DomainError):
-            expected_value(demo_weights(), DEMO_POLY, 3, 4, scale=0)
+            identity_hash_sum(np.ones(4), DEMO_POLY, 4)
 
 
 class TestImaginaryPartWarning:
