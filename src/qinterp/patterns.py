@@ -28,14 +28,13 @@ from .dictionary import BinaryPolynomial, dictionary_circuit
 from .encoding import real_encoding_circuit
 from .errors import CapacityError, DomainError, NormalizationError, ValueRangeError
 from .kernels import INTEGER_TOLERANCE, EncodingDomain, fejer_kernel_row, normalize_to_domain
-from .sim import Circuit, HadamardLayer, Register, RegisterLayout, StatePrep, zero_state
+from .sim import MAX_QUBITS, Circuit, HadamardLayer, Register, RegisterLayout, StatePrep, zero_state
 
 IMAG_WARNING_THRESHOLD = 1e-8
 
-# Widest state a batched sweep block simulates, key and value qubits together.
-# Wider blocks run fewer circuits per sweep but allocate larger buffers; up to
-# this width a sweep's peak memory stays at that of the per-point readout.
-BLOCK_QUBITS = 14
+# Most kernel entries one matrix of a sweep's classical column holds (128 KiB
+# of float64), whatever the block sizes, so a long sweep's peak memory stays low.
+SWEEP_KERNEL_CHUNK = 1 << 14
 
 # Most points one sweep reads.  Each point holds Python objects (its t, its
 # result and, in the CLI, its CSV row): about 570 bytes at peak in a CLI sweep,
@@ -155,11 +154,12 @@ def quantum_interpolate_sweep(
     read in power-of-two blocks, taken by the binary decomposition of the
     remaining count: a block of ``2**k`` points is one phase-corrected
     dictionary circuit whose key register is the step index, with ``k``
-    capped so that key and value registers together stay within
-    ``BLOCK_QUBITS``.  The classical value of each point is the
-    kernel-weighted sum of the function samples, read once from the
-    preparation itself; a block's kernel rows are one matrix, no larger than
-    the block's state.
+    capped only so that key and value registers together stay within
+    ``MAX_QUBITS``.  Its readout streams the controlled ladders' phase
+    table, so no block builds its full state.  The classical value of each
+    point is the kernel-weighted sum of the function samples, read once from
+    the preparation itself, with the kernel rows built as matrices of at most
+    ``SWEEP_KERNEL_CHUNK`` entries.
     """
     if steps < 1:
         raise DomainError("a sweep needs at least one step")
@@ -178,10 +178,9 @@ def quantum_interpolate_sweep(
 
     step = (t_stop - t_start) / steps
     blocks = []
-    classical = []
     start = 0
     while start < steps:
-        key_width = max(0, min((steps - start).bit_length() - 1, BLOCK_QUBITS - width))
+        key_width = max(0, min((steps - start).bit_length() - 1, MAX_QUBITS - width))
         try:
             block = _block_readout(function_prep, ts[start], step, key_width, domain)
         except ValueRangeError:
@@ -190,11 +189,14 @@ def quantum_interpolate_sweep(
             key_width = 0
             block = _block_readout(function_prep, ts[start], step, key_width, domain)
         blocks.append(block)
-        stop = start + (1 << key_width)
-        # vecdot reduces each row as np.dot does; a matrix product may not
-        classical.append(np.vecdot(fejer_kernel_row(modulus, targets[start:stop]), samples.real))
-        start = stop
+        start += 1 << key_width
     readout = np.concatenate(blocks)
+    rows = max(1, SWEEP_KERNEL_CHUNK >> width)
+    # vecdot reduces each row as np.dot does; a matrix product may not
+    classical = [
+        np.vecdot(fejer_kernel_row(modulus, targets[i : i + rows]), samples.real)
+        for i in range(0, steps, rows)
+    ]
 
     results = []
     for t, value, amplitude in zip(ts, np.concatenate(classical).tolist(), readout):
@@ -226,8 +228,18 @@ def quantum_interpolate(
 
 
 def _norm(vector: np.ndarray) -> float:
-    with np.errstate(over="ignore"):  # an overflowing norm reads inf, which the callers reject
-        return float(np.linalg.norm(vector))
+    """Euclidean norm of ``vector``.
+
+    Where the squares of nonzero entries underflow to a norm of 0, it is the
+    norm of ``vector / max|entry|`` scaled back; other vectors keep the plain
+    norm bit for bit.  An overflowing norm reads inf, which the callers reject.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vector))
+    if norm == 0 and vector.any():
+        scale = float(np.max(np.abs(vector)))
+        norm = scale * float(np.linalg.norm(vector / scale))
+    return norm
 
 
 def _unit_vector(vector, what: str) -> np.ndarray:

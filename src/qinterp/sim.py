@@ -15,7 +15,10 @@ half, so no index array is built.  :meth:`Circuit.apply` fuses each run of
 adjacent diagonal operations into one multiplication by a phase table.
 :meth:`Circuit.readout` reads amplitudes of ``U|0...0>`` with the operations
 that act inside one register run on that register's factor or on its bra,
-so only the operations that span registers touch the full buffer.
+so only the operations that span registers touch the full buffer.  Where
+those fuse into one phase table over one of two registers, as in both
+readout pipelines, no full buffer is built: the table is contracted with
+the factors slice by slice.
 
 Qubit convention: qubit 0 is the least significant bit of the basis index.
 A :class:`RegisterLayout` places the value register on the low-order qubits,
@@ -537,6 +540,47 @@ def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
     return fused
 
 
+_STREAM_CHUNK = 1 << 15  # phase-table entries per slice of a streamed readout
+
+
+def _single_table(ops, registers: tuple[Register, ...], num_qubits: int) -> _PhaseTable | None:
+    """``ops`` as one :class:`_PhaseTable` over one of two ``registers``; None if they are not.
+
+    Every op must :func:`_fits` that register, so the table's outside index
+    is the other register's index.  No op at all is the table of phase 0.
+    """
+    if len(registers) != 2:
+        return None
+    for reg in registers:
+        if all(_fits(op, reg, num_qubits) for op in ops):
+            return _fuse(ops, reg, num_qubits)
+    return None
+
+
+def _stream(table: _PhaseTable, rows: np.ndarray, cols: np.ndarray, transpose: bool) -> np.ndarray:
+    """``D cols``, or ``D^T rows`` with ``transpose``, for ``D[c, r] = exp(i (offset[c] + slope[c] r))``.
+
+    ``c`` indexes ``rows`` and ``r`` the table's register, which ``cols``
+    spans.  D is built by :func:`_phase_ramps` in slices of at most
+    ``_STREAM_CHUNK`` entries and reduced by ``np.vecdot``, which keeps
+    the reduction off threaded matrix products; ``vecdot`` conjugates its
+    first argument, so the vectors enter conjugated.
+    """
+    width = min(table.register.width, _STREAM_CHUNK.bit_length() - 1)
+    step = max(1, _STREAM_CHUNK >> table.register.width)
+    rows_bar, cols_bar = rows.conj(), cols.conj()
+    out = np.zeros(cols.size if transpose else rows.size, dtype=np.complex128)
+    for c in range(0, rows.size, step):
+        offset, slope = table.offset[c : c + step, None], table.slope[c : c + step, None]
+        for r in range(0, cols.size, 1 << width):
+            part = _phase_ramps(offset + slope * r, slope, width)[:, :, 0]
+            if transpose:
+                out[r : r + part.shape[1]] += np.vecdot(rows_bar[c : c + step, None], part, axis=0)
+            else:
+                out[c : c + step] += np.vecdot(cols_bar[r : r + part.shape[1]], part)
+    return out
+
+
 def _home(op: Operation, registers: tuple[Register, ...]) -> int | None:
     """Index of the register that holds every qubit of ``op``; None if none does.
 
@@ -624,15 +668,21 @@ class Circuit:
         over ``keep``'s basis, entry ``r`` being the amplitude of the basis
         state with ``r`` in ``keep`` and 0 elsewhere.
 
-        Only part of the circuit runs on the full buffer.  The leading ops
-        that each act inside one register run on that register's factor of
-        the product state, and the factors are joined by one outer product.
-        The trailing ops that each act inside one register run as adjoints on
-        the ``<0|`` factor of their register, except that those on ``keep``
-        run forward on the contracted vector.  The ops between run on the
-        joined buffer, which one contraction with the bra factors then reads.
-        Each register's ops are lowered onto its factor, whose ``apply``
-        fuses them.
+        The leading ops that each act inside one register run on that
+        register's factor of the product state.  The trailing ops that each
+        act inside one register run as adjoints on the ``<0|`` factor of
+        their register, except that those on ``keep`` run forward on the
+        contracted vector.  Each register's ops are lowered onto its factor,
+        whose ``apply`` fuses them.
+
+        With two registers and a middle of diagonal ops that fuses into one
+        phase table ``D[c, r]`` over one of them (``r`` its index, ``c`` the
+        other's), no full buffer is built.  With ``x = ket * conj(bra)`` per
+        register, the amplitude is ``x_c^T D x_r``; a kept register keeps
+        its bare ket, ``ket_c * (D x_r)`` or ``ket_r * (D^T x_c)``.  D is
+        built and reduced in slices of at most ``_STREAM_CHUNK`` entries.
+        Any other middle runs on the buffer that one outer product of the
+        factors joins, which one contraction with the bra factors then reads.
         """
         registers = tuple(registers)
         check_capacity(self.num_qubits)
@@ -645,19 +695,33 @@ class Circuit:
             reg = registers[i]
             return Circuit(reg.width, tuple(_lowered(op, reg.offset) for op in group))
 
-        order = sorted(range(len(registers)), key=lambda i: -registers[i].offset)
-        kets = [factor(i, heads[i]).apply(zero_state(registers[i].width)).amplitudes for i in order]
-        middle = Circuit(self.num_qubits, self.ops[front:back])
-        # the outer product is passed without a name, so it is freed once the first middle op
-        # has replaced it
-        state = middle.apply(StateVector(self.num_qubits, reduce(np.multiply.outer, kets).reshape(-1)))
-        tensor = state.amplitudes.reshape([registers[i].size for i in order])
-        for axis in reversed(range(len(order))):
-            i = order[axis]
-            if registers[i] != keep:
-                bra = factor(i, tails[i][::-1]).adjoint().apply(zero_state(registers[i].width))
-                tensor = np.tensordot(tensor, bra.amplitudes.conj(), axes=(axis, 0))
-        if keep is None:
-            return complex(tensor)
+        kets, bras = [], []
+        for i, reg in enumerate(registers):
+            kets.append(factor(i, heads[i]).apply(zero_state(reg.width)).amplitudes)
+            bra = None if reg == keep else factor(i, tails[i][::-1]).adjoint().apply(zero_state(reg.width))
+            bras.append(None if bra is None else bra.amplitudes)
+        table = _single_table(self.ops[front:back], registers, self.num_qubits)
+        if table is not None:
+            r = registers.index(table.register)
+            x = [ket if bra is None else ket * bra.conj() for ket, bra in zip(kets, bras)]
+            contracted = _stream(table, x[1 - r], x[r], transpose=keep == table.register)
+            if keep is None:
+                return complex(np.vecdot(x[1 - r].conj(), contracted))
+            tensor = kets[registers.index(keep)] * contracted
+        else:
+            order = sorted(range(len(registers)), key=lambda i: -registers[i].offset)
+            middle = Circuit(self.num_qubits, self.ops[front:back])
+            # the outer product is passed without a name, so it is freed once the first middle op
+            # has replaced it
+            state = middle.apply(
+                StateVector(self.num_qubits, reduce(np.multiply.outer, [kets[i] for i in order]).reshape(-1))
+            )
+            tensor = state.amplitudes.reshape([registers[i].size for i in order])
+            for axis in reversed(range(len(order))):
+                bra = bras[order[axis]]
+                if bra is not None:
+                    tensor = np.tensordot(tensor, bra.conj(), axes=(axis, 0))
+            if keep is None:
+                return complex(tensor)
         i = registers.index(keep)
         return factor(i, tails[i][::-1]).apply(StateVector(keep.width, tensor)).amplitudes

@@ -278,6 +278,18 @@ class TestSum:
         values = {line.split()[0]: float(line.split()[1]) for line in out.strip().splitlines()}
         assert values["sum"] == 0.0
 
+    def test_tiny_weights_read_as_their_unit_vector(self, tmp_path, capsys):
+        # the squares of 1e-170 underflow to 0, yet the weights have a unit vector
+        amplitudes = []
+        for weights in ("1e-170 1e-170 1e-170 1e-170", "1 1 1 1"):
+            config = tmp_path / "sum.cfg"
+            config.write_text(f"n = 2\nm = 3\npoly = 1.5: 1; 2.0: k0\nweights = {weights}\nhash = identity\n")
+            code, out, err = run(capsys, "sum", str(config))
+            assert code == 0, err
+            values = {line.split()[0]: float(line.split()[1]) for line in out.strip().splitlines()}
+            amplitudes.append(values["amplitude"])
+        assert amplitudes[0] == amplitudes[1]
+
     def test_config_validation(self, tmp_path, capsys):
         config = tmp_path / "sum.cfg"
         config.write_text("n = 3\nweights = sin2\n")  # missing m and poly

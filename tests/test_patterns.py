@@ -33,7 +33,7 @@ from qinterp import (
     weighted_sum,
     zero_state,
 )
-from qinterp import patterns
+from qinterp import patterns, sim
 from qinterp.kernels import normalize_to_domain
 
 TWOS = EncodingDomain.TWOS_COMPLEMENT
@@ -286,8 +286,23 @@ class TestQuantumInterpolateSweep:
         check_sweep(nu2_amplitudes(3), start, 8.0, 44, EncodingDomain.UNSIGNED)
 
     def test_wide_register_spans_several_blocks(self):
-        # With BLOCK_QUBITS = 14, 11 points at m=12 run as blocks of 4, 4, 2 and 1
+        # blocks follow the binary decomposition of the count: 11 points at m=12 run as 8, 2 and 1
         check_sweep(nu2_amplitudes(12), 100.3, 3000.7, 11, EncodingDomain.UNSIGNED)
+        blocks = check_classical_column(nu2_amplitudes(12), 100.3, 3000.7, 11, EncodingDomain.UNSIGNED)
+        assert blocks == [(3, False), (1, False), (0, False)]
+
+    def test_fourteen_qubit_register_batches(self):
+        # 6 points at m=14 run as blocks of 4 and 2, on 16 and 15 qubits
+        check_sweep(nu2_amplitudes(14), 1000.25, 15000.5, 6, EncodingDomain.UNSIGNED)
+        blocks = check_classical_column(nu2_amplitudes(14), 1000.25, 15000.5, 6, EncodingDomain.UNSIGNED)
+        assert blocks == [(2, False), (1, False)]
+
+    def test_block_width_stops_at_the_qubit_cap(self, monkeypatch):
+        # under a 10-qubit cap a block at m=6 has at most 4 key qubits: 40 points run as 16, 16, 8
+        monkeypatch.setattr(patterns, "MAX_QUBITS", 10)
+        check_sweep(nu2_amplitudes(6), 0.5, 60.5, 40, EncodingDomain.UNSIGNED)
+        blocks = check_classical_column(nu2_amplitudes(6), 0.5, 60.5, 40, EncodingDomain.UNSIGNED)
+        assert blocks == [(4, False), (4, False), (3, False)]
 
     def test_twos_complement_sweep_crosses_zero(self):
         # negative block values exercise the dictionary's wrap compensation
@@ -365,7 +380,8 @@ class TestSweepClassicalColumn:
         samples = np.random.default_rng(seed).normal(size=1 << 12)
         samples /= np.linalg.norm(samples)
         blocks = check_classical_column(samples, start, 4095.9, steps, EncodingDomain.UNSIGNED)
-        assert len(blocks) > 1 and max(blocks)[0] == patterns.BLOCK_QUBITS - 12
+        # one block per set bit of the count, widest first
+        assert blocks == [(b, False) for b in reversed(range(steps.bit_length())) if steps >> b & 1]
 
     @settings(max_examples=25)
     @given(case=sweeps())
@@ -454,9 +470,38 @@ class TestGeneralizedInnerProduct:
         poly = in_domain_polynomial(rng, 10, 14, EncodingDomain.UNSIGNED, "dense")
         key_spec = unit(rng.uniform(0.1, 1.0, 1 << 10))
         value_spec = unit(rng.uniform(0.1, 1.0, 1 << 14))
-        quantum = generalized_inner_product(key_spec, poly, value_spec)
+        tracemalloc.start()
+        try:
+            quantum = generalized_inner_product(key_spec, poly, value_spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         classical = kernel_double_sum(key_spec, poly, value_spec)
         assert abs(quantum - classical) < 1e-9
+        assert peak < 32 << 20  # the 2^24-amplitude state alone would take 256 MiB
+
+    def test_readouts_never_build_the_joined_state(self):
+        # A register's factor fuses its own diagonal runs into a table on that
+        # register; only a table on the key and value qubits together would
+        # mean that the joined buffer was built.
+        table_apply = sim._PhaseTable.apply
+
+        def tables_narrower_than(width):
+            def guarded(table, state):
+                assert state.num_qubits < width, f"phase table on a {state.num_qubits}-qubit state"
+                return table_apply(table, state)
+
+            return guarded
+
+        rng = np.random.default_rng(7)
+        poly = in_domain_polynomial(rng, 3, 4, EncodingDomain.UNSIGNED, "dense")
+        key_spec, value_spec = unit(rng.uniform(0.1, 1.0, 8)), unit(rng.uniform(0.1, 1.0, 16))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim._PhaseTable, "apply", tables_narrower_than(6 + 6))
+            check_sweep(nu2_amplitudes(6), 0.5, 60.5, 64, EncodingDomain.UNSIGNED)
+            patch.setattr(sim._PhaseTable, "apply", tables_narrower_than(3 + 4))
+            quantum = generalized_inner_product(key_spec, poly, value_spec)
+        assert abs(quantum - kernel_double_sum(key_spec, poly, value_spec)) < 1e-12
 
     def test_uniform_keys_basis_value_selector(self):
         # f == 0 everywhere, value weights pick out |0>: every key contributes

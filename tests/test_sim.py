@@ -23,6 +23,7 @@ from qinterp import (
     dictionary_circuit,
     zero_state,
 )
+from qinterp import sim
 from qinterp.kernels import EncodingDomain
 from qinterp.patterns import prepare_nu2
 from qinterp.sim import _fuse_diagonals
@@ -564,7 +565,82 @@ def readout_circuits(draw):
     return n, tuple(registers), tuple(ops)
 
 
+@st.composite
+def streamed_readouts(draw):
+    """(num_qubits, registers, ops, chunk): a readout whose middle is one diagonal phase table.
+
+    Two registers, listed in a random order; the table's register is either
+    one.  Hadamard layers and random local ops come first and last.  The
+    middle starts and ends with a ladder on the table's register controlled
+    by the other register, so none of it is peeled; between, ladders with
+    any controls, controlled phases and diagonal tables on the other
+    register.  ``chunk`` is the slice bound the readout is run with.
+    """
+    n = draw(st.integers(2, 9))
+    cut = draw(st.integers(1, n - 1))
+    target, other = draw(st.permutations([Register(0, cut), Register(cut, n - cut)]))
+    registers = tuple(draw(st.permutations([target, other])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def ladder(controlled):
+        controls = tuple(q for q in other.qubits() if rng.random() < 0.5)
+        if controlled and not controls:
+            controls = (other.offset,)
+        return PhaseLadder(target, rng.uniform(-4, 4), controls)
+
+    def local():
+        return _local_op(registers[int(rng.integers(2))], rng)
+
+    middle = [ladder(controlled=True)]
+    for kind in draw(st.lists(st.sampled_from(["ladder", "phase", "table"]), max_size=5)):
+        if kind == "ladder":
+            middle.append(ladder(controlled=False))
+        elif kind == "phase":
+            controls = tuple(q for q in other.qubits() if rng.random() < 0.5)
+            middle.append(ControlledPhase(controls, rng.uniform(-4, 4)))
+        else:
+            sub = _sub_register(other, rng)
+            middle.append(DiagonalPhase(sub, rng.uniform(-4, 4, sub.size)))
+    if draw(st.booleans()):
+        middle.append(ladder(controlled=True))
+    front = [HadamardLayer(target), HadamardLayer(other)] + [local() for _ in range(draw(st.integers(0, 3)))]
+    back = [local() for _ in range(draw(st.integers(0, 4)))]
+    chunk = draw(st.sampled_from([2, 8, 64, sim._STREAM_CHUNK]))
+    return n, registers, tuple(front + middle + back), chunk
+
+
 class TestReadout:
+    @settings(max_examples=80)
+    @given(case=streamed_readouts())
+    def test_streamed_middle_matches_full_state_slices(self, case):
+        n, registers, ops, chunk = case
+        circuit = Circuit(n, ops)
+        full = circuit.apply(zero_state(n)).amplitudes
+        order = sorted(registers, key=lambda r: -r.offset)
+        tensor = full.reshape([r.size for r in order])
+        stream, phase_ramps = sim._stream, sim._phase_ramps
+        streams, slices = [], []
+
+        def recorded_ramps(offset, slope, width):
+            slices.append(offset.shape[0] << width)
+            return phase_ramps(offset, slope, width)
+
+        def recorded_stream(*args, **kwargs):
+            streams.append(args)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sim, "_phase_ramps", recorded_ramps)
+                return stream(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_STREAM_CHUNK", chunk)
+            patch.setattr(sim, "_stream", recorded_stream)
+            assert abs(circuit.readout(registers) - full[0]) < 1e-12
+            for keep in registers:
+                expected = tensor[tuple(slice(None) if r == keep else 0 for r in order)]
+                assert np.max(np.abs(circuit.readout(registers, keep) - expected)) < 1e-12
+        # all three readouts streamed their table, in slices within the bound
+        assert len(streams) == 3 and max(slices) <= chunk
+
     @settings(max_examples=80)
     @given(case=readout_circuits())
     def test_matches_full_state_slices(self, case):
