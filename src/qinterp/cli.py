@@ -45,7 +45,7 @@ from .patterns import (
     quantum_interpolate_sweep,
     weighted_sum,
 )
-from .sim import RegisterLayout, check_capacity, zero_state
+from .sim import RegisterLayout, check_capacity
 from .stateio import format_value, state_to_json, sweep_to_csv
 from .svgchart import render_state_svg
 
@@ -154,7 +154,7 @@ def _cmd_dict(args) -> int:
     poly = parse_polynomial(Path(args.poly_file).read_text(encoding="utf-8"), args.key_qubits)
     layout = RegisterLayout(args.key_qubits, args.value_qubits)
     circuit = dictionary.dictionary_circuit(layout, poly, domain, phase_corrected=args.prime)
-    state = circuit.apply(zero_state(layout.num_qubits))
+    state = circuit.state()
     if args.out == "svg":
         _write_output(render_state_svg(state, layout), args.output)
     else:

@@ -28,7 +28,6 @@ from .sim import (
     QftGate,
     Register,
     StateVector,
-    zero_state,
 )
 
 
@@ -70,9 +69,7 @@ class ValueEncoding:
 def encode_geometric(width: int, theta: float) -> StateVector:
     """Equal-magnitude state with phases ``e^{i k theta}``."""
     register = Register(0, width)
-    state = zero_state(width)
-    state = HadamardLayer(register).apply(state)
-    return PhaseLadder(register, theta).apply(state)
+    return Circuit(width, (HadamardLayer(register), PhaseLadder(register, theta))).state()
 
 
 def encoder_ops(register: Register, terms) -> list[Operation]:
@@ -120,7 +117,7 @@ def value_encoding_circuit(width: int, t: float, domain: EncodingDomain = Encodi
 
 def encode_value(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> StateVector:
     """Encode ``t``: kernel-shaped magnitudes, residual phases still present."""
-    return value_encoding_circuit(width, t, domain).apply(zero_state(width))
+    return value_encoding_circuit(width, t, domain).state()
 
 
 def phase_correction_circuit(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> Circuit:
@@ -139,4 +136,4 @@ def real_encoding_circuit(width: int, t: float, domain: EncodingDomain = Encodin
 
 def encode_value_real(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> StateVector:
     """Encode ``t`` with real amplitudes equal to the kernel coefficients."""
-    return real_encoding_circuit(width, t, domain).apply(zero_state(width))
+    return real_encoding_circuit(width, t, domain).state()

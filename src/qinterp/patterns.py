@@ -28,7 +28,7 @@ from .dictionary import BinaryPolynomial, dictionary_circuit
 from .encoding import real_encoding_circuit
 from .errors import CapacityError, DomainError, NormalizationError, ValueRangeError
 from .kernels import INTEGER_TOLERANCE, EncodingDomain, fejer_kernel_row, normalize_to_domain
-from .sim import MAX_QUBITS, Circuit, HadamardLayer, Register, RegisterLayout, StatePrep, zero_state
+from .sim import MAX_QUBITS, Circuit, HadamardLayer, Register, RegisterLayout, StatePrep
 
 IMAG_WARNING_THRESHOLD = 1e-8
 
@@ -172,7 +172,7 @@ def quantum_interpolate_sweep(
     ts = [t_start + i * (t_stop - t_start) / steps for i in range(steps)]
     targets = [normalize_to_domain(t, domain, modulus) for t in ts]
 
-    samples = function_prep.apply(zero_state(width)).amplitudes
+    samples = function_prep.state().amplitudes
     if np.max(np.abs(samples.imag)) > IMAG_WARNING_THRESHOLD:
         warnings.warn("function preparation yields non-real amplitudes", stacklevel=2)
 

@@ -33,7 +33,7 @@ from .patterns import (
     quantum_interpolate_sweep,
     weighted_sum,
 )
-from .sim import Circuit, HadamardLayer, RegisterLayout, StatePrep, zero_state
+from .sim import Circuit, HadamardLayer, RegisterLayout, StatePrep
 
 # Three-variable demo polynomial of the reference weighted-sum cases.
 # Variable bit assignment chosen so the published sums reproduce exactly.
@@ -376,7 +376,7 @@ def write_artifacts(directory: str | Path) -> list[Path]:
     layout = RegisterLayout(2, 3)
     for name, corrected in (("dict_linear.svg", False), ("dict_linear_real.svg", True)):
         circuit = dictionary.dictionary_circuit(layout, linear_poly, phase_corrected=corrected)
-        emit(name, svgchart.render_state_svg(circuit.apply(zero_state(5)), layout))
+        emit(name, svgchart.render_state_svg(circuit.state(), layout))
 
     demo_layout = RegisterLayout(3, 4)
     keys, values = demo_layout.key_register, demo_layout.value_register
@@ -389,7 +389,7 @@ def write_artifacts(directory: str | Path) -> list[Path]:
         ("dict_weighted_keys.svg", weighted_keys),
         ("value_weight_profile.svg", value_profile),
     ):
-        emit(name, svgchart.render_state_svg(circuit.apply(zero_state(7)), demo_layout))
+        emit(name, svgchart.render_state_svg(circuit.state(), demo_layout))
 
     emit(
         "sweep_nu2.csv",

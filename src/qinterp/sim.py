@@ -13,12 +13,16 @@ matrix product per block of up to four qubits.  Controlled operations act on a
 view with one length-2 axis per qubit, each control axis sliced to its set
 half, so no index array is built.  :meth:`Circuit.apply` fuses each run of
 adjacent diagonal operations into one multiplication by a phase table.
-:meth:`Circuit.readout` reads amplitudes of ``U|0...0>`` with the operations
-that act inside one register run on that register's factor or on its bra,
-so only the operations that span registers touch the full buffer.  Where
-those fuse into one phase table over one of two registers, as in both
-readout pipelines, no full buffer is built: the table is contracted with
-the factors slice by slice.
+:meth:`Circuit.state` gives ``U|0...0>``: where the circuit starts with
+Hadamard layers on every qubit, it writes the product state they and the
+diagonal run after them make as that run's phase table, scaled once, so the
+full-buffer work starts at the first other operation (an encoder's Fourier
+transform).  :meth:`Circuit.readout` reads amplitudes of ``U|0...0>`` with
+the operations that act inside one register run on that register's factor
+or on its bra, so only the operations that span registers touch the full
+buffer.  Where those fuse into one phase table over one of two registers,
+as in both readout pipelines, no full buffer is built: the table is
+contracted with the factors slice by slice.
 
 Qubit convention: qubit 0 is the least significant bit of the basis index.
 A :class:`RegisterLayout` places the value register on the low-order qubits,
@@ -442,11 +446,14 @@ class _PhaseTable(Operation):
     offset: np.ndarray
     slope: np.ndarray
 
-    def apply(self, state: StateVector) -> StateVector:
+    def factors(self, num_qubits: int) -> np.ndarray:
+        """The table ``exp(i (offset[c] + slope[c] r))`` in amplitude order, fresh."""
         reg = self.register
-        shape = (1 << (state.num_qubits - reg.offset - reg.width), 1 << reg.offset)
-        table = _phase_ramps(self.offset.reshape(shape), self.slope.reshape(shape), reg.width)
-        amps = table.reshape(-1)
+        shape = (1 << (num_qubits - reg.offset - reg.width), 1 << reg.offset)
+        return _phase_ramps(self.offset.reshape(shape), self.slope.reshape(shape), reg.width).reshape(-1)
+
+    def apply(self, state: StateVector) -> StateVector:
+        amps = self.factors(state.num_qubits)
         amps *= state.amplitudes
         return StateVector(state.num_qubits, amps)
 
@@ -507,14 +514,12 @@ def _fits(op: Operation, register: Register | None, num_qubits: int) -> bool:
     return all(q < lo or hi <= q for q in qubits)
 
 
-def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
-    """The gate list with each run of two or more fusable diagonal ops as one op.
+def _run_registers(ops, num_qubits: int) -> list[Register | None]:
+    """The register of a run starting at each position of ``ops``.
 
-    A run's register is that of its next valid ladder before the next
-    non-diagonal op; the run ends at the first op that does not fit it.  A
-    run with no ladder left fuses its controlled phases and diagonal tables.
-    Diagonal ops commute, so fusing keeps the circuit's action.  One pass from
-    the end finds every position's next ladder, so the pass is linear.
+    That is the register of the next valid ladder before the next
+    non-diagonal op, or None where there is none.  One pass from the end
+    finds them all, so it is linear.
     """
     registers: list[Register | None] = [None] * len(ops)
     ladder = None
@@ -525,12 +530,30 @@ def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
         elif isinstance(op, PhaseLadder) and op.register.offset + op.register.width <= num_qubits:
             ladder = op.register
         registers[i] = ladder
+    return registers
+
+
+def _run_stop(ops, start: int, register: Register | None, num_qubits: int) -> int:
+    """End of the run from ``start``: the first op that does not :func:`_fits` ``register``."""
+    stop = start
+    while stop < len(ops) and _fits(ops[stop], register, num_qubits):
+        stop += 1
+    return stop
+
+
+def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
+    """The gate list with each run of two or more fusable diagonal ops as one op.
+
+    A run's register is given by :func:`_run_registers`; the run ends at the
+    first op that does not fit it.  A run with no ladder left fuses its
+    controlled phases and diagonal tables.  Diagonal ops commute, so fusing
+    keeps the circuit's action.
+    """
+    registers = _run_registers(ops, num_qubits)
     fused = []
     i = 0
     while i < len(ops):
-        stop = i
-        while stop < len(ops) and _fits(ops[stop], registers[i], num_qubits):
-            stop += 1
+        stop = _run_stop(ops, i, registers[i], num_qubits)
         if stop - i >= 2:
             fused.append(_fuse(ops[i:stop], registers[i], num_qubits))
             i = stop
@@ -640,9 +663,39 @@ def _require_partition(registers: tuple[Register, ...], keep: Register | None, n
         raise LayoutError(f"kept register {keep} is not one of the readout registers")
 
 
+def _hadamard_front(ops, num_qubits: int) -> tuple[int, float] | None:
+    """The leading Hadamard layers that cover every qubit once, and the amplitude they give ``|0...0>``.
+
+    Returns their count and that amplitude, or None unless the gate list
+    starts with layers on disjoint registers inside the qubits that together
+    cover all of them.  The amplitude is the product of the blocks' matrix
+    entries in the order :class:`HadamardLayer` applies them, so it is the
+    number those layers write; after two layers of odd width that is not
+    ``2^(-n/2)`` to the last bit.
+    """
+    full = (1 << num_qubits) - 1
+    covered, scale, count = 0, 1.0, 0
+    while covered != full:
+        if count == len(ops) or not isinstance(ops[count], HadamardLayer):
+            return None
+        reg = ops[count].register
+        bits = (reg.size - 1) << reg.offset
+        if covered & bits or bits > full:
+            return None
+        covered |= bits
+        for q in range(0, reg.width, _HADAMARD_BLOCK):
+            scale *= float(_HADAMARD_MATRICES[min(_HADAMARD_BLOCK, reg.width - q)][0, 0])
+        count += 1
+    return count, scale
+
+
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """An ordered gate sequence over a fixed number of qubits."""
+    """An ordered gate sequence over a fixed number of qubits.
+
+    :meth:`state` gives ``U|0...0>``; :meth:`apply` acts on a given state and
+    :meth:`readout` reads amplitudes of ``U|0...0>`` without building it.
+    """
 
     num_qubits: int
     ops: tuple[Operation, ...]
@@ -656,6 +709,34 @@ class Circuit:
         for op in _fuse_diagonals(self.ops, self.num_qubits):
             state = op.apply(state)
         return state
+
+    def state(self) -> StateVector:
+        """``U|0...0>``, started from the product state where the gate list has one.
+
+        When the ops start with Hadamard layers on disjoint registers that
+        cover every qubit, they and the diagonal run after them (chosen as
+        :meth:`apply`'s fusion pass chooses it, a run of one op included)
+        make the product state ``h exp(i phase(x))``: the run's fused phase
+        table, scaled in place by the amplitude ``h`` the layers give.  An
+        empty run is a uniform fill.  The other ops then run as in
+        :meth:`apply`.  Any other circuit is ``apply(zero_state(n))``.  The
+        result is bit for bit that of :meth:`apply`.
+        """
+        check_capacity(self.num_qubits)
+        front = _hadamard_front(self.ops, self.num_qubits)
+        if front is None:
+            return self.apply(zero_state(self.num_qubits))
+        count, scale = front
+        rest = self.ops[count:]
+        register = _run_registers(rest, self.num_qubits)[0] if rest else None
+        stop = _run_stop(rest, 0, register, self.num_qubits)
+        if stop == 0:
+            amps = np.full(1 << self.num_qubits, scale, dtype=np.complex128)
+        else:
+            table = _fuse(rest[:stop], register, self.num_qubits)
+            amps = np.exp(1j * table.phases) if register is None else table.factors(self.num_qubits)
+            amps *= scale
+        return Circuit(self.num_qubits, rest[stop:]).apply(StateVector(self.num_qubits, amps))
 
     def adjoint(self) -> "Circuit":
         return Circuit(self.num_qubits, tuple(op.adjoint() for op in reversed(self.ops)))
@@ -697,8 +778,8 @@ class Circuit:
 
         kets, bras = [], []
         for i, reg in enumerate(registers):
-            kets.append(factor(i, heads[i]).apply(zero_state(reg.width)).amplitudes)
-            bra = None if reg == keep else factor(i, tails[i][::-1]).adjoint().apply(zero_state(reg.width))
+            kets.append(factor(i, heads[i]).state().amplitudes)
+            bra = None if reg == keep else factor(i, tails[i][::-1]).adjoint().state()
             bras.append(None if bra is None else bra.amplitudes)
         table = _single_table(self.ops[front:back], registers, self.num_qubits)
         if table is not None:

@@ -2,7 +2,8 @@
 
 The JSON schema is ``{num_qubits, key_width?, value_width?, amplitudes}``
 with amplitudes as ``[re, im]`` pairs in basis-index order.  CSV values are
-printed with 9 significant digits so they re-parse to within 1e-8.
+printed with 9 significant digits so they re-parse to within 1e-8, and a
+value within ``8 eps`` of its column's largest magnitude prints as 0.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import numpy as np
 
 from .errors import ParseError
 from .sim import MAX_QUBITS, RegisterLayout, StateVector
+
+
+ROUND_OFF = 8 * np.finfo(np.float64).eps  # relative to a CSV column's largest magnitude
 
 
 def format_value(value: float) -> str:
@@ -72,19 +76,30 @@ def state_from_json(text: str) -> tuple[StateVector, RegisterLayout | None]:
     return state_from_dict(data)
 
 
+def _column_text(values) -> list[str]:
+    """:func:`format_value` of each entry, with round-off printed as 0 and None as empty.
+
+    An entry within ``ROUND_OFF`` of the column's largest finite magnitude
+    is a zero up to round-off, so a table changes only when its numbers do,
+    not when the order of floating-point work does.
+    """
+    magnitude = np.abs(np.array(values, dtype=np.float64))  # None reads as nan
+    floor = ROUND_OFF * magnitude[np.isfinite(magnitude)].max(initial=0.0)
+    texts = ["" if v is None else format_value(v) for v in values]
+    for i in np.flatnonzero(magnitude <= floor):
+        texts[i] = format_value(0.0)
+    return texts
+
+
+def _csv(header: list[str], rows) -> str:
+    columns = [_column_text(column) for column in zip(*rows)]
+    return "\n".join([",".join(header), *(",".join(line) for line in zip(*columns))]) + "\n"
+
+
 def sweep_to_csv(rows: list[tuple[float, float, float, float | None]]) -> str:
     """Interpolation sweep table: columns t, quantum, classical, exact."""
-    lines = ["t,quantum,classical,exact"]
-    for t, quantum, classical, exact in rows:
-        exact_text = format_value(exact) if exact is not None else ""
-        lines.append(
-            f"{format_value(t)},{format_value(quantum)},{format_value(classical)},{exact_text}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(["t", "quantum", "classical", "exact"], rows)
 
 
 def table_to_csv(header: list[str], rows: list[list[float]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv(header, rows)

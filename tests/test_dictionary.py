@@ -315,6 +315,15 @@ class TestFusedCircuit:
             expected = op.apply(expected)
         assert np.max(np.abs(circuit.apply(state).amplitudes - expected.amplitudes)) < 1e-12
 
+    @settings(max_examples=40)
+    @given(case=dictionaries())
+    def test_state_is_apply_to_zero_state(self, case):
+        # with prepare_keys the key and value Hadamards and the controlled ladders are one table
+        layout, poly, domain, phase_corrected, prepare_keys, _ = case
+        circuit = dictionary_circuit(layout, poly, domain, phase_corrected, prepare_keys)
+        expected = circuit.apply(zero_state(layout.num_qubits)).amplitudes
+        assert circuit.state().amplitudes.tobytes() == expected.tobytes()
+
 
 @st.composite
 def constant_dictionaries(draw):

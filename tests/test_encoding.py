@@ -6,6 +6,8 @@ import pytest
 from qinterp import (
     DomainError,
     EncodingDomain,
+    HadamardLayer,
+    PhaseLadder,
     ValueEncoding,
     encode_geometric,
     encode_value,
@@ -13,6 +15,7 @@ from qinterp import (
     fejer_kernel_row,
     phase_correction_circuit,
     real_encoding_circuit,
+    value_encoding_circuit,
     zero_state,
 )
 
@@ -130,6 +133,56 @@ class TestRealEncoder:
             probs = encode_value_real(m, j + 0.5).probabilities()
             modulus = 1 << m
             assert abs(probs[j] - probs[(j + 1) % modulus]) < 1e-12
+
+
+def seeded_targets(width):
+    """An integer and a fractional target in each domain, drawn from a generator seeded by ``width``."""
+    rng = np.random.default_rng(width)
+    modulus = 1 << width
+    for domain, low in ((EncodingDomain.UNSIGNED, 0), (TWOS, -modulus // 2)):
+        yield domain, float(rng.integers(low, low + modulus))
+        yield domain, float(rng.uniform(low, low + modulus))
+
+
+class TestProductFront:
+    @pytest.mark.parametrize("width", range(1, 19))
+    def test_state_is_apply_to_zero_state(self, width):
+        for domain, t in seeded_targets(width):
+            for build in (value_encoding_circuit, real_encoding_circuit):
+                circuit = build(width, t, domain)
+                expected = circuit.apply(zero_state(width)).amplitudes
+                assert circuit.state().amplitudes.tobytes() == expected.tobytes(), (build.__name__, domain, t)
+
+    def test_encoders_apply_no_hadamard_layer(self, monkeypatch):
+        # the Hadamard layer and the ladder after it are built as one table
+        def refuse(op, state):
+            raise AssertionError(f"{type(op).__name__} applied to a full state")
+
+        monkeypatch.setattr(HadamardLayer, "apply", refuse)
+        monkeypatch.setattr(PhaseLadder, "apply", refuse)
+        assert np.max(np.abs(encode_value_real(6, 44.8).amplitudes - fejer_kernel_row(64, 44.8))) < 1e-10
+        assert np.max(np.abs(np.abs(encode_value(6, 44.8).amplitudes) - np.abs(fejer_kernel_row(64, 44.8)))) < 1e-10
+        assert np.allclose(encode_geometric(3, 0.0).amplitudes, np.full(8, 1 / math.sqrt(8)))
+
+
+class TestWideEncodings:
+    # one seeded target per width and encoder, up to 22 qubits; 23 and 24 would
+    # need about 1 GiB at the top
+    @pytest.mark.parametrize("corrected", [False, True], ids=["raw", "corrected"])
+    @pytest.mark.parametrize("width", range(13, 23))
+    def test_matches_kernel_row(self, width, corrected):
+        rng = np.random.default_rng(1000 + width)
+        modulus = 1 << width
+        domain = (EncodingDomain.UNSIGNED, TWOS)[int(rng.integers(2))]
+        t = float(rng.uniform(0, modulus)) - (modulus / 2 if domain is TWOS else 0)
+        state = (encode_value_real if corrected else encode_value)(width, t, domain)
+        row = fejer_kernel_row(modulus, t)
+        assert abs(state.norm() - 1.0) <= 1e-9
+        if corrected:
+            assert np.max(np.abs(state.amplitudes.imag)) <= 1e-9
+            assert np.max(np.abs(state.amplitudes.real - row)) <= 1e-9
+        else:
+            assert np.max(np.abs(np.abs(state.amplitudes) - np.abs(row))) <= 1e-9
 
 
 class TestValueEncoding:

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from qinterp import ParseError, RegisterLayout, StateVector, encode_geometric, encode_value_real, zero_state
+from qinterp.patterns import prepare_lambda, quantum_interpolate, quantum_interpolate_sweep
 from qinterp.stateio import (
     format_value,
     state_from_json,
     state_to_dict,
     state_to_json,
     sweep_to_csv,
+    table_to_csv,
 )
 from qinterp.svgchart import ChartSpec, chart_from_state, hue_of, render_state_svg, render_svg
 
@@ -107,6 +109,31 @@ class TestCsv:
 
     def test_format_value_significant_digits(self):
         assert format_value(0.1234567894) == "0.123456789"
+
+    def test_scalar_value_keeps_round_off(self):
+        # a printed error must stay visible however small it is
+        assert format_value(-6.938893903907228e-18) == "-6.9388939e-18"
+
+    def test_round_off_prints_as_zero_per_column(self):
+        rows = [
+            [1.0, 2e-3, 0.0, math.nan],
+            [-6.9e-18, 3e-19, -0.0, 1e-300],
+            [3e-15, -1e-5, 0.0, math.inf],
+        ]
+        lines = table_to_csv(["a", "b", "zeros", "odd"], rows).splitlines()
+        # 8 eps of column a is 1.8e-15 and of column b 3.6e-18; inf and nan set no
+        # scale, so 1e-300 is the largest magnitude of its column and stays
+        assert lines[1:] == ["1,0.002,0,nan", "0,0,0,1e-300", "3e-15,-1e-05,0,inf"]
+
+    def test_sweep_csv_independent_of_float_order(self):
+        # the batched sweep sums in another order than one readout per point: at
+        # t = 0 it reads -6.9e-18 where the point reads 0
+        prep = prepare_lambda(6)
+        sweep = quantum_interpolate_sweep(prep, 0.0, 64.0, 256)
+        points = [(t, quantum_interpolate(prep, t)) for t, _ in sweep]
+        assert any(a.quantum_value != b.quantum_value for (_, a), (_, b) in zip(sweep, points))
+        rows = [[(t, r.quantum_value, r.classical_value, None) for t, r in run] for run in (sweep, points)]
+        assert sweep_to_csv(rows[0]) == sweep_to_csv(rows[1])
 
 
 class TestSvg:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,6 +489,97 @@ class TestCircuitFusion:
         expected = apply_one_by_one(ops, state).amplitudes
         assert np.max(np.abs(fused[0].apply(state).amplitudes - expected)) < 1e-12
         assert np.max(np.abs(Circuit(n, tuple(ops)).apply(state).amplitudes - expected)) < 1e-12
+
+
+@st.composite
+def product_fronts(draw):
+    """(num_qubits, ops): Hadamard layers on a random partition of the qubits, in random order,
+    then a :func:`diagonal_runs` gate list and sometimes a QFT."""
+    n, ops, seed = draw(diagonal_runs())
+    rng = np.random.default_rng(seed)
+    edges = [0, *sorted({int(c) for c in rng.integers(1, n, size=int(rng.integers(0, n)))}), n]
+    front = [HadamardLayer(Register(lo, hi - lo)) for lo, hi in zip(edges, edges[1:])]
+    rng.shuffle(front)
+    tail = [QftGate(Register(0, n), inverse=True)] if rng.random() < 0.5 else []
+    return n, tuple(front + ops + tail)
+
+
+def assert_state_is_apply(circuit):
+    expected = circuit.apply(zero_state(circuit.num_qubits)).amplitudes
+    assert circuit.state().amplitudes.tobytes() == expected.tobytes()
+
+
+class TestCircuitState:
+    @settings(max_examples=80)
+    @given(case=product_fronts())
+    def test_product_front_matches_apply(self, case):
+        n, ops = case
+        assert sim._hadamard_front(ops, n) is not None
+        assert_state_is_apply(Circuit(n, ops))
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            (StatePrep(Register(0, 3), np.full(8, 8**-0.5)), PhaseLadder(Register(0, 3), 0.7)),
+            (HadamardLayer(Register(0, 2)), PhaseLadder(Register(0, 2), 0.7)),
+            (HadamardLayer(Register(1, 2)), PhaseLadder(Register(0, 3), 0.7)),
+            (HadamardLayer(Register(0, 2)), HadamardLayer(Register(1, 2)), PhaseLadder(Register(0, 3), 0.7)),
+            (HadamardLayer(Register(0, 2)), HadamardLayer(Register(0, 2)), PhaseLadder(Register(0, 3), 0.7)),
+            (HadamardLayer(Register(0, 3)), HadamardLayer(Register(0, 3)), PhaseLadder(Register(0, 3), 0.7)),
+            (HadamardLayer(Register(0, 3)), QftGate(Register(0, 3), inverse=True)),
+            (HadamardLayer(Register(0, 1)), HadamardLayer(Register(1, 2))),
+            (PhaseLadder(Register(0, 3), 0.7), HadamardLayer(Register(0, 3))),
+            (),
+        ],
+        ids=[
+            "state-prep-front", "partial-hadamards", "partial-high-hadamards", "overlapping-hadamards",
+            "repeated-partial-hadamard", "repeated-full-hadamard", "no-diagonal-op", "hadamards-only",
+            "ladder-first", "empty",
+        ],
+    )  # fmt: skip
+    def test_other_fronts_match_apply(self, ops):
+        assert_state_is_apply(Circuit(3, ops))
+
+    def test_lone_ops_after_the_front_match_apply(self):
+        rng = np.random.default_rng(5)
+        reg = Register(1, 3)
+        for op in (
+            PhaseLadder(reg, 1.3, (0,)),
+            PhaseLadder(reg, -2.1, (0, 4)),
+            ControlledPhase((), 0.4),
+            ControlledPhase((0, 3), -1.1),
+            DiagonalPhase(reg, rng.uniform(-4, 4, reg.size)),
+        ):
+            assert_state_is_apply(Circuit(5, (HadamardLayer(Register(0, 5)), op)))
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            (HadamardLayer(Register(0, 3)), PhaseLadder(Register(2, 3), 0.3)),
+            (HadamardLayer(Register(0, 4)), PhaseLadder(Register(0, 3), 0.3)),
+            (HadamardLayer(Register(0, 3)), PhaseLadder(Register(0, 2), 0.3), ControlledPhase((5,), 0.2)),
+            (HadamardLayer(Register(0, 3)), DiagonalPhase(Register(1, 4), np.zeros(16))),
+        ],
+        ids=["ladder-outside", "hadamard-outside", "control-outside", "table-outside"],
+    )
+    def test_register_outside_the_width_raises_as_apply(self, ops):
+        circuit = Circuit(3, ops)
+        with pytest.raises(LayoutError) as expected:
+            circuit.apply(zero_state(3))
+        with pytest.raises(LayoutError) as raised:
+            circuit.state()
+        assert str(raised.value) == str(expected.value)
+
+    def test_capacity_checked_before_allocation(self):
+        circuit = Circuit(25, (HadamardLayer(Register(0, 25)), PhaseLadder(Register(0, 25), 0.3)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                circuit.state()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _sub_register(reg, rng):
