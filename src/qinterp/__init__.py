@@ -7,20 +7,13 @@ from .errors import (
     NormalizationError,
     ParseError,
     QInterpError,
-    UndersampledError,
     ValueRangeError,
 )
 from .kernels import (
     EncodingDomain,
-    FejerKernelSpec,
-    FourierSpectrum,
     SampledSignal,
     classical_interpolate,
-    dft,
-    dft_matrix,
-    fejer_kernel,
     fejer_kernel_row,
-    fourier_coefficients,
     normalize_to_domain,
 )
 from .sim import (
@@ -39,7 +32,6 @@ from .sim import (
 )
 from .encoding import (
     ValueEncoding,
-    encode_geometric,
     encode_value,
     encode_value_real,
     phase_correction_circuit,

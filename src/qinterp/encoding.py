@@ -66,12 +66,6 @@ class ValueEncoding:
         return 2.0 * math.pi * self.normalized_target / self.modulus
 
 
-def encode_geometric(width: int, theta: float) -> StateVector:
-    """Equal-magnitude state with phases ``e^{i k theta}``."""
-    register = Register(0, width)
-    return Circuit(width, (HadamardLayer(register), PhaseLadder(register, theta))).state()
-
-
 def encoder_ops(register: Register, terms) -> list[Operation]:
     """The encoder's gate list: Hadamard layer, one phase ladder per term, inverse QFT.
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: domain/range problems exit with 3,
-configuration and parse problems with 2.
+The CLI maps these onto exit codes: :class:`ParseError` (configuration and
+parse problems) exits with 2, every other :class:`QInterpError` (domain,
+range, capacity, layout and normalization problems) with 3.
 """
 
 
@@ -23,10 +24,6 @@ class DomainError(QInterpError):
 
 class ValueRangeError(QInterpError):
     """A function value would alias across the encodable range."""
-
-
-class UndersampledError(QInterpError):
-    """Too few samples for the requested band limit."""
 
 
 class NormalizationError(QInterpError):

@@ -1,20 +1,19 @@
 """Classical reference computations.
 
-Everything the quantum side produces is checked against the functions here:
-the discrete interpolation kernel that shows up as state amplitudes, the
-Nyquist-Shannon reconstruction of a sampled signal, and the DFT together
-with Fourier-coefficient extraction.
+The quantum side's numbers are checked against the functions here: the
+discrete interpolation kernel that shows up as state amplitudes, and the
+Nyquist-Shannon reconstruction of a sampled signal.  The kernel double sum
+of :mod:`qinterp.patterns` is the third oracle.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UndersampledError
+from .errors import DomainError
 
 INTEGER_TOLERANCE = 1e-12
 SAMPLE_TOLERANCE = 1e-12
@@ -55,18 +54,6 @@ def normalize_to_domain(t: float, domain: EncodingDomain, modulus: int) -> float
     return float(t) if t >= 0 else float(t + modulus)
 
 
-def fejer_kernel(modulus: int, target: float, k: int) -> float:
-    """Interpolation coefficient ``c`` of outcome ``k`` for encoded value ``target``.
-
-    For non-integer targets this is ``sin(pi (t - k)) / (M sin(pi (t - k) / M))``;
-    integer targets collapse to a Kronecker delta.  The target is reduced
-    mod M first, so two's-complement inputs can be passed directly.
-    """
-    if not 0 <= k < modulus:
-        raise DomainError(f"outcome {k} outside [0, {modulus})")
-    return float(fejer_kernel_row(modulus, target)[k])
-
-
 def fejer_kernel_row(modulus: int, target) -> np.ndarray:
     """All M kernel coefficients for one target value, or one row per target.
 
@@ -86,25 +73,6 @@ def fejer_kernel_row(modulus: int, target) -> np.ndarray:
         d = flat[~integer, None] - np.arange(modulus)
         rows[~integer] = np.sin(np.pi * d) / (modulus * np.sin(np.pi * d / modulus))
     return rows.reshape(t.shape + (modulus,))
-
-
-@dataclass(frozen=True)
-class FejerKernelSpec:
-    """Kernel parameters: modulus ``M = 2**m``, target value, and its domain."""
-
-    modulus: int
-    target: float
-    domain: EncodingDomain = EncodingDomain.UNSIGNED
-
-    @property
-    def normalized_target(self) -> float:
-        return normalize_to_domain(self.target, self.domain, self.modulus)
-
-    def __call__(self, k: int) -> float:
-        return fejer_kernel(self.modulus, self.normalized_target, k)
-
-    def row(self) -> np.ndarray:
-        return fejer_kernel_row(self.modulus, self.normalized_target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,59 +143,3 @@ def classical_interpolate(signal: SampledSignal, t):
         [_interpolate_rows(signal, flat[i : i + rows]) for i in range(0, max(flat.size, 1), rows)]
     )
     return float(values[0]) if ts.ndim == 0 else values.reshape(ts.shape)
-
-
-def dft(samples) -> np.ndarray:
-    """Unitary DFT: ``y_j = (1/sqrt(N)) sum_k x_k e^{-2 pi i jk / N}``."""
-    x = np.asarray(samples, dtype=np.complex128)
-    if x.size == 0:
-        raise DomainError("cannot transform an empty vector")
-    return np.fft.fft(x) / math.sqrt(x.size)
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    """Explicit unitary DFT matrix; the target the gate-level transform must match."""
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(-2j * np.pi * j * k / n) / math.sqrt(n)
-
-
-@dataclass(frozen=True, eq=False)
-class FourierSpectrum:
-    """Coefficients ``z_l`` for ``l`` in [-L, L] of a sampled signal."""
-
-    coefficients: np.ndarray
-    band_limit: int
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        if coeffs.shape != (2 * self.band_limit + 1,):
-            raise DomainError("coefficient vector must have length 2L + 1")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def coefficient(self, l: int) -> complex:
-        if not -self.band_limit <= l <= self.band_limit:
-            raise DomainError(f"frequency {l} outside band limit {self.band_limit}")
-        return complex(self.coefficients[l + self.band_limit])
-
-    def evaluate(self, t: float, interval_length: float) -> complex:
-        """Trigonometric-polynomial value ``sum_l z_l e^{2 pi i l t / T}``."""
-        ls = np.arange(-self.band_limit, self.band_limit + 1)
-        return complex(np.sum(self.coefficients * np.exp(2j * np.pi * ls * t / interval_length)))
-
-
-def fourier_coefficients(signal: SampledSignal, band_limit: int) -> FourierSpectrum:
-    """Extract ``z_l = y_{l mod N} / sqrt(N)`` from the signal's DFT.
-
-    DFT bins above N/2 are read as negative frequencies, which is what makes
-    the identity hold in standard DFT output order.
-    """
-    if band_limit < 0:
-        raise DomainError("band limit must be non-negative")
-    n = signal.num_samples
-    if n < 2 * band_limit + 1:
-        raise UndersampledError(
-            f"{n} samples cannot resolve band limit {band_limit} (need >= {2 * band_limit + 1})"
-        )
-    y = dft(signal.samples)
-    coeffs = np.array([y[l % n] for l in range(-band_limit, band_limit + 1)])
-    return FourierSpectrum(coeffs / math.sqrt(n), band_limit)

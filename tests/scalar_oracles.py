@@ -1,9 +1,14 @@
-"""The classical oracles in their one-target-at-a-time form, as references for the array forms.
+"""Classical oracles kept outside the package.
 
-Each function repeats, call for call, the scalar arithmetic the array forms
-in ``qinterp.kernels`` must reproduce bit for bit: the same reductions, the
-same snap tests, and the same ``np.dot`` per row.
+``kernel_row`` and ``interpolate`` are the oracles of ``qinterp.kernels`` in
+their one-target-at-a-time form.  Each repeats, call for call, the scalar
+arithmetic the array forms must reproduce bit for bit: the same reductions,
+the same snap tests, and the same ``np.dot`` per row.  ``dft_matrix`` is the
+target of the gate-level Fourier transform, built from its own exponentials
+rather than from an FFT.
 """
+
+import math
 
 import numpy as np
 
@@ -34,3 +39,9 @@ def interpolate(signal, t):
         return float(signal.samples[int(np.argmax(near))])
     kernel = np.sin(np.pi * d * n / period) / (n * np.tan(np.pi * d / period))
     return float(np.dot(signal.samples, kernel))
+
+
+def dft_matrix(n):
+    """Explicit unitary DFT matrix ``exp(-2 pi i jk / n) / sqrt(n)``."""
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return np.exp(-2j * np.pi * j * k / n) / math.sqrt(n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qinterp import EncodingDomain, prepare_nu2, quantum_interpolate
+from qinterp import EncodingDomain, ParseError, QInterpError, cli, prepare_nu2, quantum_interpolate
 from qinterp.cli import main
 from qinterp.stateio import format_value, state_from_json
 
@@ -180,6 +180,27 @@ class TestInterpolate:
         values_out = {line.split()[0]: float(line.split()[1]) for line in out.strip().splitlines()}
         assert abs(values_out["quantum"] - 3.0 / np.linalg.norm(values)) < 1e-9
 
+    def test_tiny_table_reads_as_its_unit_vector(self, tmp_path, capsys):
+        # the squares of 1e-170 underflow to 0, yet the table has a unit vector
+        readings = []
+        for value in ("1e-170", "1"):
+            table = tmp_path / "table.txt"
+            table.write_text(" ".join([value] * 8) + "\n")
+            code, out, err = run(capsys, "interpolate", "--source", str(table), "-m", "3", "-t", "2.5")
+            assert code == 0, err
+            readings.append({line.split()[0]: float(line.split()[1]) for line in out.strip().splitlines()})
+        for name in ("quantum", "classical"):
+            assert abs(readings[0][name] - readings[1][name]) <= 1e-12
+
+    @pytest.mark.parametrize("value, norm", [("1e200", "inf"), ("0", "0.0")], ids=["huge", "zero"])
+    def test_table_without_a_unit_vector(self, tmp_path, capsys, value, norm):
+        table = tmp_path / "table.txt"
+        table.write_text(" ".join([value] * 8) + "\n")
+        code, out, err = run(capsys, "interpolate", "--source", str(table), "-m", "3", "-t", "2.5")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: table norm {norm} is not positive and finite\n"
+
     def test_table_length_mismatch(self, tmp_path, capsys):
         table = tmp_path / "table.txt"
         table.write_text("1 2 3\n")
@@ -322,6 +343,12 @@ class TestMalformedInput:
         assert code == 2
         assert "scale" in err
 
+    def test_scale_beyond_float_range(self, tmp_path, capsys):
+        # the coefficients are scaled as floats, so 2^1024 cannot scale them
+        code, err = self.sum_error(tmp_path, capsys, f"scale = {2**1024}\n")
+        assert code == 2
+        assert err == "error: bad scale: int too large to convert to float\n"
+
     def test_unknown_domain(self, tmp_path, capsys):
         code, err = self.sum_error(tmp_path, capsys, "domain = bogus\n")
         assert code == 2
@@ -406,6 +433,19 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", QInterpError.__subclasses__(), ids=lambda cls: cls.__name__)
+    def test_parse_errors_exit_2_and_the_rest_exit_3(self, monkeypatch, capsys, error):
+        def fail(args):
+            raise error("bad input")
+
+        monkeypatch.setattr(cli, "_cmd_encode", fail)
+        code, out, err = run(capsys, "encode", "-m", "3", "-t", "1")
+        assert code == (2 if error is ParseError else 3)
+        assert out == ""
+        assert err == "error: bad input\n"
 
 
 class TestRepro:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from qinterp import (
+    Circuit,
     DomainError,
     EncodingDomain,
     HadamardLayer,
     PhaseLadder,
+    Register,
     ValueEncoding,
-    encode_geometric,
     encode_value,
     encode_value_real,
     fejer_kernel_row,
@@ -22,20 +23,26 @@ from qinterp import (
 TWOS = EncodingDomain.TWOS_COMPLEMENT
 
 
+def geometric_state(width, theta):
+    """Equal-magnitude state with phases ``e^{i k theta}``: a Hadamard layer, then a phase ladder."""
+    register = Register(0, width)
+    return Circuit(width, (HadamardLayer(register), PhaseLadder(register, theta))).state()
+
+
 class TestGeometricState:
     def test_zero_angle_is_uniform(self):
-        state = encode_geometric(3, 0.0)
+        state = geometric_state(3, 0.0)
         assert np.allclose(state.amplitudes, np.full(8, 1 / math.sqrt(8)))
 
     def test_pi_angle_alternates(self):
-        state = encode_geometric(3, 2 * math.pi * 4 / 8)
+        state = geometric_state(3, 2 * math.pi * 4 / 8)
         expected = np.array([(-1) ** k for k in range(8)]) / math.sqrt(8)
         assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
 
     def test_unit_magnitudes(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            state = encode_geometric(4, rng.uniform(-8, 8))
+            state = geometric_state(4, rng.uniform(-8, 8))
             assert np.allclose(np.abs(state.amplitudes), 1 / 4.0)
 
 
@@ -162,7 +169,7 @@ class TestProductFront:
         monkeypatch.setattr(PhaseLadder, "apply", refuse)
         assert np.max(np.abs(encode_value_real(6, 44.8).amplitudes - fejer_kernel_row(64, 44.8))) < 1e-10
         assert np.max(np.abs(np.abs(encode_value(6, 44.8).amplitudes) - np.abs(fejer_kernel_row(64, 44.8)))) < 1e-10
-        assert np.allclose(encode_geometric(3, 0.0).amplitudes, np.full(8, 1 / math.sqrt(8)))
+        assert np.allclose(geometric_state(3, 0.0).amplitudes, np.full(8, 1 / math.sqrt(8)))
 
 
 class TestWideEncodings:

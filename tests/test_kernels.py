@@ -10,15 +10,9 @@ from hypothesis import strategies as st
 from qinterp import (
     DomainError,
     EncodingDomain,
-    FejerKernelSpec,
     SampledSignal,
-    UndersampledError,
     classical_interpolate,
-    dft,
-    dft_matrix,
-    fejer_kernel,
     fejer_kernel_row,
-    fourier_coefficients,
     normalize_to_domain,
 )
 from qinterp.kernels import INTEGER_TOLERANCE, KERNEL_CHUNK, SAMPLE_TOLERANCE
@@ -43,11 +37,12 @@ def dft_oracle(x):
 
 class TestFejerKernel:
     def test_integer_target_is_delta(self):
-        assert fejer_kernel(8, 4.0, 4) == 1.0
-        assert fejer_kernel(8, 4.0, 2) == 0.0
+        assert fejer_kernel_row(8, 4.0)[4] == 1.0
+        assert fejer_kernel_row(8, 4.0)[2] == 0.0
 
     def test_half_target_splits_evenly(self):
-        assert abs(fejer_kernel(8, 4.5, 4) - fejer_kernel(8, 4.5, 5)) < 1e-14
+        row = fejer_kernel_row(8, 4.5)
+        assert abs(row[4] - row[5]) < 1e-14
 
     def test_row_normalization(self):
         rng = np.random.default_rng(0)
@@ -74,16 +69,6 @@ class TestFejerKernel:
         row_neg = fejer_kernel_row(8, -3.3)
         row_pos = fejer_kernel_row(8, 4.7)
         assert np.allclose(row_neg, row_pos)
-
-    def test_outcome_range_checked(self):
-        with pytest.raises(DomainError):
-            fejer_kernel(8, 2.7, 8)
-
-    def test_spec_object(self):
-        spec = FejerKernelSpec(8, -4, EncodingDomain.TWOS_COMPLEMENT)
-        assert spec.normalized_target == 4.0
-        assert spec(4) == 1.0
-        assert len(spec.row()) == 8
 
 
 class TestNormalizeToDomain:
@@ -141,6 +126,15 @@ class TestClassicalInterpolate:
         mid = (grid >= 0.25) & (grid < 0.75)
         assert errs[mid].max() < errs[~mid].max()
 
+    def test_band_limited_signal_reproduced(self):
+        # band limit 2 from 8 samples: the reconstruction is the signal itself
+        period = 2 * math.pi
+        xs = np.arange(8) * period / 8
+        signal = SampledSignal(np.sin(xs) ** 2 + 0.3 * np.cos(xs), period)
+        rng = np.random.default_rng(8)
+        for t in rng.uniform(0, period, 50):
+            assert abs(classical_interpolate(signal, t) - (math.sin(t) ** 2 + 0.3 * math.cos(t))) < 1e-9
+
     def test_domain_error(self):
         signal = SampledSignal(np.ones(4), 1.0)
         with pytest.raises(DomainError):
@@ -158,15 +152,17 @@ class TestClassicalInterpolate:
 
 
 class TestDft:
+    """The DFT oracle of the Fourier gate, ``scalar_oracles.dft_matrix``, against the DFT's identities."""
+
     def test_constant_vector(self):
-        y = dft(np.full(8, 3.0))
+        y = scalar_oracles.dft_matrix(8) @ np.full(8, 3.0)
         assert abs(y[0] - 3.0 * math.sqrt(8)) < 1e-12
         assert np.max(np.abs(y[1:])) < 1e-12
 
     def test_pure_tone_single_bin(self):
         n = 16
         x = np.exp(2j * math.pi * np.arange(n) / n)
-        y = dft(x)
+        y = scalar_oracles.dft_matrix(n) @ x
         assert abs(y[1] - math.sqrt(n)) < 1e-11
         mask = np.ones(n, dtype=bool)
         mask[1] = False
@@ -175,57 +171,18 @@ class TestDft:
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=8) + 1j * rng.normal(size=8)
-        assert np.max(np.abs(dft(x) - dft_oracle(x))) < 1e-12
+        assert np.max(np.abs(scalar_oracles.dft_matrix(8) @ x - dft_oracle(x))) < 1e-12
 
     def test_unitarity(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=32) + 1j * rng.normal(size=32)
-        assert abs(np.linalg.norm(dft(x)) - np.linalg.norm(x)) < 1e-12
+        assert abs(np.linalg.norm(scalar_oracles.dft_matrix(32) @ x) - np.linalg.norm(x)) < 1e-12
 
     def test_matrix_agrees_with_transform(self):
+        # the unitary FFT is what QftGate(inverse=True) applies on its register axis
         rng = np.random.default_rng(7)
         x = rng.normal(size=16) + 1j * rng.normal(size=16)
-        assert np.max(np.abs(dft_matrix(16) @ x - dft(x))) < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            dft([])
-
-
-class TestFourierCoefficients:
-    def test_squared_sine_spectrum(self):
-        # const * sin^2(x) on [0, 2 pi): z_0 = const/2, z_{+-2} = -const/4
-        const = 3.0
-        period = 2 * math.pi
-        xs = np.arange(8) * period / 8
-        signal = SampledSignal(const * np.sin(xs) ** 2, period)
-        spectrum = fourier_coefficients(signal, 2)
-        assert abs(spectrum.coefficient(0) - const / 2) < 1e-12
-        assert abs(spectrum.coefficient(2) + const / 4) < 1e-12
-        assert abs(spectrum.coefficient(-2) + const / 4) < 1e-12
-        assert abs(spectrum.coefficient(1)) < 1e-12
-        assert abs(spectrum.coefficient(-1)) < 1e-12
-
-    def test_constant_signal(self):
-        signal = SampledSignal(np.full(8, 2.5), 1.0)
-        spectrum = fourier_coefficients(signal, 0)
-        assert abs(spectrum.coefficient(0) - 2.5) < 1e-12
-
-    def test_reconstruction_matches_interpolation(self):
-        period = 2 * math.pi
-        xs = np.arange(8) * period / 8
-        signal = SampledSignal(np.sin(xs) ** 2 + 0.3 * np.cos(xs), period)
-        spectrum = fourier_coefficients(signal, 2)
-        rng = np.random.default_rng(8)
-        for t in rng.uniform(0, period, 50):
-            via_spectrum = spectrum.evaluate(t, period).real
-            via_kernel = classical_interpolate(signal, t)
-            assert abs(via_spectrum - via_kernel) < 1e-9
-
-    def test_undersampled_rejected(self):
-        signal = SampledSignal(np.ones(4), 1.0)
-        with pytest.raises(UndersampledError):
-            fourier_coefficients(signal, 2)
+        assert np.max(np.abs(scalar_oracles.dft_matrix(16) @ x - np.fft.fft(x, norm="ortho"))) < 1e-12
 
 
 @st.composite

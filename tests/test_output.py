@@ -5,7 +5,17 @@ import re
 import numpy as np
 import pytest
 
-from qinterp import ParseError, RegisterLayout, StateVector, encode_geometric, encode_value_real, zero_state
+from qinterp import (
+    Circuit,
+    HadamardLayer,
+    ParseError,
+    PhaseLadder,
+    Register,
+    RegisterLayout,
+    StateVector,
+    encode_value_real,
+    zero_state,
+)
 from qinterp.patterns import prepare_lambda, quantum_interpolate, quantum_interpolate_sweep
 from qinterp.stateio import (
     format_value,
@@ -157,7 +167,8 @@ class TestSvg:
     def test_hue_tracks_phase(self):
         # geometric state: equal-height bars with linearly advancing hue
         theta = 2 * math.pi * 2.3 / 8
-        state = encode_geometric(3, theta)
+        reg = Register(0, 3)
+        state = Circuit(3, (HadamardLayer(reg), PhaseLadder(reg, theta))).state()
         svg = render_state_svg(state)
         hues = [float(h) for h in HSL_RE.findall(svg)]
         assert len(hues) == 8

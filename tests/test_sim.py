@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracles import dft_matrix
 
 from qinterp import (
     BinaryPolynomial,
@@ -20,7 +21,6 @@ from qinterp import (
     RegisterLayout,
     StatePrep,
     StateVector,
-    dft_matrix,
     dictionary_circuit,
     zero_state,
 )
@@ -410,6 +410,55 @@ def apply_one_by_one(ops, state):
     for op in ops:
         state = op.apply(state)
     return state
+
+
+# OP_KINDS with the ladder split by controls and the QFT by direction
+WIDE_KINDS = {
+    **OP_KINDS,
+    "PhaseLadder": lambda reg, controls, rng: PhaseLadder(reg, rng.uniform(-4, 4)),
+    "PhaseLadder-ctrl": OP_KINDS["PhaseLadder"],
+    "QftGate": lambda reg, controls, rng: QftGate(reg),
+    "QftGate-inverse": lambda reg, controls, rng: QftGate(reg, inverse=True),
+}
+
+
+def wide_placement(n, rng):
+    """A register leaving at least one qubit out, and up to three control qubits among those left out."""
+    width = int(rng.integers(1, n))
+    reg = Register(int(rng.integers(0, n - width + 1)), width)
+    others = [q for q in range(n) if q not in reg.qubits()]
+    return reg, tuple(int(q) for q in rng.choice(others, size=min(3, len(others)), replace=False))
+
+
+class TestWideOperations:
+    """One seeded example per op kind at each width past the property tests' 10 qubits.
+
+    Widths 23 and 24 are left out for memory, as for the wide encodes: each
+    state there is 128 or 256 MiB, and a check holds several.
+    """
+
+    @pytest.mark.parametrize("n", range(13, 23))
+    def test_norm_adjoint_and_fusion(self, n):
+        rng = np.random.default_rng(3000 + n)
+        amps = rng.standard_normal(2 << n).view(np.complex128)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        for kind, build in WIDE_KINDS.items():
+            op = build(*wide_placement(n, rng), rng)
+            out = op.apply(state)
+            assert abs(out.norm() - 1.0) <= 1e-9, kind
+            back = op.adjoint().apply(out).amplitudes
+            assert np.max(np.abs(back - state.amplitudes)) <= 1e-9, kind
+        # a diagonal run over one ladder register fuses into one table
+        reg, controls = wide_placement(n, rng)
+        ops = [
+            PhaseLadder(reg, rng.uniform(-4, 4)),
+            PhaseLadder(reg, rng.uniform(-4, 4), controls),
+            ControlledPhase(controls, rng.uniform(-4, 4)),
+            DiagonalPhase(Register(controls[0], 1), rng.uniform(-4, 4, 2)),
+        ]
+        assert len(_fuse_diagonals(ops, n)) == 1
+        fused = Circuit(n, tuple(ops)).apply(state).amplitudes
+        assert np.max(np.abs(fused - apply_one_by_one(ops, state).amplitudes)) <= 1e-9
 
 
 @st.composite
