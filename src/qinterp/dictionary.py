@@ -18,7 +18,7 @@ import numpy as np
 from .encoding import correction_ops, encoder_ops
 from .errors import DomainError, ParseError, ValueRangeError
 from .kernels import INTEGER_TOLERANCE, EncodingDomain, domain_bounds, normalize_to_domain
-from .sim import Circuit, DiagonalPhase, HadamardLayer, RegisterLayout, subset_sums
+from .sim import Circuit, HadamardLayer, RegisterLayout, subset_sums
 
 _TERM_RE = re.compile(r"^k(\d+)$")
 
@@ -143,11 +143,17 @@ def validate_values(poly: BinaryPolynomial, value_width: int, domain: EncodingDo
     Non-integer values must sit strictly inside the declared domain; integer
     values (within ``INTEGER_TOLERANCE`` of one) are exact and may use the
     full unsigned range either way.  The lower bound applies to the rounded
-    value, so a 0 with negative round-off is accepted in both domains.  The
-    error names the lowest offending key.
+    value, so a 0 with negative round-off is accepted in both domains.  A
+    value that is not finite, such as a sum that overflows, is refused
+    first.  The error names the lowest offending key.
     """
     modulus = 1 << value_width
-    values = poly.values_table()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below, without a warning
+        values = poly.values_table()
+    infinite = np.flatnonzero(~np.isfinite(values))
+    if infinite.size:
+        k = int(infinite[0])
+        raise ValueRangeError(f"value {values[k]} at key {k} is not finite")
     lo, hi = domain_bounds(domain, modulus)
     nearest = np.round(values)
     is_integer = np.abs(values - nearest) < INTEGER_TOLERANCE
@@ -164,26 +170,6 @@ def validate_values(poly: BinaryPolynomial, value_width: int, domain: EncodingDo
             ) from exc
 
 
-def _wrap_compensation(layout: RegisterLayout, poly: BinaryPolynomial) -> DiagonalPhase | None:
-    """Sign fix for values that the domain mapping shifts by M.
-
-    The kernel is anti-periodic in its target (period M flips the sign), so
-    keys whose raw value is negative would come out with flipped real
-    amplitudes if the correction used the raw value alone.  A diagonal pi
-    phase on those keys restores the normalized-kernel sign.  Values within
-    ``INTEGER_TOLERANCE`` of an integer count as that integer, as in the
-    kernel row, so a value that is 0 up to negative round-off is not wrapped.
-    """
-    modulus = layout.num_values
-    raw = poly.values_table()
-    nearest = np.round(raw)
-    raw = np.where(np.abs(raw - nearest) < INTEGER_TOLERANCE, nearest, raw)
-    phases = math.pi * np.round((np.mod(raw, modulus) - raw) / modulus)
-    if not phases.any():
-        return None
-    return DiagonalPhase(layout.key_register, phases)
-
-
 def dictionary_circuit(
     layout: RegisterLayout,
     poly: BinaryPolynomial,
@@ -196,9 +182,14 @@ def dictionary_circuit(
     Each term is controlled by its monomial's key qubits.  The plain form is
     the paper's operator F: value slices carry the kernel magnitudes and the
     residual phases.  The phase-corrected form is F': it appends the
-    correction of :func:`~qinterp.encoding.correction_ops` (a value-register
-    ladder, one controlled phase per monomial) and, for values the domain
-    mapping wraps, the per-key compensation, so every value slice is real.
+    correction of :func:`~qinterp.encoding.correction_ops`, a value-register
+    ladder and one key-register :class:`~qinterp.sim.DiagonalPhase`, so every
+    value slice is real.  The table holds each key's value mapped into
+    [0, M); a value within ``INTEGER_TOLERANCE`` of an integer counts as
+    that integer, as in the kernel row, so a 0 with negative round-off is
+    not wrapped.  The kernel is anti-periodic in its target (a shift by M
+    flips its sign), so the mapped value, not the raw one, keeps the
+    normalized-kernel sign.
 
     With ``prepare_keys`` the key register is brought into equal
     superposition first, for a circuit applied to the all-zeros state.
@@ -218,8 +209,8 @@ def dictionary_circuit(
     ops = [HadamardLayer(layout.key_register)] if prepare_keys else []
     ops += encoder_ops(layout.value_register, terms)
     if phase_corrected:
-        ops += correction_ops(layout.value_register, terms)
-        compensation = _wrap_compensation(layout, poly)
-        if compensation is not None:
-            ops.append(compensation)
+        values = poly.values_table()
+        nearest = np.round(values)
+        values = np.where(np.abs(values - nearest) < INTEGER_TOLERANCE, nearest, values)
+        ops += correction_ops(layout.value_register, np.mod(values, layout.num_values), layout.key_register)
     return Circuit(layout.num_qubits, tuple(ops))

@@ -7,9 +7,10 @@ follow the interpolation kernel of :mod:`qinterp.kernels` up to a residual
 phase ``exp(i pi (M-1)(t - k) / M)``; the correction operator removes that
 phase (including the global part) so the amplitudes become literally real.
 
-:func:`encoder_ops` and :func:`correction_ops` build that gate list for a
-sum of controlled terms, so the scalar encoders here and the key-value
-dictionary of :mod:`qinterp.dictionary` share one builder.
+:func:`encoder_ops` builds the encoder for a sum of controlled terms and
+:func:`correction_ops` the correction for a scalar or for a table of
+per-key values, so the scalar encoders here and the key-value dictionary
+of :mod:`qinterp.dictionary` share one builder.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .kernels import INTEGER_TOLERANCE, EncodingDomain, normalize_to_domain
 from .sim import (
     Circuit,
     ControlledPhase,
+    DiagonalPhase,
     HadamardLayer,
     Operation,
     PhaseLadder,
@@ -53,7 +55,7 @@ class ValueEncoding:
         """The target mapped into [0, M).
 
         Within ``INTEGER_TOLERANCE`` of an integer it is that integer mod M,
-        as in the kernel row and the dictionary's wrap compensation, so
+        as in the kernel row and the dictionary's correction table, so
         round-off never flips the sign of the encoded amplitudes.
         """
         t = normalize_to_domain(self.target, self.domain, self.modulus)
@@ -82,31 +84,34 @@ def encoder_ops(register: Register, terms) -> list[Operation]:
     ]
 
 
-def correction_ops(register: Register, terms) -> list[Operation]:
-    """The phase correction of :func:`encoder_ops` for the same terms.
+def correction_ops(register: Register, value, keys: Register | None = None) -> list[Operation]:
+    """The phase correction of :func:`encoder_ops`.
 
     Removes ``e^{i pi (M-1)(t - k)/M}`` exactly: a k-dependent ladder, then
-    one phase ``-pi (M-1) value / M`` per term under its controls, so the
-    corrected amplitudes are real numbers rather than real up to a common
-    phase.
+    the phase ``-pi (M-1) t / M``, so the corrected amplitudes are real
+    numbers rather than real up to a common phase.  For a scalar ``value``
+    that phase is global; with ``keys``, ``value`` is the table of each
+    key's value in [0, M) and the phase is one :class:`DiagonalPhase` on the
+    key register.
     """
     modulus = register.size
     m_minus_1 = modulus - 1
+    phase = -math.pi * m_minus_1 * value / modulus
     return [
         PhaseLadder(register, math.pi * m_minus_1 / modulus),
-        *(ControlledPhase(controls, -math.pi * m_minus_1 * value / modulus) for controls, value in terms),
+        ControlledPhase((), phase) if keys is None else DiagonalPhase(keys, phase),
     ]
 
 
-def _scalar(width: int, t: float, domain: EncodingDomain) -> tuple[Register, tuple]:
-    """The register and the single uncontrolled term that encode ``t``."""
-    target = ValueEncoding(width, t, domain).normalized_target
-    return Register(0, width), (((), target),)
+def _scalar_ops(width: int, t: float, domain: EncodingDomain) -> tuple[list[Operation], list[Operation]]:
+    """The encoder and correction gate lists of ``t``: one uncontrolled term."""
+    register, target = Register(0, width), ValueEncoding(width, t, domain).normalized_target
+    return encoder_ops(register, [((), target)]), correction_ops(register, target)
 
 
 def value_encoding_circuit(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> Circuit:
     """Hadamard layer, phase ladder, inverse Fourier transform."""
-    return Circuit(width, tuple(encoder_ops(*_scalar(width, t, domain))))
+    return Circuit(width, tuple(_scalar_ops(width, t, domain)[0]))
 
 
 def encode_value(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> StateVector:
@@ -116,7 +121,7 @@ def encode_value(width: int, t: float, domain: EncodingDomain = EncodingDomain.U
 
 def phase_correction_circuit(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> Circuit:
     """The correction operator of :func:`correction_ops` for the scalar ``t``."""
-    return Circuit(width, tuple(correction_ops(*_scalar(width, t, domain))))
+    return Circuit(width, tuple(_scalar_ops(width, t, domain)[1]))
 
 
 def real_encoding_circuit(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> Circuit:
@@ -124,8 +129,8 @@ def real_encoding_circuit(width: int, t: float, domain: EncodingDomain = Encodin
 
     Applied to the zero state it produces the real-amplitude kernel state.
     """
-    register, terms = _scalar(width, t, domain)
-    return Circuit(width, tuple(encoder_ops(register, terms) + correction_ops(register, terms)))
+    encoder, correction = _scalar_ops(width, t, domain)
+    return Circuit(width, tuple(encoder + correction))
 
 
 def encode_value_real(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> StateVector:

@@ -17,12 +17,12 @@ adjacent diagonal operations into one multiplication by a phase table.
 Hadamard layers on every qubit, it writes the product state they and the
 diagonal run after them make as that run's phase table, scaled once, so the
 full-buffer work starts at the first other operation (an encoder's Fourier
-transform).  :meth:`Circuit.readout` reads amplitudes of ``U|0...0>`` with
-the operations that act inside one register run on that register's factor
-or on its bra, so only the operations that span registers touch the full
-buffer.  Where those fuse into one phase table over one of two registers,
-as in both readout pipelines, no full buffer is built: the table is
-contracted with the factors slice by slice.
+transform).  :meth:`Circuit.readout` reads amplitudes of ``U|0...0>``.  With two
+registers, the operations that act inside one register run on that
+register's factor or on its bra; where the operations that span the
+registers fuse into one phase table over one of them, as in both readout
+pipelines, no full buffer is built: the table is contracted with the
+factors slice by slice.  Any other readout slices :meth:`Circuit.state`.
 
 Qubit convention: qubit 0 is the least significant bit of the basis index.
 A :class:`RegisterLayout` places the value register on the low-order qubits,
@@ -33,7 +33,6 @@ so the value amplitudes of key ``k`` form the contiguous slice
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -749,60 +748,46 @@ class Circuit:
         over ``keep``'s basis, entry ``r`` being the amplitude of the basis
         state with ``r`` in ``keep`` and 0 elsewhere.
 
-        The leading ops that each act inside one register run on that
-        register's factor of the product state.  The trailing ops that each
-        act inside one register run as adjoints on the ``<0|`` factor of
-        their register, except that those on ``keep`` run forward on the
+        With two registers, the leading ops that each act inside one
+        register run on that register's factor of the product state, and
+        the trailing ones as adjoints on the ``<0|`` factor of their
+        register, except that those on ``keep`` run forward on the
         contracted vector.  Each register's ops are lowered onto its factor,
-        whose ``apply`` fuses them.
+        whose ``apply`` fuses them.  When the middle is diagonal ops that
+        fuse into one phase table ``D[c, r]`` over one of the registers
+        (``r`` its index, ``c`` the other's), no full buffer is built.  With
+        ``x = ket * conj(bra)`` per register, the amplitude is
+        ``x_c^T D x_r``; a kept register keeps its bare ket,
+        ``ket_c * (D x_r)`` or ``ket_r * (D^T x_c)``.  D is built and reduced
+        in slices of at most ``_STREAM_CHUNK`` entries.
 
-        With two registers and a middle of diagonal ops that fuses into one
-        phase table ``D[c, r]`` over one of them (``r`` its index, ``c`` the
-        other's), no full buffer is built.  With ``x = ket * conj(bra)`` per
-        register, the amplitude is ``x_c^T D x_r``; a kept register keeps
-        its bare ket, ``ket_c * (D x_r)`` or ``ket_r * (D^T x_c)``.  D is
-        built and reduced in slices of at most ``_STREAM_CHUNK`` entries.
-        Any other middle runs on the buffer that one outer product of the
-        factors joins, which one contraction with the bra factors then reads.
+        Any other readout, one register among them, slices :meth:`state`.
         """
         registers = tuple(registers)
         check_capacity(self.num_qubits)
         _require_partition(registers, keep, self.num_qubits)
         heads, front = _local_prefix(self.ops, registers)
         tails, peeled = _local_prefix(self.ops[front:][::-1], registers)
-        back = len(self.ops) - peeled
+        table = _single_table(self.ops[front : len(self.ops) - peeled], registers, self.num_qubits)
+        if table is None:
+            order = sorted(registers, key=lambda reg: -reg.offset)
+            full = self.state().amplitudes.reshape([reg.size for reg in order])
+            tensor = full[tuple(slice(None) if reg == keep else 0 for reg in order)]
+            return complex(tensor) if keep is None else tensor.copy()
 
         def factor(i: int, group) -> Circuit:
             reg = registers[i]
             return Circuit(reg.width, tuple(_lowered(op, reg.offset) for op in group))
 
-        kets, bras = [], []
-        for i, reg in enumerate(registers):
-            kets.append(factor(i, heads[i]).state().amplitudes)
-            bra = None if reg == keep else factor(i, tails[i][::-1]).adjoint().state()
-            bras.append(None if bra is None else bra.amplitudes)
-        table = _single_table(self.ops[front:back], registers, self.num_qubits)
-        if table is not None:
-            r = registers.index(table.register)
-            x = [ket if bra is None else ket * bra.conj() for ket, bra in zip(kets, bras)]
-            contracted = _stream(table, x[1 - r], x[r], transpose=keep == table.register)
-            if keep is None:
-                return complex(np.vecdot(x[1 - r].conj(), contracted))
-            tensor = kets[registers.index(keep)] * contracted
-        else:
-            order = sorted(range(len(registers)), key=lambda i: -registers[i].offset)
-            middle = Circuit(self.num_qubits, self.ops[front:back])
-            # the outer product is passed without a name, so it is freed once the first middle op
-            # has replaced it
-            state = middle.apply(
-                StateVector(self.num_qubits, reduce(np.multiply.outer, [kets[i] for i in order]).reshape(-1))
-            )
-            tensor = state.amplitudes.reshape([registers[i].size for i in order])
-            for axis in reversed(range(len(order))):
-                bra = bras[order[axis]]
-                if bra is not None:
-                    tensor = np.tensordot(tensor, bra.conj(), axes=(axis, 0))
-            if keep is None:
-                return complex(tensor)
+        kets = [factor(i, heads[i]).state().amplitudes for i in range(2)]
+        x = [
+            ket if reg == keep else ket * factor(i, tails[i][::-1]).adjoint().state().amplitudes.conj()
+            for i, (reg, ket) in enumerate(zip(registers, kets))
+        ]
+        r = registers.index(table.register)
+        contracted = _stream(table, x[1 - r], x[r], transpose=keep == table.register)
+        if keep is None:
+            return complex(np.vecdot(x[1 - r].conj(), contracted))
         i = registers.index(keep)
+        tensor = kets[i] * contracted
         return factor(i, tails[i][::-1]).apply(StateVector(keep.width, tensor)).amplitudes

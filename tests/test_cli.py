@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,21 @@ class TestMalformedInput:
         code, err = self.sum_error(tmp_path, capsys, "scale = 0\n")
         assert code == 2
         assert "scale" in err
+
+    # a finite scale whose product overflows: an inf coefficient, inf - inf in
+    # the value table, and two finite coefficients whose sum overflows
+    @pytest.mark.parametrize(
+        "poly, key, value", [("3: 1; 1: k0", 0, "inf"), ("-3: 1; 3: k0", 0, "-inf"), ("1.5: 1; 1.5: k0", 1, "inf")]
+    )
+    def test_overflowing_scaled_values(self, tmp_path, capsys, poly, key, value):
+        config = tmp_path / "sum.cfg"
+        config.write_text(f"n = 1\nm = 3\nscale = {2**1023}\npoly = {poly}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sum", str(config))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: value {value} at key {key} is not finite\n"
 
     def test_scale_beyond_float_range(self, tmp_path, capsys):
         # the coefficients are scaled as floats, so 2^1024 cannot scale them

@@ -23,7 +23,7 @@ from qinterp import (
     zero_state,
 )
 from qinterp.kernels import domain_bounds
-from qinterp.sim import StateVector
+from qinterp.sim import ControlledPhase, DiagonalPhase, PhaseLadder, StateVector
 
 TWOS = EncodingDomain.TWOS_COMPLEMENT
 
@@ -342,14 +342,49 @@ class TestSharedEncoder:
     @example(case=(1, 3, TWOS, -1e-17))  # 0 up to negative round-off
     @example(case=(2, 3, EncodingDomain.UNSIGNED, 8.0 - 8 * 2**-52))  # 8 up to round-off, which aliases 0
     def test_constant_dictionary_slices_match_scalar_encoding(self, case):
-        # in two's complement a negative t meets the dictionary's wrap
-        # compensation on one side and the scalar's normalized target on the other
+        # in two's complement a negative t meets the dictionary's correction
+        # table on one side and the scalar's normalized target on the other
         k, m, domain, t = case
         poly = BinaryPolynomial(k, {0: t})
         circuit = dictionary_circuit(RegisterLayout(k, m), poly, domain, phase_corrected=True)
         slices = circuit.apply(zero_state(k + m)).amplitudes.reshape(1 << k, 1 << m)
         expected = encode_value_real(m, t, domain).amplitudes / np.sqrt(1 << k)
         assert np.max(np.abs(slices - expected)) < 1e-12
+
+
+@st.composite
+def corrected_dictionaries(draw):
+    """(layout, polynomial, domain): a dense random value table on at most 10 qubits.
+
+    In two's complement the negative values are the ones the domain maps by M;
+    integer tables may also hold M - 1 and the domain's lower end.
+    """
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 10 - n))
+    domain = draw(st.sampled_from([EncodingDomain.UNSIGNED, TWOS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poly = in_domain_polynomial(rng, n, m, domain, draw(st.sampled_from(["dense", "integer"])))
+    return RegisterLayout(n, m), poly, domain
+
+
+class TestWrappedValues:
+    @settings(max_examples=60)
+    @given(case=corrected_dictionaries())
+    @example(case=(RegisterLayout(1, 3), BinaryPolynomial(1, {0: -1e-17, 1: -2.5}), TWOS))
+    @example(case=(RegisterLayout(2, 3), BinaryPolynomial(2, {0: 8.0 - 8 * 2**-52}), EncodingDomain.UNSIGNED))
+    def test_corrected_slices_are_kernel_rows(self, case):
+        layout, poly, domain = case
+        circuit = dictionary_circuit(layout, poly, domain, phase_corrected=True)
+        assert not any(isinstance(op, ControlledPhase) for op in circuit.ops)
+        ladder, table = circuit.ops[-2:]
+        assert isinstance(ladder, PhaseLadder) and ladder.register == layout.value_register
+        assert [op for op in circuit.ops if isinstance(op, DiagonalPhase)] == [table]
+        assert table.register == layout.key_register
+        modulus = layout.num_values
+        slices = circuit.state().amplitudes.reshape(layout.num_keys, modulus) * np.sqrt(layout.num_keys)
+        targets = [poly.evaluate(k) % modulus for k in range(layout.num_keys)]  # into [0, M)
+        assert np.max(np.abs(slices.imag)) < 1e-10
+        assert np.max(np.abs(slices.real - fejer_kernel_row(modulus, targets))) < 1e-10
 
 
 class TestKeyPreparation:

@@ -305,7 +305,7 @@ class TestQuantumInterpolateSweep:
         assert blocks == [(4, False), (4, False), (3, False)]
 
     def test_twos_complement_sweep_crosses_zero(self):
-        # negative block values exercise the dictionary's wrap compensation
+        # negative block values exercise the dictionary's correction table
         check_sweep(lambda_amplitudes(5), -10.3, 9.7, 64, TWOS)
 
     def test_out_of_domain_point_rejected(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from polynomials import in_domain_polynomial
 from scalar_oracles import dft_matrix
 
 from qinterp import (
@@ -813,6 +814,45 @@ class TestReadout:
         circuit = Circuit(3, (HadamardLayer(Register(0, 1)), ControlledPhase((0, 5), 0.2)))
         with pytest.raises(LayoutError, match="control qubit 5 out of range"):
             circuit.readout((Register(0, 1), Register(1, 2)))
+
+
+class TestWideReadouts:
+    """One seeded inner-product circuit per width past the property tests' 10 qubits.
+
+    Its readout streams the controlled ladders' table over the value
+    register.  At 22 qubits that register has 16 qubits, so ``_stream``
+    slices its columns at the real ``_STREAM_CHUNK``.  Widths 23 and 24 are
+    left out for memory, as for the wide operations.
+    """
+
+    @pytest.mark.parametrize("n", range(13, 23))
+    def test_streamed_matches_full_state_slices(self, n):
+        rng = np.random.default_rng(5000 + n)
+        key_width = 6 if n == 22 else int(rng.integers(1, 9))
+        layout = RegisterLayout(key_width, n - key_width)
+        keys, values = layout.key_register, layout.value_register
+        domain = (EncodingDomain.UNSIGNED, TWOS)[n % 2]
+        poly = in_domain_polynomial(rng, key_width, values.width, domain, "dense")
+        dictionary = dictionary_circuit(layout, poly, domain, phase_corrected=True, prepare_keys=False)
+        ops = (
+            StatePrep(keys, unit_vector(keys.size, rng)),
+            *dictionary.ops,
+            HadamardLayer(keys),
+            StatePrep(values, unit_vector(values.size, rng)).adjoint(),
+        )
+        circuit = Circuit(n, ops)
+        full = circuit.state().amplitudes.reshape(keys.size, values.size)
+        stream, streamed = sim._stream, []
+
+        def recorded_stream(table, rows, cols, transpose):
+            streamed.append(table.register)
+            return stream(table, rows, cols, transpose)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_stream", recorded_stream)
+            assert abs(circuit.readout((values, keys)) - full[0, 0]) <= 1e-9
+            assert np.max(np.abs(circuit.readout((values, keys), keys) - full[:, 0])) <= 1e-9
+        assert streamed == [values, values]
 
 
 class TestStateVectorAccessors:
