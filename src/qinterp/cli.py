@@ -113,7 +113,7 @@ def _interp_source(source: str, width: int):
         )
     if source == "lambda":
         modulus = 1 << width
-        norm = math.sqrt(sum(k * k for k in range(1, modulus)))
+        norm = math.sqrt((modulus - 1) * modulus * (2 * modulus - 1) // 6)  # sum of k^2, k < M
         return prepare_lambda(width), lambda t: t / norm
     return _load_table_prep(source, width)
 

@@ -137,15 +137,16 @@ def format_polynomial(poly: BinaryPolynomial) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_values(poly: BinaryPolynomial, value_width: int, domain: EncodingDomain):
-    """Reject values whose encoding would alias across the domain boundary.
+def validate_values(poly: BinaryPolynomial, value_width: int, domain: EncodingDomain) -> np.ndarray:
+    """Each key's value mapped into [0, M); reject values whose encoding would alias.
 
     Non-integer values must sit strictly inside the declared domain; integer
     values (within ``INTEGER_TOLERANCE`` of one) are exact and may use the
     full unsigned range either way.  The lower bound applies to the rounded
     value, so a 0 with negative round-off is accepted in both domains.  A
     value that is not finite, such as a sum that overflows, is refused
-    first.  The error names the lowest offending key.
+    first.  The error names the lowest offending key.  The returned table
+    holds each integer value as that integer, taken mod M like the others.
     """
     modulus = 1 << value_width
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below, without a warning
@@ -168,6 +169,7 @@ def validate_values(poly: BinaryPolynomial, value_width: int, domain: EncodingDo
             raise ValueRangeError(
                 f"value {value} at key {k} would alias in a {value_width}-qubit register: {exc}"
             ) from exc
+    return np.mod(np.where(is_integer, nearest, values), modulus)
 
 
 def dictionary_circuit(
@@ -200,7 +202,7 @@ def dictionary_circuit(
         raise DomainError(
             f"polynomial over {poly.num_vars} variables does not match key width {layout.key_width}"
         )
-    validate_values(poly, layout.value_width, domain)
+    table = validate_values(poly, layout.value_width, domain)
     key_offset = layout.key_register.offset
     terms = [
         (tuple(key_offset + j for j in range(poly.num_vars) if mask & (1 << j)), coef)
@@ -209,8 +211,5 @@ def dictionary_circuit(
     ops = [HadamardLayer(layout.key_register)] if prepare_keys else []
     ops += encoder_ops(layout.value_register, terms)
     if phase_corrected:
-        values = poly.values_table()
-        nearest = np.round(values)
-        values = np.where(np.abs(values - nearest) < INTEGER_TOLERANCE, nearest, values)
-        ops += correction_ops(layout.value_register, np.mod(values, layout.num_values), layout.key_register)
+        ops += correction_ops(layout.value_register, table, layout.key_register)
     return Circuit(layout.num_qubits, tuple(ops))

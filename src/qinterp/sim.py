@@ -11,8 +11,9 @@ Each operation is one numpy transform of the amplitude buffer.  The Fourier
 transform is one unitary FFT along the register axis.  A Hadamard layer is one
 matrix product per block of up to four qubits.  Controlled operations act on a
 view with one length-2 axis per qubit, each control axis sliced to its set
-half, so no index array is built.  :meth:`Circuit.apply` fuses each run of
-adjacent diagonal operations into one multiplication by a phase table.
+half, so no index array is built.  :meth:`Circuit.apply` fuses each maximal
+run of adjacent diagonal operations into one multiplication by a phase table
+where one table holds the whole run, and otherwise leaves it op by op.
 :meth:`Circuit.state` gives ``U|0...0>``: where the circuit starts with
 Hadamard layers on every qubit, it writes the product state they and the
 diagonal run after them make as that run's phase table, scaled once, so the
@@ -32,6 +33,7 @@ so the value amplitudes of key ``k`` form the contiguous slice
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -461,13 +463,13 @@ class _PhaseTable(Operation):
 
 
 def _fuse(run, register: Register | None, num_qubits: int) -> Operation:
-    """One op with the action of a run of diagonal ops that :func:`_fits` ``register``.
+    """One op with the action of a run of diagonal ops that all :func:`_fits` ``register``.
 
     Each ladder adds its theta to ``slope`` and each controlled phase its
     angle to ``offset``, at its control mask; one zeta transform then sums
     them over every ``c``.  Diagonal tables on outside qubits add last.
     Without a ladder register the offsets are one :class:`DiagonalPhase` on
-    every qubit.
+    every qubit.  Callers reach it only through :func:`_table`.
     """
     width = register.width if register is not None else 0
     offset = np.zeros(1 << (num_qubits - width))
@@ -493,7 +495,7 @@ _DIAGONAL_KINDS = (PhaseLadder, ControlledPhase, DiagonalPhase)
 
 
 def _fits(op: Operation, register: Register | None, num_qubits: int) -> bool:
-    """Whether ``op`` lies on qubits 0 to ``num_qubits - 1`` and fuses over ``register``.
+    """Whether ``op`` and ``register`` lie on qubits 0 to ``num_qubits - 1`` and ``op`` fuses over it.
 
     ``register`` None stands for a run without a ladder.
     """
@@ -510,73 +512,44 @@ def _fits(op: Operation, register: Register | None, num_qubits: int) -> bool:
     if register is None:
         return True
     lo, hi = register.offset, register.offset + register.width
-    return all(q < lo or hi <= q for q in qubits)
+    return hi <= num_qubits and all(q < lo or hi <= q for q in qubits)
 
 
-def _run_registers(ops, num_qubits: int) -> list[Register | None]:
-    """The register of a run starting at each position of ``ops``.
+def _table(run, candidates, num_qubits: int) -> Operation | None:
+    """``run`` fused over the first of ``candidates`` that every op :func:`_fits`; None if none does.
 
-    That is the register of the next valid ladder before the next
-    non-diagonal op, or None where there is none.  One pass from the end
-    finds them all, so it is linear.
+    This is the one fusion rule: a diagonal run becomes one table whole, or
+    stays op by op.  No op at all is the table of phase 0.
     """
-    registers: list[Register | None] = [None] * len(ops)
-    ladder = None
-    for i in range(len(ops) - 1, -1, -1):
-        op = ops[i]
-        if not isinstance(op, _DIAGONAL_KINDS):
-            ladder = None
-        elif isinstance(op, PhaseLadder) and op.register.offset + op.register.width <= num_qubits:
-            ladder = op.register
-        registers[i] = ladder
-    return registers
+    for register in candidates:
+        if all(_fits(op, register, num_qubits) for op in run):
+            return _fuse(run, register, num_qubits)
+    return None
 
 
-def _run_stop(ops, start: int, register: Register | None, num_qubits: int) -> int:
-    """End of the run from ``start``: the first op that does not :func:`_fits` ``register``."""
-    stop = start
-    while stop < len(ops) and _fits(ops[stop], register, num_qubits):
-        stop += 1
-    return stop
+def _ladders(run) -> tuple[Register | None, ...]:
+    """The candidates of a diagonal run: its ladders' registers, or None alone if it has no ladder."""
+    return tuple(dict.fromkeys(op.register for op in run if isinstance(op, PhaseLadder))) or (None,)
+
+
+def _diagonal(op: Operation) -> bool:
+    return isinstance(op, _DIAGONAL_KINDS)
 
 
 def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
-    """The gate list with each run of two or more fusable diagonal ops as one op.
+    """The gate list with each maximal diagonal run of two or more ops as one op, if :func:`_table` holds it.
 
-    A run's register is given by :func:`_run_registers`; the run ends at the
-    first op that does not fit it.  A run with no ladder left fuses its
-    controlled phases and diagonal tables.  Diagonal ops commute, so fusing
-    keeps the circuit's action.
+    Diagonal ops commute, so fusing keeps the circuit's action.
     """
-    registers = _run_registers(ops, num_qubits)
     fused = []
-    i = 0
-    while i < len(ops):
-        stop = _run_stop(ops, i, registers[i], num_qubits)
-        if stop - i >= 2:
-            fused.append(_fuse(ops[i:stop], registers[i], num_qubits))
-            i = stop
-        else:
-            fused.append(ops[i])
-            i += 1
+    for diagonal, group in itertools.groupby(ops, _diagonal):
+        run = list(group)
+        table = _table(run, _ladders(run), num_qubits) if diagonal and len(run) >= 2 else None
+        fused += run if table is None else [table]
     return fused
 
 
 _STREAM_CHUNK = 1 << 15  # phase-table entries per slice of a streamed readout
-
-
-def _single_table(ops, registers: tuple[Register, ...], num_qubits: int) -> _PhaseTable | None:
-    """``ops`` as one :class:`_PhaseTable` over one of two ``registers``; None if they are not.
-
-    Every op must :func:`_fits` that register, so the table's outside index
-    is the other register's index.  No op at all is the table of phase 0.
-    """
-    if len(registers) != 2:
-        return None
-    for reg in registers:
-        if all(_fits(op, reg, num_qubits) for op in ops):
-            return _fuse(ops, reg, num_qubits)
-    return None
 
 
 def _stream(table: _PhaseTable, rows: np.ndarray, cols: np.ndarray, transpose: bool) -> np.ndarray:
@@ -713,11 +686,12 @@ class Circuit:
         """``U|0...0>``, started from the product state where the gate list has one.
 
         When the ops start with Hadamard layers on disjoint registers that
-        cover every qubit, they and the diagonal run after them (chosen as
-        :meth:`apply`'s fusion pass chooses it, a run of one op included)
-        make the product state ``h exp(i phase(x))``: the run's fused phase
-        table, scaled in place by the amplitude ``h`` the layers give.  An
-        empty run is a uniform fill.  The other ops then run as in
+        cover every qubit, they and the maximal diagonal run after them make
+        the product state ``h exp(i phase(x))``.  Where :func:`_table` holds
+        that run, by the rule :meth:`apply` fuses by and for a run of one op
+        too, it is the run's fused table scaled in place by the amplitude
+        ``h`` the layers give; otherwise, or for an empty run, the buffer is
+        filled with ``h`` and every op after the layers runs as in
         :meth:`apply`.  Any other circuit is ``apply(zero_state(n))``.  The
         result is bit for bit that of :meth:`apply`.
         """
@@ -727,15 +701,16 @@ class Circuit:
             return self.apply(zero_state(self.num_qubits))
         count, scale = front
         rest = self.ops[count:]
-        register = _run_registers(rest, self.num_qubits)[0] if rest else None
-        stop = _run_stop(rest, 0, register, self.num_qubits)
-        if stop == 0:
+        run = tuple(itertools.takewhile(_diagonal, rest))
+        table = _table(run, _ladders(run), self.num_qubits) if run else None
+        if table is None:
             amps = np.full(1 << self.num_qubits, scale, dtype=np.complex128)
         else:
-            table = _fuse(rest[:stop], register, self.num_qubits)
-            amps = np.exp(1j * table.phases) if register is None else table.factors(self.num_qubits)
+            ladder_free = isinstance(table, DiagonalPhase)
+            amps = np.exp(1j * table.phases) if ladder_free else table.factors(self.num_qubits)
             amps *= scale
-        return Circuit(self.num_qubits, rest[stop:]).apply(StateVector(self.num_qubits, amps))
+            rest = rest[len(run) :]
+        return Circuit(self.num_qubits, rest).apply(StateVector(self.num_qubits, amps))
 
     def adjoint(self) -> "Circuit":
         return Circuit(self.num_qubits, tuple(op.adjoint() for op in reversed(self.ops)))
@@ -753,9 +728,10 @@ class Circuit:
         the trailing ones as adjoints on the ``<0|`` factor of their
         register, except that those on ``keep`` run forward on the
         contracted vector.  Each register's ops are lowered onto its factor,
-        whose ``apply`` fuses them.  When the middle is diagonal ops that
-        fuse into one phase table ``D[c, r]`` over one of the registers
-        (``r`` its index, ``c`` the other's), no full buffer is built.  With
+        whose ``apply`` fuses them.  When :func:`_table` fuses the middle,
+        with the two registers as candidates, into one phase table
+        ``D[c, r]`` (``r`` its register's index, ``c`` the other's), no full
+        buffer is built.  With
         ``x = ket * conj(bra)`` per register, the amplitude is
         ``x_c^T D x_r``; a kept register keeps its bare ket,
         ``ket_c * (D x_r)`` or ``ket_r * (D^T x_c)``.  D is built and reduced
@@ -768,7 +744,8 @@ class Circuit:
         _require_partition(registers, keep, self.num_qubits)
         heads, front = _local_prefix(self.ops, registers)
         tails, peeled = _local_prefix(self.ops[front:][::-1], registers)
-        table = _single_table(self.ops[front : len(self.ops) - peeled], registers, self.num_qubits)
+        middle = self.ops[front : len(self.ops) - peeled]
+        table = _table(middle, registers, self.num_qubits) if len(registers) == 2 else None
         if table is None:
             order = sorted(registers, key=lambda reg: -reg.offset)
             full = self.state().amplitudes.reshape([reg.size for reg in order])

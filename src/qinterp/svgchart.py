@@ -44,13 +44,8 @@ def hue_of(amplitude: complex) -> float:
     return (angle / (2.0 * math.pi)) * 360.0 % 360.0
 
 
-def chart_from_state(
-    state: StateVector,
-    layout: RegisterLayout | None = None,
-    width: int | None = None,
-    height: int = 320,
-) -> ChartSpec:
-    """One bar per basis state, labeled by index or by key:value pair."""
+def chart_from_state(state: StateVector, layout: RegisterLayout | None = None) -> ChartSpec:
+    """One bar per basis state, labeled by index or by key:value pair, 14 px a bar and 320 px high."""
     bars = []
     for index, amplitude in enumerate(state.amplitudes.tolist()):
         if layout is None:
@@ -59,9 +54,7 @@ def chart_from_state(
             key, value = layout.split_index(index)
             label = f"{key}:{value}"
         bars.append(ChartBar(label, abs(amplitude), hue_of(amplitude)))
-    if width is None:
-        width = max(360, 14 * len(bars) + 80)
-    return ChartSpec(tuple(bars), width, height)
+    return ChartSpec(tuple(bars), max(360, 14 * len(bars) + 80), 320)
 
 
 def _fmt(value: float) -> str:
@@ -140,7 +133,5 @@ def render_svg(chart: ChartSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_state_svg(
-    state: StateVector, layout: RegisterLayout | None = None, width: int | None = None
-) -> str:
-    return render_svg(chart_from_state(state, layout, width))
+def render_state_svg(state: StateVector, layout: RegisterLayout | None = None) -> str:
+    return render_svg(chart_from_state(state, layout))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -27,6 +28,7 @@ from qinterp import (
 )
 from qinterp import sim
 from qinterp.kernels import EncodingDomain
+from qinterp.encoding import real_encoding_circuit, value_encoding_circuit
 from qinterp.patterns import prepare_nu2
 from qinterp.sim import _fuse_diagonals
 
@@ -468,7 +470,7 @@ def diagonal_runs(draw):
 
     Ladders use one of two registers; controlled phases and diagonal tables
     may touch a ladder's register, and a Hadamard layer may sit between
-    them, so some runs cannot be fused or end early.
+    them, so some runs cannot be fused and stay op by op.
     """
     n = draw(st.integers(2, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -497,6 +499,49 @@ def diagonal_runs(draw):
     return n, ops, int(rng.integers(2**32))
 
 
+DIAGONAL = (PhaseLadder, ControlledPhase, DiagonalPhase)
+DENSE = BinaryPolynomial(3, {0: 0.5, 0b001: 1.25, 0b010: 0.75, 0b101: 2.0, 0b110: 0.3, 0b111: 0.1})
+
+
+def _inner_product_circuit():
+    """The gate list :func:`~qinterp.patterns.generalized_inner_product` reads."""
+    layout = RegisterLayout(2, 3)
+    keys, values = layout.key_register, layout.value_register
+    poly = BinaryPolynomial(2, {0: 0.5, 0b01: 1.25, 0b10: 0.75, 0b11: 2.0})
+    dictionary = dictionary_circuit(layout, poly, phase_corrected=True, prepare_keys=False)
+    ops = (
+        StatePrep(keys, np.full(4, 0.5)),
+        *dictionary.ops,
+        HadamardLayer(keys),
+        StatePrep(values, np.full(8, 8**-0.5)).adjoint(),
+    )
+    return Circuit(layout.num_qubits, ops)
+
+
+def _sweep_block_circuit():
+    """The gate list of a four-point sweep block: linear dictionary F', then the inverse loader."""
+    poly = BinaryPolynomial(2, {0: 1.5, 0b01: 0.25, 0b10: 0.5})
+    encoder = dictionary_circuit(RegisterLayout(2, 4), poly, phase_corrected=True)
+    return Circuit(encoder.num_qubits, encoder.ops + prepare_nu2(4).adjoint().ops)
+
+
+PIPELINE_CIRCUITS = {
+    "encoder-unsigned": lambda: value_encoding_circuit(4, 2.7),
+    "encoder-twos": lambda: value_encoding_circuit(4, -1.3, TWOS),
+    "real-encoder-unsigned": lambda: real_encoding_circuit(4, 2.7),
+    "real-encoder-twos": lambda: real_encoding_circuit(4, -1.3, TWOS),
+    "f-prime-sparse-twos": lambda: dictionary_circuit(
+        RegisterLayout(3, 4), BinaryPolynomial(3, {0: -2.5, 0b011: 1.25, 0b100: 3.0}), TWOS, phase_corrected=True
+    ),
+    "f-prime-dense": lambda: dictionary_circuit(RegisterLayout(3, 4), DENSE, phase_corrected=True),
+    "f-prime-constant-only": lambda: dictionary_circuit(
+        RegisterLayout(3, 4), BinaryPolynomial(3, {0: 3.0}), phase_corrected=True
+    ),
+    "sweep-block": _sweep_block_circuit,
+    "inner-product": _inner_product_circuit,
+}
+
+
 class TestCircuitFusion:
     @settings(max_examples=60)
     @given(case=diagonal_runs())
@@ -506,14 +551,47 @@ class TestCircuitFusion:
         fused = Circuit(n, tuple(ops)).apply(state)
         assert np.max(np.abs(fused.amplitudes - apply_one_by_one(ops, state).amplitudes)) < 1e-12
 
-    def test_dictionary_runs_fuse_into_two_tables(self):
-        layout = RegisterLayout(3, 4)
-        poly = BinaryPolynomial(3, {0: -2.5, 0b011: 1.25, 0b100: 3.0})
-        circuit = dictionary_circuit(layout, poly, TWOS, phase_corrected=True)
+    @pytest.mark.parametrize("name", sorted(PIPELINE_CIRCUITS))
+    def test_dictionary_runs_fuse_into_two_tables(self, name):
+        # every maximal diagonal run of two or more ops in a pipeline's gate list becomes one table
+        circuit = PIPELINE_CIRCUITS[name]()
         fused = _fuse_diagonals(circuit.ops, circuit.num_qubits)
-        assert [type(op).__name__ for op in fused] == [
-            "HadamardLayer", "HadamardLayer", "_PhaseTable", "QftGate", "_PhaseTable",
-        ]  # fmt: skip
+        expected = []
+        for diagonal, run in itertools.groupby(circuit.ops, lambda op: isinstance(op, DIAGONAL)):
+            run = list(run)
+            expected += [None] if diagonal and len(run) >= 2 else run
+        assert len(fused) == len(expected)
+        for op, want in zip(fused, expected):
+            assert op is want or want is None and isinstance(op, (sim._PhaseTable, DiagonalPhase))
+        state = random_state(circuit.num_qubits, np.random.default_rng(17))
+        direct = apply_one_by_one(circuit.ops, state).amplitudes
+        assert np.max(np.abs(circuit.apply(state).amplitudes - direct)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            (
+                PhaseLadder(Register(0, 2), 0.3),
+                ControlledPhase((2,), 0.2),
+                PhaseLadder(Register(2, 2), -0.5, (0,)),
+                ControlledPhase((), 0.1),
+            ),
+            (
+                PhaseLadder(Register(0, 2), 0.3),
+                ControlledPhase((2,), 0.2),
+                DiagonalPhase(Register(1, 2), [0.4, -1.0, 2.2, 0.7]),
+                ControlledPhase((3,), 0.1),
+            ),
+        ],
+        ids=["two-ladder-registers", "table-inside-the-ladder"],
+    )
+    def test_run_no_table_holds_stays_op_by_op(self, ops):
+        # a run fuses whole or not at all: no part of it becomes a table
+        assert _fuse_diagonals(ops, 4) == list(ops)
+        state = random_state(4, np.random.default_rng(23))
+        direct = apply_one_by_one(ops, state).amplitudes
+        assert Circuit(4, ops).apply(state).amplitudes.tobytes() == direct.tobytes()
+        assert_state_is_apply(Circuit(4, (HadamardLayer(Register(0, 4)), *ops)))
 
     def test_invalid_op_raises_in_order(self):
         # the fusion pass leaves an op that does not fit the state to its own apply
