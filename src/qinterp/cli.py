@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 reference-case failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from pathlib import Path
@@ -31,6 +30,8 @@ from .patterns import (
     direct_weighted_sum,
     # not called here; kept so that the benchmark's tracer finds the name in this module
     generalized_inner_product,  # noqa: F401
+    lambda_function,
+    nu2_function,
     prepare_amplitudes,
     prepare_lambda,
     prepare_nu2,
@@ -71,6 +72,14 @@ def _finite_floats(tokens: list[str], what: str) -> np.ndarray:
     return values
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of an input file; other bytes are a :class:`ParseError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _write_output(text: str, path: str | None):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -93,8 +102,7 @@ def _cmd_encode(args) -> int:
 
 def _load_table_prep(path: str, width: int):
     tokens = []
-    text = Path(path).read_text(encoding="utf-8")
-    for raw in text.splitlines():
+    for raw in _read_text(path).splitlines():
         tokens.extend(raw.split("#", 1)[0].split())
     table = _finite_floats(tokens, f"table {path}")
     if table.size != (1 << width):
@@ -106,15 +114,9 @@ def _interp_source(source: str, width: int):
     """Returns (preparation circuit, exact function or None)."""
     check_capacity(width)
     if source == "nu2":
-        modulus = 1 << width
-        return (
-            prepare_nu2(width),
-            lambda t: math.sqrt(8.0 / (3.0 * modulus)) * math.sin(t * math.pi / modulus) ** 2,
-        )
+        return prepare_nu2(width), nu2_function(width)
     if source == "lambda":
-        modulus = 1 << width
-        norm = math.sqrt((modulus - 1) * modulus * (2 * modulus - 1) // 6)  # sum of k^2, k < M
-        return prepare_lambda(width), lambda t: t / norm
+        return prepare_lambda(width), lambda_function(width)
     return _load_table_prep(source, width)
 
 
@@ -141,7 +143,7 @@ def _cmd_interpolate(args) -> int:
 
 def _cmd_dict(args) -> int:
     domain = _parse_domain(args.domain)
-    poly = parse_polynomial(Path(args.poly_file).read_text(encoding="utf-8"), args.key_qubits)
+    poly = parse_polynomial(_read_text(args.poly_file), args.key_qubits)
     layout = RegisterLayout(args.key_qubits, args.value_qubits)
     circuit = dictionary.dictionary_circuit(layout, poly, domain, phase_corrected=args.prime)
     state = circuit.state()
@@ -175,7 +177,7 @@ def _config_vector(source: str, length: int, builtins: dict[str, np.ndarray]) ->
 
 
 def _load_sum_config(path: str):
-    entries = _parse_config(Path(path).read_text(encoding="utf-8"))
+    entries = _parse_config(_read_text(path))
     try:
         key_width = int(entries["n"])
         value_width = int(entries["m"])
@@ -204,7 +206,7 @@ def _load_sum_config(path: str):
         poly_path = Path(entries["poly_file"])
         if not poly_path.is_absolute():
             poly_path = Path(path).parent / poly_path
-        poly_text = poly_path.read_text(encoding="utf-8")
+        poly_text = _read_text(poly_path)
     else:
         raise ParseError("config needs 'poly' or 'poly_file'")
     poly = parse_polynomial(poly_text, key_width)

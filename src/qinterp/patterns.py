@@ -98,6 +98,24 @@ def lambda_amplitudes(width: int) -> np.ndarray:
     return ks / np.linalg.norm(ks)
 
 
+def nu2_function(width: int) -> Callable[[float], float]:
+    """The squared-sine function ``sqrt(8 / 3M) sin^2(t pi / M)`` that :func:`nu2_amplitudes` samples."""
+    modulus = 1 << width
+    return lambda t: math.sqrt(8.0 / (3.0 * modulus)) * math.sin(t * math.pi / modulus) ** 2
+
+
+def lambda_norm(width: int) -> float:
+    """``sqrt(sum k^2)`` over ``k < M``, from the exact integer sum."""
+    modulus = 1 << width
+    return math.sqrt((modulus - 1) * modulus * (2 * modulus - 1) // 6)
+
+
+def lambda_function(width: int) -> Callable[[float], float]:
+    """The identity function ``t / sqrt(sum k^2)`` that :func:`lambda_amplitudes` samples."""
+    norm = lambda_norm(width)
+    return lambda t: t / norm
+
+
 def prepare_nu2(width: int) -> Circuit:
     """Loader for the squared-sine (normal-approximation) state."""
     return prepare_amplitudes(nu2_amplitudes(width))
@@ -113,28 +131,26 @@ def _block_readout(
 ) -> np.ndarray:
     """Readout amplitudes of the ``2**key_width`` points ``t0 + b * step``.
 
-    A block of one point encodes ``t0`` alone.  A wider block runs the
-    phase-corrected dictionary of the linear polynomial
-    ``t0 + sum_j 2^j step b_j`` on a key register indexing the points, undoes
-    the function preparation on the value register, and reads key ``b``'s
-    all-zeros value amplitude, rescaled by ``sqrt(2**key_width)`` because the
-    keys start in equal superposition.  Either way the block is one circuit:
-    the encoder's gates, then the adjoint of the function preparation, read
-    by :meth:`~qinterp.sim.Circuit.readout` with the key register kept.
+    Either way the block is one circuit: the encoder's gates, then the
+    adjoint of the function preparation.  A block of one point encodes
+    ``t0`` alone and returns the all-zeros entry of the circuit's
+    :meth:`~qinterp.sim.Circuit.state`, copied so that the state is not
+    kept.  A wider block runs the phase-corrected dictionary of the linear
+    polynomial ``t0 + sum_j 2^j step b_j`` on a key register indexing the
+    points and reads key ``b``'s all-zeros value amplitude by
+    :meth:`~qinterp.sim.Circuit.readout` with the keys kept, rescaled by
+    ``sqrt(2**key_width)`` because the keys start in equal superposition.
     """
     width = function_prep.num_qubits
     unprepare = function_prep.adjoint().ops
     if key_width == 0:
         encoder = real_encoding_circuit(width, t0, domain)
-        registers, keep = (Register(0, width),), None
-    else:
-        layout = RegisterLayout(key_width, width)
-        terms = {0: t0, **{1 << j: (1 << j) * step for j in range(key_width)}}
-        poly = BinaryPolynomial(key_width, terms)
-        encoder = dictionary_circuit(layout, poly, domain, phase_corrected=True)
-        registers, keep = (layout.value_register, layout.key_register), layout.key_register
-    amplitudes = Circuit(encoder.num_qubits, encoder.ops + unprepare).readout(registers, keep)
-    return math.sqrt(1 << key_width) * np.atleast_1d(amplitudes)
+        return Circuit(width, encoder.ops + unprepare).state().amplitudes[:1].copy()
+    layout = RegisterLayout(key_width, width)
+    terms = {0: t0, **{1 << j: (1 << j) * step for j in range(key_width)}}
+    encoder = dictionary_circuit(layout, BinaryPolynomial(key_width, terms), domain, phase_corrected=True)
+    amplitudes = Circuit(layout.num_qubits, encoder.ops + unprepare).readout(layout, keep_keys=True)
+    return math.sqrt(1 << key_width) * amplitudes
 
 
 def quantum_interpolate_sweep(
@@ -155,11 +171,11 @@ def quantum_interpolate_sweep(
     remaining count: a block of ``2**k`` points is one phase-corrected
     dictionary circuit whose key register is the step index, with ``k``
     capped only so that key and value registers together stay within
-    ``MAX_QUBITS``.  Its readout streams the controlled ladders' phase
-    table, so no block builds its full state.  The classical value of each
-    point is the kernel-weighted sum of the function samples, read once from
-    the preparation itself, with the kernel rows built as matrices of at most
-    ``SWEEP_KERNEL_CHUNK`` entries.
+    ``MAX_QUBITS``.  A wider block's readout streams the controlled
+    ladders' phase table, so it never builds its full state.  The classical
+    value of each point is the kernel-weighted sum of the function samples,
+    read once from the preparation itself, with the kernel rows built as
+    matrices of at most ``SWEEP_KERNEL_CHUNK`` entries.
     """
     if steps < 1:
         raise DomainError("a sweep needs at least one step")
@@ -221,8 +237,9 @@ def quantum_interpolate(
     encoding ``t`` and undoing the function preparation; the classical value
     is the kernel-weighted sum of the function samples read from the
     preparation itself.  This is the one-point case of
-    :func:`quantum_interpolate_sweep`.
+    :func:`quantum_interpolate_sweep`, with ``t`` checked against the domain first.
     """
+    normalize_to_domain(t, domain, 1 << function_prep.num_qubits)
     ((_, result),) = quantum_interpolate_sweep(function_prep, t, t, 1, domain, exact_fn)
     return result
 
@@ -282,7 +299,7 @@ def generalized_inner_product(
         HadamardLayer(keys),
         StatePrep(values, b).adjoint(),
     )
-    amplitude = Circuit(layout.num_qubits, ops).readout((values, keys))
+    amplitude = Circuit(layout.num_qubits, ops).readout(layout)
     _warn_imag_residual(abs(amplitude.imag), "inner-product amplitude")
     return amplitude.real
 

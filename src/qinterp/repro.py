@@ -27,6 +27,9 @@ from .patterns import (
     direct_weighted_identity_sum,
     generalized_inner_product,
     kernel_double_sum,
+    lambda_function,
+    lambda_norm,
+    nu2_function,
     prepare_lambda,
     prepare_nu2,
     quantum_interpolate,
@@ -42,9 +45,6 @@ DEMO_POLY = BinaryPolynomial(3, {0b000: 0.725, 0b010: 2.451, 0b100: 2.716, 0b101
 # Same polynomial with coefficients scaled by 100 and rounded up to integers;
 # the constant rounds ambiguously (72.5), the reference value matches 73.
 DEMO_POLY_INT100 = BinaryPolynomial(3, {0b000: 73, 0b010: 245, 0b100: 272, 0b101: 132})
-
-# Normalization factor sqrt(sum k^2) of the m=6 identity state.
-LAMBDA_NORM_M6 = math.sqrt(sum(k * k for k in range(1, 64)))
 
 
 def _demo_weights() -> np.ndarray:
@@ -196,7 +196,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "lambda-normalization",
             "normalization factor sqrt(sum k^2) for m=6",
-            lambda: LAMBDA_NORM_M6,
+            lambda: lambda_norm(6),
             292.137,
             1e-3,
             "reported",
@@ -252,7 +252,7 @@ def build_cases() -> list[ReproCase]:
         ReproCase(
             "ref-denormalized-readout",
             "m=6, t=44.8 readout rescaled by the normalization factor",
-            lambda: interp_lambda().quantum_value * LAMBDA_NORM_M6,
+            lambda: interp_lambda().quantum_value * lambda_norm(6),
             44.79,
             None,
             "reported",
@@ -391,26 +391,8 @@ def write_artifacts(directory: str | Path) -> list[Path]:
     ):
         emit(name, svgchart.render_state_svg(circuit.state(), demo_layout))
 
-    emit(
-        "sweep_nu2.csv",
-        stateio.sweep_to_csv(
-            _interp_sweep(
-                prepare_nu2(6),
-                lambda t: math.sqrt(8.0 / (3.0 * 64)) * math.sin(t * math.pi / 64) ** 2,
-                6,
-            )
-        ),
-    )
-    emit(
-        "sweep_lambda.csv",
-        stateio.sweep_to_csv(
-            _interp_sweep(
-                prepare_lambda(6),
-                lambda t: t / LAMBDA_NORM_M6,
-                6,
-            )
-        ),
-    )
+    emit("sweep_nu2.csv", stateio.sweep_to_csv(_interp_sweep(prepare_nu2(6), nu2_function(6), 6)))
+    emit("sweep_lambda.csv", stateio.sweep_to_csv(_interp_sweep(prepare_lambda(6), lambda_function(6), 6)))
 
     header = ["t", "exact", "reconstructed", "abs_error"]
     emit(

@@ -18,12 +18,12 @@ where one table holds the whole run, and otherwise leaves it op by op.
 Hadamard layers on every qubit, it writes the product state they and the
 diagonal run after them make as that run's phase table, scaled once, so the
 full-buffer work starts at the first other operation (an encoder's Fourier
-transform).  :meth:`Circuit.readout` reads amplitudes of ``U|0...0>``.  With two
-registers, the operations that act inside one register run on that
-register's factor or on its bra; where the operations that span the
-registers fuse into one phase table over one of them, as in both readout
-pipelines, no full buffer is built: the table is contracted with the
-factors slice by slice.  Any other readout slices :meth:`Circuit.state`.
+transform).  :meth:`Circuit.readout` applies ``<0|`` on the value register,
+and on the keys unless they are kept, to ``U|0...0>`` without building it.
+The operations inside one register run on that register's factor or bra;
+those that span the registers must fuse into one phase table over the value
+register, as in both readout pipelines, and it is contracted with the
+factors slice by slice.
 
 Qubit convention: qubit 0 is the least significant bit of the basis index.
 A :class:`RegisterLayout` places the value register on the low-order qubits,
@@ -552,27 +552,24 @@ def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
 _STREAM_CHUNK = 1 << 15  # phase-table entries per slice of a streamed readout
 
 
-def _stream(table: _PhaseTable, rows: np.ndarray, cols: np.ndarray, transpose: bool) -> np.ndarray:
-    """``D cols``, or ``D^T rows`` with ``transpose``, for ``D[c, r] = exp(i (offset[c] + slope[c] r))``.
+def _stream(table: _PhaseTable, x: np.ndarray) -> np.ndarray:
+    """``D x`` for ``D[c, r] = exp(i (offset[c] + slope[c] r))``.
 
-    ``c`` indexes ``rows`` and ``r`` the table's register, which ``cols``
-    spans.  D is built by :func:`_phase_ramps` in slices of at most
+    ``r`` indexes the table's register, which ``x`` spans, and ``c`` the
+    qubits outside it.  D is built by :func:`_phase_ramps` in slices of at most
     ``_STREAM_CHUNK`` entries and reduced by ``np.vecdot``, which keeps
     the reduction off threaded matrix products; ``vecdot`` conjugates its
-    first argument, so the vectors enter conjugated.
+    first argument, so ``x`` enters conjugated.
     """
     width = min(table.register.width, _STREAM_CHUNK.bit_length() - 1)
     step = max(1, _STREAM_CHUNK >> table.register.width)
-    rows_bar, cols_bar = rows.conj(), cols.conj()
-    out = np.zeros(cols.size if transpose else rows.size, dtype=np.complex128)
-    for c in range(0, rows.size, step):
+    x_bar = x.conj()
+    out = np.zeros(table.offset.size, dtype=np.complex128)
+    for c in range(0, out.size, step):
         offset, slope = table.offset[c : c + step, None], table.slope[c : c + step, None]
-        for r in range(0, cols.size, 1 << width):
+        for r in range(0, x.size, 1 << width):
             part = _phase_ramps(offset + slope * r, slope, width)[:, :, 0]
-            if transpose:
-                out[r : r + part.shape[1]] += np.vecdot(rows_bar[c : c + step, None], part, axis=0)
-            else:
-                out[c : c + step] += np.vecdot(cols_bar[r : r + part.shape[1]], part)
+            out[c : c + step] += np.vecdot(x_bar[r : r + part.shape[1]], part)
     return out
 
 
@@ -621,20 +618,6 @@ def _lowered(op: Operation, offset: int) -> Operation:
     return replace(op, register=register)
 
 
-def _require_partition(registers: tuple[Register, ...], keep: Register | None, num_qubits: int):
-    """Raise :class:`LayoutError` unless ``registers`` tile the qubits and hold ``keep``."""
-    message = f"registers {registers} do not partition {num_qubits} qubits"
-    top = 0
-    for reg in sorted(registers, key=lambda r: r.offset):
-        if reg.offset != top:
-            raise LayoutError(message)
-        top += reg.width
-    if top != num_qubits:
-        raise LayoutError(message)
-    if keep is not None and keep not in registers:
-        raise LayoutError(f"kept register {keep} is not one of the readout registers")
-
-
 def _hadamard_front(ops, num_qubits: int) -> tuple[int, float] | None:
     """The leading Hadamard layers that cover every qubit once, and the amplitude they give ``|0...0>``.
 
@@ -666,7 +649,7 @@ class Circuit:
     """An ordered gate sequence over a fixed number of qubits.
 
     :meth:`state` gives ``U|0...0>``; :meth:`apply` acts on a given state and
-    :meth:`readout` reads amplitudes of ``U|0...0>`` without building it.
+    :meth:`readout` reads its value-0 amplitudes without building it.
     """
 
     num_qubits: int
@@ -715,56 +698,40 @@ class Circuit:
     def adjoint(self) -> "Circuit":
         return Circuit(self.num_qubits, tuple(op.adjoint() for op in reversed(self.ops)))
 
-    def readout(self, registers, keep: Register | None = None):
-        """``<0|`` on every register but ``keep``, applied to ``U|0...0>``.
+    def readout(self, layout: RegisterLayout, keep_keys: bool = False):
+        """``<0|`` on the value register, and unless ``keep_keys`` on the keys, applied to ``U|0...0>``.
 
-        ``registers`` partition the circuit's qubits.  With ``keep`` None the
-        result is the amplitude ``<0...0|U|0...0>``; otherwise it is the vector
-        over ``keep``'s basis, entry ``r`` being the amplitude of the basis
-        state with ``r`` in ``keep`` and 0 elsewhere.
-
-        With two registers, the leading ops that each act inside one
-        register run on that register's factor of the product state, and
-        the trailing ones as adjoints on the ``<0|`` factor of their
-        register, except that those on ``keep`` run forward on the
-        contracted vector.  Each register's ops are lowered onto its factor,
-        whose ``apply`` fuses them.  When :func:`_table` fuses the middle,
-        with the two registers as candidates, into one phase table
-        ``D[c, r]`` (``r`` its register's index, ``c`` the other's), no full
-        buffer is built.  With
+        Returns the amplitude ``<0...0|U|0...0>``, or with ``keep_keys`` the
+        vector whose entry ``k`` is the amplitude of key ``k`` and value 0.
+        The leading ops that each act inside one register run on that
+        register's factor of the product state, the trailing ones as
+        adjoints on its ``<0|`` factor, or forward on the contracted vector
+        for kept keys; lowered onto the factor, whose ``apply`` fuses them.
+        The ops between must fuse by :func:`_table` into one phase table
+        ``D[c, r]`` over the value register (``c`` the key), else
+        :class:`LayoutError`; an empty middle is the table of phase 0.  With
         ``x = ket * conj(bra)`` per register, the amplitude is
-        ``x_c^T D x_r``; a kept register keeps its bare ket,
-        ``ket_c * (D x_r)`` or ``ket_r * (D^T x_c)``.  D is built and reduced
-        in slices of at most ``_STREAM_CHUNK`` entries.
-
-        Any other readout, one register among them, slices :meth:`state`.
+        ``x_k^T D x_v`` and the kept keys are ``ket_k * (D x_v)``, D built
+        and reduced in slices of at most ``_STREAM_CHUNK`` entries.
         """
-        registers = tuple(registers)
+        if layout.num_qubits != self.num_qubits:
+            raise LayoutError(f"{layout.num_qubits}-qubit layout read on a {self.num_qubits}-qubit circuit")
         check_capacity(self.num_qubits)
-        _require_partition(registers, keep, self.num_qubits)
+        registers = (layout.value_register, layout.key_register)
         heads, front = _local_prefix(self.ops, registers)
         tails, peeled = _local_prefix(self.ops[front:][::-1], registers)
-        middle = self.ops[front : len(self.ops) - peeled]
-        table = _table(middle, registers, self.num_qubits) if len(registers) == 2 else None
+        table = _table(self.ops[front : len(self.ops) - peeled], (layout.value_register,), self.num_qubits)
         if table is None:
-            order = sorted(registers, key=lambda reg: -reg.offset)
-            full = self.state().amplitudes.reshape([reg.size for reg in order])
-            tensor = full[tuple(slice(None) if reg == keep else 0 for reg in order)]
-            return complex(tensor) if keep is None else tensor.copy()
+            raise LayoutError("readout middle is not one phase table over the value register")
 
-        def factor(i: int, group) -> Circuit:
+        def factor(i: int, ops) -> Circuit:
             reg = registers[i]
-            return Circuit(reg.width, tuple(_lowered(op, reg.offset) for op in group))
+            return Circuit(reg.width, tuple(_lowered(op, reg.offset) for op in ops))
 
         kets = [factor(i, heads[i]).state().amplitudes for i in range(2)]
-        x = [
-            ket if reg == keep else ket * factor(i, tails[i][::-1]).adjoint().state().amplitudes.conj()
-            for i, (reg, ket) in enumerate(zip(registers, kets))
-        ]
-        r = registers.index(table.register)
-        contracted = _stream(table, x[1 - r], x[r], transpose=keep == table.register)
-        if keep is None:
-            return complex(np.vecdot(x[1 - r].conj(), contracted))
-        i = registers.index(keep)
-        tensor = kets[i] * contracted
-        return factor(i, tails[i][::-1]).apply(StateVector(keep.width, tensor)).amplitudes
+        backs = [factor(i, tails[i][::-1]) for i in range(2)]
+        contracted = _stream(table, kets[0] * backs[0].adjoint().state().amplitudes.conj())
+        if keep_keys:
+            return backs[1].apply(StateVector(layout.key_width, kets[1] * contracted)).amplitudes
+        x_keys = kets[1] * backs[1].adjoint().state().amplitudes.conj()
+        return complex(np.vecdot(x_keys.conj(), contracted))

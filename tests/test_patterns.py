@@ -182,6 +182,11 @@ class TestQuantumInterpolate:
         result = quantum_interpolate(prepare_nu2(3), -1e-17)
         assert result == quantum_interpolate(prepare_nu2(3), 0.0)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_point_checked_against_the_domain(self, t):
+        with pytest.raises(DomainError, match=f"value {t} outside unsigned domain"):
+            quantum_interpolate(prepare_nu2(3), t)
+
     def test_nu2_reference_point(self):
         result = quantum_interpolate(prepare_nu2(6), 44.8)
         assert abs(result.quantum_value - 0.1336) < 5e-4
@@ -554,6 +559,54 @@ class TestInnerProductProperties:
             h = rng.normal(size=16)
             loop = sum(w[k] * h[int(round(poly.evaluate(k))) % 16] for k in range(64))
             assert abs(direct_weighted_sum(w, poly, h) - loop) < 1e-12
+
+
+class TestPipelineReadoutsStream:
+    """Every readout the pipelines build streams one phase table over the value register."""
+
+    @staticmethod
+    def streamed_tables(run):
+        stream, tables = sim._stream, []
+
+        def recorded(table, x):
+            tables.append(table)
+            return stream(table, x)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_stream", recorded)
+            result = run()
+        return result, tables
+
+    @pytest.mark.parametrize("domain", [EncodingDomain.UNSIGNED, TWOS], ids=["unsigned", "twos"])
+    @pytest.mark.parametrize("key_width", range(1, 9))
+    def test_sweep_blocks(self, key_width, domain):
+        prep, samples = prepare_nu2(4), nu2_amplitudes(4)
+        t0 = -7.3 if domain is TWOS else 0.7
+        step = 14.0 / (1 << key_width)  # every point of the block lies inside the domain
+        amplitudes, tables = self.streamed_tables(
+            lambda: patterns._block_readout(prep, t0, step, key_width, domain)
+        )
+        assert [table.register for table in tables] == [RegisterLayout(key_width, 4).value_register]
+        for b, amplitude in enumerate(amplitudes):
+            row = fejer_kernel_row(16, normalize_to_domain(t0 + b * step, domain, 16))
+            assert abs(amplitude - float(np.dot(samples, row))) < 1e-9
+
+    @pytest.mark.parametrize("domain", [EncodingDomain.UNSIGNED, TWOS], ids=["unsigned", "twos"])
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "constant", "integer"])
+    def test_inner_products(self, kind, domain):
+        rng = np.random.default_rng(16)
+        if kind == "constant":
+            poly = BinaryPolynomial(3, {0: 5.0})
+        else:
+            poly = in_domain_polynomial(rng, 3, 4, domain, kind)
+        key_spec, value_spec = unit(rng.normal(size=8)), unit(rng.normal(size=16))
+        quantum, tables = self.streamed_tables(
+            lambda: generalized_inner_product(key_spec, poly, value_spec, domain)
+        )
+        assert [table.register for table in tables] == [RegisterLayout(3, 4).value_register]
+        if kind == "constant":  # no controlled ladder: the middle is empty, its table of phase 0
+            assert not tables[0].offset.any() and not tables[0].slope.any()
+        assert abs(quantum - kernel_double_sum(key_spec, poly, value_spec, domain)) < 1e-9
 
 
 class TestWeightedSum:

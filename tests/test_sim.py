@@ -734,110 +734,74 @@ def _local_op(reg, rng):
     return StatePrep(sub, unit_vector(sub.size, rng))
 
 
-def _spanning_op(registers, n, rng):
-    """A random gate acting on qubits of at least two registers."""
-    i, j = rng.choice(len(registers), size=2, replace=False)
-    target, other = registers[i], registers[j]
-    kind = rng.choice(["ladder", "phase", "hadamard"])
-    if kind == "ladder":
-        controls = tuple(q for q in other.qubits() if rng.random() < 0.5) or (other.offset,)
-        return PhaseLadder(_sub_register(target, rng), rng.uniform(-4, 4), controls)
+def _spanning_op(values, keys, rng):
+    """A random gate on qubits of both registers that no phase table over ``values`` holds."""
+    kind = rng.choice(["key ladder", "phase", "hadamard"])
+    if kind == "key ladder":
+        controls = tuple(q for q in values.qubits() if rng.random() < 0.5) or (values.offset,)
+        return PhaseLadder(_sub_register(keys, rng), rng.uniform(-4, 4), controls)
     if kind == "phase":
-        return ControlledPhase((int(rng.choice(target.qubits())), other.offset), rng.uniform(-4, 4))
-    lo = min(target.offset, other.offset)
-    hi = max(target.offset + target.width, other.offset + other.width)
-    return HadamardLayer(Register(lo, hi - lo))
+        return ControlledPhase((int(rng.choice(values.qubits())), keys.offset), rng.uniform(-4, 4))
+    lo = int(rng.integers(values.width))
+    return HadamardLayer(Register(lo, int(rng.integers(values.width + 1, keys.offset + keys.width + 1)) - lo))
 
 
 @st.composite
-def readout_circuits(draw):
-    """(num_qubits, registers, ops): local ops, spanning ops, then local ops and ladder-free runs.
+def layout_readouts(draw, refused=False):
+    """(layout, ops, chunk): a readout whose middle is one phase table over the value register.
 
-    The qubits are split into two or three registers, listed in a random
-    order.  The middle may be empty, so some circuits never span registers.
-    """
-    n = draw(st.integers(2, 9))
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(2, n - 1))))
-    bounds = [0, *cuts, n]
-    registers = [Register(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
-    registers = draw(st.permutations(registers))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def local():
-        return _local_op(registers[int(rng.integers(len(registers)))], rng)
-
-    ops = [local() for _ in range(draw(st.integers(0, 4)))]
-    for _ in range(draw(st.integers(0, 3))):
-        ops.append(_spanning_op(registers, n, rng))
-        ops += [local() for _ in range(int(rng.integers(0, 2)))]
-    for _ in range(draw(st.integers(0, 4))):
-        if rng.random() < 0.5:
-            ops.append(local())
-            continue
-        reg = registers[int(rng.integers(len(registers)))]
-        for _ in range(int(rng.integers(2, 9))):  # a ladder-free diagonal run
-            if rng.random() < 0.3:
-                sub = _sub_register(reg, rng)
-                ops.append(DiagonalPhase(sub, rng.uniform(-4, 4, sub.size)))
-            else:
-                controls = tuple(q for q in reg.qubits() if rng.random() < 0.5)
-                ops.append(ControlledPhase(controls, rng.uniform(-4, 4)))
-    return n, tuple(registers), tuple(ops)
-
-
-@st.composite
-def streamed_readouts(draw):
-    """(num_qubits, registers, ops, chunk): a readout whose middle is one diagonal phase table.
-
-    Two registers, listed in a random order; the table's register is either
-    one.  Hadamard layers and random local ops come first and last.  The
-    middle starts and ends with a ladder on the table's register controlled
-    by the other register, so none of it is peeled; between, ladders with
-    any controls, controlled phases and diagonal tables on the other
-    register.  ``chunk`` is the slice bound the readout is run with.
+    Hadamard layers and random local ops come first and last.  The middle
+    starts and ends with a ladder on the value register controlled by the
+    keys, so none of it is peeled; between, ladders with any controls,
+    controlled phases and diagonal tables on the keys.  With ``refused``
+    the middle also holds one op on both registers that no such table
+    holds, or holds only that op.  ``chunk`` is the slice bound the
+    readout is run with.
     """
     n = draw(st.integers(2, 9))
     cut = draw(st.integers(1, n - 1))
-    target, other = draw(st.permutations([Register(0, cut), Register(cut, n - cut)]))
-    registers = tuple(draw(st.permutations([target, other])))
+    layout = RegisterLayout(n - cut, cut)
+    values, keys = layout.value_register, layout.key_register
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def ladder(controlled):
-        controls = tuple(q for q in other.qubits() if rng.random() < 0.5)
+        controls = tuple(q for q in keys.qubits() if rng.random() < 0.5)
         if controlled and not controls:
-            controls = (other.offset,)
-        return PhaseLadder(target, rng.uniform(-4, 4), controls)
+            controls = (keys.offset,)
+        return PhaseLadder(values, rng.uniform(-4, 4), controls)
 
     def local():
-        return _local_op(registers[int(rng.integers(2))], rng)
+        return _local_op((values, keys)[int(rng.integers(2))], rng)
 
     middle = [ladder(controlled=True)]
     for kind in draw(st.lists(st.sampled_from(["ladder", "phase", "table"]), max_size=5)):
         if kind == "ladder":
             middle.append(ladder(controlled=False))
         elif kind == "phase":
-            controls = tuple(q for q in other.qubits() if rng.random() < 0.5)
+            controls = tuple(q for q in keys.qubits() if rng.random() < 0.5)
             middle.append(ControlledPhase(controls, rng.uniform(-4, 4)))
         else:
-            sub = _sub_register(other, rng)
+            sub = _sub_register(keys, rng)
             middle.append(DiagonalPhase(sub, rng.uniform(-4, 4, sub.size)))
     if draw(st.booleans()):
         middle.append(ladder(controlled=True))
-    front = [HadamardLayer(target), HadamardLayer(other)] + [local() for _ in range(draw(st.integers(0, 3)))]
+    if refused:
+        if draw(st.booleans()):  # the op alone, a key-register table for a key ladder
+            middle = []
+        middle.insert(draw(st.integers(0, len(middle))), _spanning_op(values, keys, rng))
+    front = [HadamardLayer(values), HadamardLayer(keys)] + [local() for _ in range(draw(st.integers(0, 3)))]
     back = [local() for _ in range(draw(st.integers(0, 4)))]
     chunk = draw(st.sampled_from([2, 8, 64, sim._STREAM_CHUNK]))
-    return n, registers, tuple(front + middle + back), chunk
+    return layout, tuple(front + middle + back), chunk
 
 
 class TestReadout:
     @settings(max_examples=80)
-    @given(case=streamed_readouts())
+    @given(case=layout_readouts())
     def test_streamed_middle_matches_full_state_slices(self, case):
-        n, registers, ops, chunk = case
-        circuit = Circuit(n, ops)
-        full = circuit.apply(zero_state(n)).amplitudes
-        order = sorted(registers, key=lambda r: -r.offset)
-        tensor = full.reshape([r.size for r in order])
+        layout, ops, chunk = case
+        circuit = Circuit(layout.num_qubits, ops)
+        full = circuit.apply(zero_state(layout.num_qubits)).amplitudes.reshape(layout.num_keys, layout.num_values)
         stream, phase_ramps = sim._stream, sim._phase_ramps
         streams, slices = [], []
 
@@ -845,53 +809,45 @@ class TestReadout:
             slices.append(offset.shape[0] << width)
             return phase_ramps(offset, slope, width)
 
-        def recorded_stream(*args, **kwargs):
+        def recorded_stream(*args):
             streams.append(args)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(sim, "_phase_ramps", recorded_ramps)
-                return stream(*args, **kwargs)
+                return stream(*args)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "_STREAM_CHUNK", chunk)
             patch.setattr(sim, "_stream", recorded_stream)
-            assert abs(circuit.readout(registers) - full[0]) < 1e-12
-            for keep in registers:
-                expected = tensor[tuple(slice(None) if r == keep else 0 for r in order)]
-                assert np.max(np.abs(circuit.readout(registers, keep) - expected)) < 1e-12
-        # all three readouts streamed their table, in slices within the bound
-        assert len(streams) == 3 and max(slices) <= chunk
+            assert abs(circuit.readout(layout) - full[0, 0]) < 1e-12
+            assert np.max(np.abs(circuit.readout(layout, keep_keys=True) - full[:, 0])) < 1e-12
+        # both readouts streamed their table, in slices within the bound
+        assert len(streams) == 2 and max(slices) <= chunk
 
     @settings(max_examples=80)
-    @given(case=readout_circuits())
-    def test_matches_full_state_slices(self, case):
-        n, registers, ops = case
-        circuit = Circuit(n, ops)
-        full = circuit.apply(zero_state(n)).amplitudes
-        assert abs(circuit.readout(registers) - full[0]) < 1e-12
-        order = sorted(registers, key=lambda r: -r.offset)
-        tensor = full.reshape([r.size for r in order])
-        for keep in registers:
-            expected = tensor[tuple(slice(None) if r == keep else 0 for r in order)]
-            assert np.max(np.abs(circuit.readout(registers, keep) - expected)) < 1e-12
+    @given(case=layout_readouts(refused=True))
+    def test_middle_not_one_value_table_raises(self, case):
+        layout, ops, _ = case
+        circuit = Circuit(layout.num_qubits, ops)
+        for keep_keys in (False, True):
+            with pytest.raises(LayoutError, match="phase table over the value register"):
+                circuit.readout(layout, keep_keys)
 
-    def test_registers_must_partition_the_qubits(self):
+    def test_layout_must_match_the_circuit_width(self):
         circuit = Circuit(4, (HadamardLayer(Register(0, 4)),))
-        gap, overlap = (Register(0, 1), Register(2, 2)), (Register(0, 4), Register(2, 2))
-        for registers in [(), (Register(0, 2),), gap, overlap]:
-            with pytest.raises(LayoutError, match="partition"):
-                circuit.readout(registers)
-        with pytest.raises(LayoutError, match="kept register"):
-            circuit.readout((Register(0, 2), Register(2, 2)), keep=Register(0, 1))
+        for layout in (RegisterLayout(1, 2), RegisterLayout(2, 3)):
+            with pytest.raises(LayoutError, match="4-qubit circuit"):
+                circuit.readout(layout)
 
     def test_width_over_cap_raises_before_allocation(self):
         circuit = Circuit(30, (HadamardLayer(Register(0, 15)), HadamardLayer(Register(15, 15))))
         with pytest.raises(CapacityError):
-            circuit.readout((Register(0, 15), Register(15, 15)))
+            circuit.readout(RegisterLayout(15, 15))
 
     def test_invalid_op_raises(self):
+        # an op outside the qubits acts inside no register, so it is refused with the middle
         circuit = Circuit(3, (HadamardLayer(Register(0, 1)), ControlledPhase((0, 5), 0.2)))
-        with pytest.raises(LayoutError, match="control qubit 5 out of range"):
-            circuit.readout((Register(0, 1), Register(1, 2)))
+        with pytest.raises(LayoutError, match="phase table over the value register"):
+            circuit.readout(RegisterLayout(2, 1))
 
 
 class TestWideReadouts:
@@ -922,14 +878,14 @@ class TestWideReadouts:
         full = circuit.state().amplitudes.reshape(keys.size, values.size)
         stream, streamed = sim._stream, []
 
-        def recorded_stream(table, rows, cols, transpose):
+        def recorded_stream(table, x):
             streamed.append(table.register)
-            return stream(table, rows, cols, transpose)
+            return stream(table, x)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "_stream", recorded_stream)
-            assert abs(circuit.readout((values, keys)) - full[0, 0]) <= 1e-9
-            assert np.max(np.abs(circuit.readout((values, keys), keys) - full[:, 0])) <= 1e-9
+            assert abs(circuit.readout(layout) - full[0, 0]) <= 1e-9
+            assert np.max(np.abs(circuit.readout(layout, keep_keys=True) - full[:, 0])) <= 1e-9
         assert streamed == [values, values]
 
 

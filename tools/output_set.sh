@@ -1,0 +1,118 @@
+#!/usr/bin/env bash
+# Byte-comparison set: the outputs of a fixed list of qinterp commands.
+#
+#   tools/output_set.sh SRC_DIR OUT_DIR
+#
+# SRC_DIR is the root of a qinterp source tree (it holds src/qinterp).
+# OUT_DIR receives the inputs, written from a fixed seed, and one file per
+# command: its stdout and stderr, then a last line "exit CODE".  Commands run
+# inside OUT_DIR with relative paths, so two trees' sets compare whole:
+#
+#   git archive HEAD~1 | tar -x -C /tmp/parent
+#   tools/output_set.sh /tmp/parent /tmp/out-parent
+#   tools/output_set.sh . /tmp/out-head
+#   diff -r /tmp/out-parent /tmp/out-head
+#
+# The set covers interpolate points and sweeps (nu2, lambda and table sources,
+# both domains, m=6 and m=12), eight sum configs, encode, dict (JSON and SVG)
+# and repro with its artifacts.  It takes about half a minute on one core.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC_DIR OUT_DIR" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+export PYTHONPATH="$src/src" OMP_NUM_THREADS=1
+cd "$out"
+mkdir -p inputs
+
+python3 - <<'EOF'
+import numpy as np
+
+rng = np.random.default_rng(16)
+
+
+def write(name, text):
+    with open(f"inputs/{name}", "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+for width in (6, 12):
+    write(f"table{width}.txt", "\n".join(repr(float(v)) for v in rng.normal(size=1 << width)) + "\n")
+
+
+def poly_text(num_vars, masks, coefficients):
+    lines = []
+    for mask, c in zip(masks, coefficients):
+        bits = [f"k{j}" for j in range(num_vars) if mask >> j & 1]
+        lines.append(f"{c!r}: {'*'.join(bits) or '1'}")
+    return "; ".join(lines)
+
+
+# dense: every subset of 4 key bits, values kept inside [0, 2^8)
+dense = poly_text(4, range(16), [float(v) for v in np.r_[100.0, rng.uniform(-6, 6, 15)]])
+sparse = poly_text(6, [0, 1, 6, 33, 40], [float(v) for v in rng.uniform(-3, 3, 5)])
+write("linear.poly", "1.2: 1\n0.4: k0\n0.8: k1\n")
+write("demo.poly", "0.725: 1\n2.451: k1\n2.716: k2\n1.321: k0*k2\n")
+write("random.poly", dense.replace("; ", "\n") + "\n")
+configs = {
+    "reference": "n = 3\nm = 4\nweights = sin2\npoly = 0.725: 1; 2.451: k1; 2.716: k2; 1.321: k0*k2\n",
+    "scaled": "n = 3\nm = 10\nscale = 64\nweights = sin2\npoly_file = demo.poly\n",
+    "twos-identity": "n = 1\nm = 3\nweights = 1 1\npoly = -2: 1; 3: k0\ndomain = twos\n",
+    "dense": f"n = 4\nm = 8\nweights = {' '.join(repr(float(v)) for v in rng.uniform(0, 1, 16))}\n"
+    f"poly = {dense}\n",
+    "sparse-twos": f"n = 6\nm = 6\nweights = uniform\npoly = {sparse}\ndomain = twos\n",
+    "integer-hash": "n = 2\nm = 3\nweights = 1 2 3 4\nhash = 0 1 4 9 16 25 36 49\npoly = 1: 1; 2: k0; 3: k1\n",
+    "constant": "n = 2\nm = 4\nweights = uniform\nhash = uniform\npoly = 5: 1\n",
+    "out-of-range": "n = 2\nm = 2\npoly = 3: 1; 2: k0\n",
+}
+for name, text in configs.items():
+    write(f"{name}.cfg", text)
+EOF
+
+run() {  # run NAME ARGS...: the output and exit code of "qinterp ARGS..." into NAME.txt
+    local name=$1 code=0
+    shift
+    python3 -m qinterp.cli "$@" > "$name.txt" 2>&1 || code=$?
+    echo "exit $code" >> "$name.txt"
+}
+
+for domain in unsigned twos; do
+    for m in 6 12; do
+        modulus=$((1 << m))
+        if [ "$domain" = unsigned ]; then lo=0; hi=$modulus; else lo=$((-modulus / 2)); hi=$((modulus / 2)); fi
+        for source in nu2 lambda table; do
+            path=$source
+            [ "$source" = table ] && path=inputs/table$m.txt
+            for t in "$lo" "$((hi - 1)).7" "$((lo + modulus * 7 / 10)).3"; do
+                run "interpolate-$source-$domain-m$m-t$t" interpolate --source "$path" -m "$m" --domain "$domain" -t "$t"
+            done
+            run "interpolate-$source-$domain-m$m-sweep" interpolate --source "$path" -m "$m" --domain "$domain" \
+                --t-start "$lo" --t-stop "$((hi - 1)).4" --t-steps 256
+        done
+    done
+done
+run interpolate-nu2-m6-outside interpolate --source nu2 -m 6 -t 64
+run interpolate-nu2-m6-sweep-csv interpolate --source nu2 -m 6 --t-start 1 --t-stop 60 --t-steps 37 --csv sweep.csv
+
+for config in inputs/*.cfg; do
+    name=${config#inputs/}
+    run "sum-${name%.cfg}" sum "$config"
+done
+
+for t in 3 2.7 -3.25; do
+    run "encode-m3-t$t" encode -m 3 -t "$t" --domain twos
+    run "encode-m3-t$t-real-svg" encode -m 3 -t "$t" --domain twos --phase-correct --out svg
+done
+run encode-m10-json encode -m 10 -t 517.3
+run encode-m4-svg-file encode -m 4 -t 9.5 --out svg -o encode.svg
+
+run dict-linear-json dict inputs/linear.poly -n 2 -m 3
+run dict-linear-prime-svg dict inputs/linear.poly -n 2 -m 3 --prime --out svg
+run dict-random-prime-json dict inputs/random.poly -n 4 -m 8 --prime
+run dict-demo-twos-svg dict inputs/demo.poly -n 3 -m 4 --domain twos --out svg -o dict.svg
+
+run repro repro --artifacts artifacts
