@@ -266,16 +266,17 @@ def _cmd_repro(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``-1e-17`` as a negative number, as argparse already reads ``-5`` and ``-.5``.
+    """Reads ``-1e-17`` and ``-inf`` as negative numbers, as argparse already reads ``-5`` and ``-.5``.
 
     Without this an exponent-form negative value given as its own argument,
-    as in ``-t -1e-17``, is taken for an unknown option.  Subcommand parsers
-    are made with the same class.
+    as in ``-t -1e-17``, or ``-inf``, ``-infinity`` or ``-nan`` in any case,
+    is taken for an unknown option.  Subcommand parsers are made with the
+    same class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
 
 def build_parser() -> argparse.ArgumentParser:

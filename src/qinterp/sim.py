@@ -4,16 +4,23 @@ The gate set is deliberately small: Hadamard layers, phase ladders,
 multi-controlled diagonal phases, the (inverse) quantum Fourier transform,
 and an exact amplitude loader.  Every operation is a value-like description
 with ``apply`` and ``adjoint``; a :class:`Circuit` is a plain sequence of
-them.  States are immutable; applying an operation returns a new
-:class:`StateVector`.
+them.  A circuit run owns one amplitude buffer: :meth:`Circuit.apply` copies
+its input once, :meth:`Circuit.state` builds its own, and every operation
+then writes through that buffer in place.  A bare ``op.apply(state)`` still
+returns a new :class:`StateVector` and leaves its input as it was.
 
 Each operation is one numpy transform of the amplitude buffer.  The Fourier
-transform is one unitary FFT along the register axis.  A Hadamard layer is one
-matrix product per block of up to four qubits.  Controlled operations act on a
-view with one length-2 axis per qubit, each control axis sliced to its set
-half, so no index array is built.  :meth:`Circuit.apply` fuses each maximal
-run of adjacent diagonal operations into one multiplication by a phase table
-where one table holds the whole run, and otherwise leaves it op by op.
+transform is one unitary FFT along the register axis, written back into the
+buffer through ``out=``.  A Hadamard layer is one matrix product per block of
+up to four qubits.  Controlled operations act on a view with one length-2 axis
+per qubit, each control axis sliced to its set half, so no index array is
+built.  :meth:`Circuit.apply` fuses each maximal run of adjacent diagonal
+operations into one multiplication by a phase table where one table holds the
+whole run, and otherwise leaves it op by op.  Phase tables, ladder ramps and a
+loader's rank-1 update are built and applied in slices of about
+``_STREAM_CHUNK`` entries, so no operation allocates a temporary the size of
+the state.
+
 :meth:`Circuit.state` gives ``U|0...0>``: where the circuit starts with
 Hadamard layers on every qubit, it writes the product state they and the
 diagonal run after them make as that run's phase table, scaled once, so the
@@ -135,6 +142,20 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
+class _Buffer(StateVector):
+    """The state a circuit run owns: each op writes through its amplitudes instead of copying them."""
+
+
+def _writable(state: StateVector) -> np.ndarray:
+    """The amplitudes an op overwrites: a run's own buffer, or a copy of a bare op's input."""
+    return state.amplitudes if isinstance(state, _Buffer) else state.amplitudes.copy()
+
+
+def _written(state: StateVector, amps: np.ndarray) -> StateVector:
+    """An op's result: the run's buffer itself, or a new state around a bare op's copy."""
+    return state if isinstance(state, _Buffer) else StateVector(state.num_qubits, amps)
+
+
 def check_capacity(num_qubits: int):
     """Raise :class:`CapacityError` unless a state of this width is supported."""
     if not 1 <= num_qubits <= MAX_QUBITS:
@@ -232,14 +253,52 @@ def _hadamard_matrix(width: int) -> np.ndarray:
 _HADAMARD_MATRICES = tuple(_hadamard_matrix(b) for b in range(_HADAMARD_BLOCK + 1))
 
 
-def _chunks(view: np.ndarray):
-    """Slices of a (X, B, Q) view of about ``_HADAMARD_CHUNK`` entries each."""
-    rows, size, cols = view.shape
+def _chunks(shape: tuple[int, int, int]) -> list[tuple[slice, slice, slice]]:
+    """Index triples that cut an (X, B, Q) array into slices of about ``_HADAMARD_CHUNK`` entries.
+
+    A slice is a run of whole rows where a row fits, else part of one row
+    with its whole middle axis where one column fits, else part of one
+    column; the last never happens for a Hadamard block's ``B <= 16``.
+    """
+    rows, size, cols = shape
+    whole = slice(None)
     if size * cols <= _HADAMARD_CHUNK:
         step = _HADAMARD_CHUNK // (size * cols)
-        return [view[i : i + step] for i in range(0, rows, step)]
-    step = _HADAMARD_CHUNK // size
-    return [view[i, :, j : j + step] for i in range(rows) for j in range(0, cols, step)]
+        return [(slice(i, i + step), whole, whole) for i in range(0, rows, step)]
+    if size <= _HADAMARD_CHUNK:
+        step = _HADAMARD_CHUNK // size
+        return [(slice(i, i + 1), whole, slice(j, j + step)) for i in range(rows) for j in range(0, cols, step)]
+    return [
+        (slice(i, i + 1), slice(k, k + _HADAMARD_CHUNK), slice(j, j + 1))
+        for i in range(rows)
+        for j in range(cols)
+        for k in range(0, size, _HADAMARD_CHUNK)
+    ]
+
+
+_STREAM_CHUNK = 1 << 15  # phase-table entries per slice of an applied or streamed table
+
+
+def _ramp_slices(offset: np.ndarray, slope: np.ndarray, width: int):
+    """:func:`_phase_ramps` of ``offset`` and ``slope`` in slices along axis 1, bit for bit.
+
+    Yields ``(r, part)``: ``part`` holds the table's entries ``r`` to
+    ``r + part.shape[1] - 1`` on axis 1, at most ``_STREAM_CHUNK`` of them
+    per slice unless ``offset`` alone has more.  The first slice is the ramp
+    over the low bits; every other one is the slice of ``r`` without its top
+    bit times that bit's step, so each entry is the product of the same
+    factors in the same low-to-high order as in the doubling.  A walk depth
+    first over the high bits keeps one slice per bit alive at most.
+    """
+    low = min(width, max(0, (_STREAM_CHUNK // offset.size).bit_length() - 1))
+    steps = [np.exp(1j * (1 << b) * slope)[:, None, :] for b in range(low, width)]
+
+    def descend(r, part, first):
+        yield r, part
+        for b in range(first, width - low):
+            yield from descend(r | 1 << (low + b), part * steps[b], b + 1)
+
+    yield from descend(0, _phase_ramps(offset, slope, low), 0)
 
 
 class Operation:
@@ -264,7 +323,7 @@ class HadamardLayer(Operation):
 
     def apply(self, state: StateVector) -> StateVector:
         _require_register(state, self.register)
-        amps = state.amplitudes.copy()
+        amps = _writable(state)
         # The matrices are real, so they act on a float64 view that interleaves
         # real and imaginary parts: the low axis of qubit q's view is 2 << q long.
         floats = amps.view(np.float64)
@@ -272,9 +331,11 @@ class HadamardLayer(Operation):
         for q in range(self.register.offset, top, _HADAMARD_BLOCK):
             width = min(_HADAMARD_BLOCK, top - q)
             matrix = _HADAMARD_MATRICES[width]
-            for part in _chunks(floats.reshape(-1, 1 << width, 2 << q)):
+            view = floats.reshape(-1, 1 << width, 2 << q)
+            for chunk in _chunks(view.shape):
+                part = view[chunk]
                 part[...] = matrix @ part
-        return StateVector(state.num_qubits, amps)
+        return _written(state, amps)
 
     def adjoint(self) -> "HadamardLayer":
         return self
@@ -286,7 +347,9 @@ class PhaseLadder(Operation):
 
     Equivalent to one phase gate P(2^j * theta) per register qubit j.  With
     ``controls`` the phase fires only where every control bit is set; control
-    qubits must lie outside the target register.
+    qubits must lie outside the target register.  The ramp ``exp(i k theta)``
+    is built and applied in slices by :func:`_ramp_slices`, each fixing the
+    register's high bits on the per-qubit view.
     """
 
     register: Register
@@ -297,11 +360,14 @@ class PhaseLadder(Operation):
         _require_register(state, self.register)
         _require_controls(state, self.controls, self.register)
         reg = self.register
-        ramp = _phase_ramps(np.zeros((1, 1)), np.full((1, 1), self.theta), reg.width)
-        amps = state.amplitudes.copy()
+        amps = _writable(state)
         view = _qubit_view(amps, state.num_qubits, self.controls)
-        view *= ramp.reshape((2,) * reg.width + (1,) * reg.offset)
-        return StateVector(state.num_qubits, amps)
+        for r, part in _ramp_slices(np.zeros((1, 1)), np.full((1, 1), self.theta), reg.width):
+            low = part.shape[1].bit_length() - 1
+            high = tuple(r >> b & 1 for b in range(reg.width - 1, low - 1, -1))
+            ramp = part.reshape((2,) * low + (1,) * reg.offset)
+            view[(..., *high) + (slice(None),) * (low + reg.offset)] *= ramp
+        return _written(state, amps)
 
     def adjoint(self) -> "PhaseLadder":
         return PhaseLadder(self.register, -self.theta, self.controls)
@@ -320,10 +386,10 @@ class ControlledPhase(Operation):
 
     def apply(self, state: StateVector) -> StateVector:
         _require_controls(state, self.controls, None)
-        amps = state.amplitudes.copy()
+        amps = _writable(state)
         view = _qubit_view(amps, state.num_qubits, self.controls)
         view *= np.exp(1j * self.angle)
-        return StateVector(state.num_qubits, amps)
+        return _written(state, amps)
 
     def adjoint(self) -> "ControlledPhase":
         return ControlledPhase(self.controls, -self.angle)
@@ -344,9 +410,11 @@ class DiagonalPhase(Operation):
 
     def apply(self, state: StateVector) -> StateVector:
         _require_register(state, self.register)
-        amps = state.amplitudes.copy()
-        _register_view(amps, self.register)[:] *= np.exp(1j * self.phases)[None, :, None]
-        return StateVector(state.num_qubits, amps)
+        amps = _writable(state)
+        view = _register_view(amps, self.register)
+        for r in range(0, self.register.size, _STREAM_CHUNK):
+            view[:, r : r + _STREAM_CHUNK] *= np.exp(1j * self.phases[r : r + _STREAM_CHUNK])[None, :, None]
+        return _written(state, amps)
 
     def adjoint(self) -> "DiagonalPhase":
         return DiagonalPhase(self.register, -self.phases)
@@ -368,8 +436,10 @@ class QftGate(Operation):
     def apply(self, state: StateVector) -> StateVector:
         _require_register(state, self.register)
         transform = np.fft.fft if self.inverse else np.fft.ifft
-        out = transform(_register_view(state.amplitudes, self.register), axis=1, norm="ortho")
-        return StateVector(state.num_qubits, out.reshape(-1))
+        amps = _writable(state)
+        view = _register_view(amps, self.register)
+        transform(view, axis=1, norm="ortho", out=view)
+        return _written(state, amps)
 
     def adjoint(self) -> "QftGate":
         return QftGate(self.register, not self.inverse)
@@ -381,7 +451,9 @@ class StatePrep(Operation):
 
     Realized as a Householder reflection combined with a global phase, so the
     adjoint is available in closed form and round trips are exact to float
-    precision.
+    precision.  The reflection's rank-1 update is applied in slices of about
+    ``_HADAMARD_CHUNK`` entries, so no outer product the size of the state is
+    built.
     """
 
     register: Register
@@ -401,17 +473,19 @@ class StatePrep(Operation):
         _require_register(state, self.register)
         first = self.target[0]
         alpha = float(np.angle(first)) if abs(first) > 0 else 0.0
-        aligned = self.target * np.exp(-1j * alpha)  # real, non-negative first entry
-        v = -aligned
+        v = self.target * np.exp(-1j * alpha)  # turned to a real, non-negative first entry
+        np.negative(v, out=v)
         v[0] += 1.0
         vv = float(np.real(np.vdot(v, v)))
-        amps = state.amplitudes.copy()
+        amps = _writable(state)
         view = _register_view(amps, self.register)
         if vv > 1e-24:
             proj = np.einsum("w,awb->ab", v.conj(), view)
-            view -= (2.0 / vv) * v[None, :, None] * proj[:, None, :]
+            scaled = (2.0 / vv) * v[None, :, None]
+            for i, k, j in _chunks(view.shape):
+                view[i, k, j] -= scaled[:, k] * proj[i, j][:, None, :]
         amps *= np.exp(1j * (-alpha if self.dagger else alpha))
-        return StateVector(state.num_qubits, amps)
+        return _written(state, amps)
 
     def adjoint(self) -> "StatePrep":
         return StatePrep(self.register, self.target, not self.dagger)
@@ -454,9 +528,27 @@ class _PhaseTable(Operation):
         return _phase_ramps(self.offset.reshape(shape), self.slope.reshape(shape), reg.width).reshape(-1)
 
     def apply(self, state: StateVector) -> StateVector:
-        amps = self.factors(state.num_qubits)
-        amps *= state.amplitudes
-        return StateVector(state.num_qubits, amps)
+        """Multiply by the table slice by slice, each slice built by :func:`_ramp_slices`.
+
+        A slice takes whole rows of the (high, register, low) view where they
+        fit ``_STREAM_CHUNK`` entries, else two rows split along the register
+        index and, past that, along the low qubits.  Two rows at least, so
+        that a ramp's first doubling multiplies strided rows as
+        :meth:`factors` does: numpy's complex product rounds by memory
+        layout, and this keeps every entry bit for bit that of the table.
+        """
+        amps = _writable(state)
+        view = _register_view(amps, self.register)
+        rows, size, cols = view.shape
+        offset, slope = self.offset.reshape(rows, cols), self.slope.reshape(rows, cols)
+        step_h = min(rows, max(2, _STREAM_CHUNK // (size * cols)))
+        step_c = min(cols, max(1, _STREAM_CHUNK // step_h))
+        for h, c in itertools.product(range(0, rows, step_h), range(0, cols, step_c)):
+            block = (slice(h, h + step_h), slice(c, c + step_c))
+            for r, part in _ramp_slices(offset[block], slope[block], self.register.width):
+                target = view[block[0], r : r + part.shape[1], block[1]]
+                np.multiply(part, target, out=target)
+        return _written(state, amps)
 
     def adjoint(self) -> "_PhaseTable":
         return _PhaseTable(self.register, -self.offset, -self.slope)
@@ -547,9 +639,6 @@ def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
         table = _table(run, _ladders(run), num_qubits) if diagonal and len(run) >= 2 else None
         fused += run if table is None else [table]
     return fused
-
-
-_STREAM_CHUNK = 1 << 15  # phase-table entries per slice of a streamed readout
 
 
 def _stream(table: _PhaseTable, x: np.ndarray) -> np.ndarray:
@@ -656,14 +745,21 @@ class Circuit:
     ops: tuple[Operation, ...]
 
     def apply(self, state: StateVector) -> StateVector:
-        """Apply the ops in order, each run of diagonal ops fused into one op."""
+        """Apply the ops in order, each run of diagonal ops fused into one op.
+
+        The input is copied once into the buffer this run owns, and every op
+        writes through it; the input is left as it was.  A buffer that
+        :meth:`state` or :meth:`readout` has just built is run on as it is.
+        """
         if state.num_qubits != self.num_qubits:
             raise LayoutError(
                 f"{self.num_qubits}-qubit circuit applied to {state.num_qubits}-qubit state"
             )
+        if not isinstance(state, _Buffer):
+            state = _Buffer(state.num_qubits, state.amplitudes.copy())
         for op in _fuse_diagonals(self.ops, self.num_qubits):
             state = op.apply(state)
-        return state
+        return StateVector(self.num_qubits, state.amplitudes)
 
     def state(self) -> StateVector:
         """``U|0...0>``, started from the product state where the gate list has one.
@@ -676,12 +772,13 @@ class Circuit:
         ``h`` the layers give; otherwise, or for an empty run, the buffer is
         filled with ``h`` and every op after the layers runs as in
         :meth:`apply`.  Any other circuit is ``apply(zero_state(n))``.  The
-        result is bit for bit that of :meth:`apply`.
+        result is bit for bit that of :meth:`apply`, and the ops run on the
+        buffer built here, never copied.
         """
         check_capacity(self.num_qubits)
         front = _hadamard_front(self.ops, self.num_qubits)
         if front is None:
-            return self.apply(zero_state(self.num_qubits))
+            return self.apply(_Buffer(self.num_qubits, zero_state(self.num_qubits).amplitudes))
         count, scale = front
         rest = self.ops[count:]
         run = tuple(itertools.takewhile(_diagonal, rest))
@@ -693,7 +790,7 @@ class Circuit:
             amps = np.exp(1j * table.phases) if ladder_free else table.factors(self.num_qubits)
             amps *= scale
             rest = rest[len(run) :]
-        return Circuit(self.num_qubits, rest).apply(StateVector(self.num_qubits, amps))
+        return Circuit(self.num_qubits, rest).apply(_Buffer(self.num_qubits, amps))
 
     def adjoint(self) -> "Circuit":
         return Circuit(self.num_qubits, tuple(op.adjoint() for op in reversed(self.ops)))
@@ -732,6 +829,6 @@ class Circuit:
         backs = [factor(i, tails[i][::-1]) for i in range(2)]
         contracted = _stream(table, kets[0] * backs[0].adjoint().state().amplitudes.conj())
         if keep_keys:
-            return backs[1].apply(StateVector(layout.key_width, kets[1] * contracted)).amplitudes
+            return backs[1].apply(_Buffer(layout.key_width, kets[1] * contracted)).amplitudes
         x_keys = kets[1] * backs[1].adjoint().state().amplitudes.conj()
         return complex(np.vecdot(x_keys.conj(), contracted))

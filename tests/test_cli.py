@@ -69,6 +69,13 @@ class TestEncode:
         assert separate == joined
         assert separate[0] == 0
 
+    @pytest.mark.parametrize("value, shown", [("-inf", "-inf"), ("-Infinity", "-inf"), ("-NaN", "nan")])
+    def test_negative_non_finite_value_is_a_domain_error(self, capsys, value, shown):
+        joined = run(capsys, "encode", "-m", "3", f"-t={value}")
+        separate = run(capsys, "encode", "-m", "3", "-t", value)
+        assert separate == joined
+        assert separate == (3, "", f"error: value {shown} outside unsigned domain [0, 8)\n")
+
     def test_twos_complement_flag(self, capsys):
         code, out, _ = run(capsys, "encode", "-m", "3", "-t", "-4", "--domain", "twos")
         assert code == 0
@@ -400,8 +407,9 @@ class TestMalformedInput:
         [
             ["--t-start", "0", "--t-stop", "inf", "--t-steps", "4"],
             ["--t-start", "1e308", "--t-stop", "-1e308", "--t-steps", "4"],
+            ["--t-start", "-inf", "--t-stop", "2", "--t-steps", "4"],
         ],
-        ids=["stop", "difference"],
+        ids=["stop", "difference", "negative-start"],
     )
     def test_sweep_bounds_not_finite(self, capsys, bounds):
         code, out, err = run(capsys, "interpolate", "--source", "nu2", "-m", "3", *bounds)
@@ -410,7 +418,13 @@ class TestMalformedInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "t_start" in err and "t_stop" in err and "nan" not in err
 
-    @pytest.mark.parametrize("value, shown", [("inf", "inf"), ("1e400", "inf"), ("-1e400", "-inf")])
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            ("inf", "inf"), ("1e400", "inf"), ("-1e400", "-inf"),
+            ("-inf", "-inf"), ("-INFINITY", "-inf"), ("-nan", "nan"),
+        ],
+    )  # fmt: skip
     def test_point_not_finite(self, capsys, value, shown):
         # a single point is checked against the domain, not as a sweep of no width
         code, out, err = run(capsys, "interpolate", "--source", "nu2", "-m", "3", "-t", value)

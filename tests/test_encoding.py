@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,11 +173,15 @@ class TestProductFront:
         assert np.allclose(geometric_state(3, 0.0).amplitudes, np.full(8, 1 / math.sqrt(8)))
 
 
+# Widths 23 and 24 carry the ``wide`` mark: tier-1 leaves them out, and
+# ``python -m pytest -m wide`` runs them.
+WIDEST = [pytest.param(width, marks=pytest.mark.wide) for width in (23, 24)]
+
+
 class TestWideEncodings:
-    # one seeded target per width and encoder, up to 22 qubits; 23 and 24 would
-    # need about 1 GiB at the top
+    # one seeded target per width and encoder, up to the 24-qubit cap
     @pytest.mark.parametrize("corrected", [False, True], ids=["raw", "corrected"])
-    @pytest.mark.parametrize("width", range(13, 23))
+    @pytest.mark.parametrize("width", [*range(13, 23), *WIDEST])
     def test_matches_kernel_row(self, width, corrected):
         rng = np.random.default_rng(1000 + width)
         modulus = 1 << width
@@ -190,6 +195,23 @@ class TestWideEncodings:
             assert np.max(np.abs(state.amplitudes.real - row)) <= 1e-9
         else:
             assert np.max(np.abs(np.abs(state.amplitudes) - np.abs(row))) <= 1e-9
+
+
+class TestEncodePeak:
+    # the product-front table is the one buffer; the Fourier transform and the
+    # correction table write through it in place
+    @pytest.mark.parametrize(
+        "encode, bound", [(encode_value, 1.05), (encode_value_real, 1.25)], ids=["raw", "corrected"]
+    )
+    def test_twenty_qubit_encode_holds_one_buffer(self, encode, bound):
+        width = 20
+        tracemalloc.start()
+        try:
+            state = encode(width, 517.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / state.amplitudes.nbytes <= bound
 
 
 class TestValueEncoding:

@@ -433,24 +433,33 @@ def wide_placement(n, rng):
     return reg, tuple(int(q) for q in rng.choice(others, size=min(3, len(others)), replace=False))
 
 
+# Widths 23 and 24, where a state is 128 or 256 MiB, carry the ``wide`` mark:
+# tier-1 leaves them out, and ``python -m pytest -m wide`` runs them.
+WIDEST = [pytest.param(n, marks=pytest.mark.wide) for n in (23, 24)]
+
+
+def max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """``max |a - b|``, with ``a`` overwritten on the way so that a wide check holds no extra state."""
+    return float(np.max(np.abs(np.subtract(a, b, out=a))))
+
+
 class TestWideOperations:
-    """One seeded example per op kind at each width past the property tests' 10 qubits.
+    """One seeded example per op kind at each width past the property tests' 10 qubits, up to the 24-qubit cap."""
 
-    Widths 23 and 24 are left out for memory, as for the wide encodes: each
-    state there is 128 or 256 MiB, and a check holds several.
-    """
-
-    @pytest.mark.parametrize("n", range(13, 23))
+    @pytest.mark.parametrize("n", [*range(13, 23), *WIDEST])
     def test_norm_adjoint_and_fusion(self, n):
         rng = np.random.default_rng(3000 + n)
         amps = rng.standard_normal(2 << n).view(np.complex128)
-        state = StateVector(n, amps / np.linalg.norm(amps))
+        amps /= np.linalg.norm(amps)
+        state = StateVector(n, amps)
         for kind, build in WIDE_KINDS.items():
             op = build(*wide_placement(n, rng), rng)
             out = op.apply(state)
             assert abs(out.norm() - 1.0) <= 1e-9, kind
             back = op.adjoint().apply(out).amplitudes
-            assert np.max(np.abs(back - state.amplitudes)) <= 1e-9, kind
+            del out
+            assert max_gap(back, state.amplitudes) <= 1e-9, kind
+            del back
         # a diagonal run over one ladder register fuses into one table
         reg, controls = wide_placement(n, rng)
         ops = [
@@ -461,7 +470,107 @@ class TestWideOperations:
         ]
         assert len(_fuse_diagonals(ops, n)) == 1
         fused = Circuit(n, tuple(ops)).apply(state).amplitudes
-        assert np.max(np.abs(fused - apply_one_by_one(ops, state).amplitudes)) <= 1e-9
+        assert max_gap(fused, apply_one_by_one(ops, state).amplitudes) <= 1e-9
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of the allocations ``fn()`` makes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def fused_table(n, rng):
+    """A ``_PhaseTable``: a ladder and a controlled phase fused over a random register."""
+    reg, controls = wide_placement(n, rng)
+    ops = [PhaseLadder(reg, rng.uniform(-4, 4), controls[:1]), ControlledPhase(controls, rng.uniform(-4, 4))]
+    (table,) = _fuse_diagonals(ops, n)
+    assert isinstance(table, sim._PhaseTable)
+    return table
+
+
+BUFFER_KINDS = {**WIDE_KINDS, "_PhaseTable": lambda reg, controls, rng: fused_table(6, rng)}
+
+
+class TestOneBuffer:
+    """A circuit run writes through one buffer; bare ops and the run's input stay as they were."""
+
+    @pytest.mark.parametrize("kind", sorted(BUFFER_KINDS))
+    def test_inputs_left_unchanged(self, kind):
+        rng = np.random.default_rng(sorted(BUFFER_KINDS).index(kind))
+        n = 6
+        op = BUFFER_KINDS[kind](*wide_placement(n, rng), rng)
+        state = random_state(n, rng)
+        before = state.amplitudes.copy()
+        bare = op.apply(state)
+        assert np.array_equal(state.amplitudes, before)
+        run = Circuit(n, (op,)).apply(state)
+        assert np.array_equal(state.amplitudes, before)
+        assert run.amplitudes.tobytes() == bare.amplitudes.tobytes()
+        # the run's result is a plain state: a bare op on it copies
+        after_run = run.amplitudes.copy()
+        op.apply(run)
+        assert np.array_equal(run.amplitudes, after_run)
+        circuit = Circuit(n, (HadamardLayer(Register(0, n)), op))
+        first = circuit.state()
+        kept = first.amplitudes.copy()
+        second = circuit.state()
+        assert first.amplitudes.tobytes() == kept.tobytes() == second.amplitudes.tobytes()
+        assert not np.shares_memory(first.amplitudes, second.amplitudes)
+
+    @pytest.mark.parametrize("width", [15, 16, 17])
+    @pytest.mark.parametrize("offset, above", [(0, 0), (0, 2), (2, 1)], ids=["alone", "lowest", "above-others"])
+    def test_sliced_table_is_factors_times_amplitudes(self, width, offset, above):
+        n = offset + width + above
+        rng = np.random.default_rng(100 * width + offset)
+        outside = 1 << (n - width)
+        table = sim._PhaseTable(Register(offset, width), rng.uniform(-4, 4, outside), rng.uniform(-4, 4, outside))
+        state = random_state(n, rng)
+        expected = np.multiply(table.factors(n), state.amplitudes)
+        assert table.apply(state).amplitudes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", [4, 8, 64])
+    def test_slice_size_leaves_every_bit(self, chunk):
+        # the slicing rules at bounds small enough that every branch runs
+        rng = np.random.default_rng(chunk)
+        for n in range(1, 10):
+            ops = [fused_table(n, rng)] if n > 1 else []
+            for kind in ("PhaseLadder", "DiagonalPhase", "StatePrep"):
+                reg, controls = wide_placement(n, rng) if n > 1 else (Register(0, 1), ())
+                ops.append(OP_KINDS[kind](reg, controls, rng))
+            state = random_state(n, rng)
+            expected = [op.apply(state).amplitudes.tobytes() for op in ops]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sim, "_STREAM_CHUNK", chunk)
+                patch.setattr(sim, "_HADAMARD_CHUNK", chunk)
+                assert [op.apply(state).amplitudes.tobytes() for op in ops] == expected
+
+    def test_circuit_apply_peaks_near_two_buffers(self):
+        # input and run buffer; every op kind at up to full width, one fused table among them
+        n = 20
+        rng = np.random.default_rng(20)
+        whole = Register(0, n)
+        ops = (
+            HadamardLayer(whole),
+            PhaseLadder(whole, 0.3),
+            QftGate(whole, inverse=True),
+            PhaseLadder(Register(0, n - 2), 0.7, (n - 2, n - 1)),
+            HadamardLayer(Register(4, 8)),
+            PhaseLadder(whole, -1.1),
+            ControlledPhase((), 0.4),
+            QftGate(Register(2, 16)),
+            DiagonalPhase(whole, rng.uniform(-4, 4, 1 << n)),
+            StatePrep(Register(8, 12), unit_vector(1 << 12, rng)),
+            ControlledPhase((0, n - 1), 0.9),
+        )
+        circuit = Circuit(n, ops)
+        assert any(isinstance(op, sim._PhaseTable) for op in _fuse_diagonals(ops, n))
+        state = random_state(n, rng)
+        buffer = state.amplitudes.nbytes
+        assert (traced_peak(lambda: circuit.apply(state)) + buffer) / buffer <= 2.25
 
 
 @st.composite
@@ -854,15 +963,14 @@ class TestWideReadouts:
     """One seeded inner-product circuit per width past the property tests' 10 qubits.
 
     Its readout streams the controlled ladders' table over the value
-    register.  At 22 qubits that register has 16 qubits, so ``_stream``
-    slices its columns at the real ``_STREAM_CHUNK``.  Widths 23 and 24 are
-    left out for memory, as for the wide operations.
+    register.  At 22 qubits and up that register has 16 qubits or more, so
+    ``_stream`` slices its columns at the real ``_STREAM_CHUNK``.
     """
 
-    @pytest.mark.parametrize("n", range(13, 23))
+    @pytest.mark.parametrize("n", [*range(13, 23), *WIDEST])
     def test_streamed_matches_full_state_slices(self, n):
         rng = np.random.default_rng(5000 + n)
-        key_width = 6 if n == 22 else int(rng.integers(1, 9))
+        key_width = 6 if n >= 22 else int(rng.integers(1, 9))
         layout = RegisterLayout(key_width, n - key_width)
         keys, values = layout.key_register, layout.value_register
         domain = (EncodingDomain.UNSIGNED, TWOS)[n % 2]

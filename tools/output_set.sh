@@ -15,7 +15,9 @@
 #
 # The set covers interpolate points and sweeps (nu2, lambda and table sources,
 # both domains, m=6 and m=12), eight sum configs, encode, dict (JSON and SVG)
-# and repro with its artifacts.  It takes about half a minute on one core.
+# and repro with its artifacts.  Encodes at m=16 and m=17, where phase tables
+# are applied in slices, keep only the sha256 of their JSON in place of the
+# megabytes themselves.  It takes about half a minute on one core.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -80,6 +82,15 @@ run() {  # run NAME ARGS...: the output and exit code of "qinterp ARGS..." into 
     echo "exit $code" >> "$name.txt"
 }
 
+run_digest() {  # run_digest NAME ARGS...: as run, with the sha256 of stdout in place of stdout
+    local name=$1 code=0
+    shift
+    python3 -m qinterp.cli "$@" > "$name.stdout" 2> "$name.txt" || code=$?
+    echo "stdout sha256 $(sha256sum < "$name.stdout" | cut -d ' ' -f 1)" >> "$name.txt"
+    echo "exit $code" >> "$name.txt"
+    rm "$name.stdout"
+}
+
 for domain in unsigned twos; do
     for m in 6 12; do
         modulus=$((1 << m))
@@ -108,6 +119,11 @@ for t in 3 2.7 -3.25; do
     run "encode-m3-t$t-real-svg" encode -m 3 -t "$t" --domain twos --phase-correct --out svg
 done
 run encode-m10-json encode -m 10 -t 517.3
+for m in 16 17; do
+    run_digest "encode-m$m-raw-digest" encode -m "$m" -t 40503.37
+    run_digest "encode-m$m-real-digest" encode -m "$m" -t 40503.37 --phase-correct
+    run_digest "encode-m$m-twos-real-digest" encode -m "$m" -t -12345.678 --domain twos --phase-correct
+done
 run encode-m4-svg-file encode -m 4 -t 9.5 --out svg -o encode.svg
 
 run dict-linear-json dict inputs/linear.poly -n 2 -m 3
