@@ -143,8 +143,8 @@ def _cmd_interpolate(args) -> int:
 
 def _cmd_dict(args) -> int:
     domain = _parse_domain(args.domain)
-    poly = parse_polynomial(_read_text(args.poly_file), args.key_qubits)
     layout = RegisterLayout(args.key_qubits, args.value_qubits)
+    poly = parse_polynomial(_read_text(args.poly_file), args.key_qubits)
     circuit = dictionary.dictionary_circuit(layout, poly, domain, phase_corrected=args.prime)
     state = circuit.state()
     if args.out == "svg":
@@ -336,12 +336,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if args.command == "interpolate" and args.value is None:
-            if args.t_stop is None:
-                parser.error("interpolate needs -t or a --t-start/--t-stop/--t-steps sweep")
+        if args.command == "interpolate" and args.value is None and args.t_stop is None:
+            parser.error("interpolate needs -t or a --t-start/--t-stop/--t-steps sweep")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

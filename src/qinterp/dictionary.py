@@ -18,7 +18,7 @@ import numpy as np
 from .encoding import correction_ops, encoder_ops
 from .errors import DomainError, ParseError, ValueRangeError
 from .kernels import INTEGER_TOLERANCE, EncodingDomain, domain_bounds, normalize_to_domain
-from .sim import Circuit, HadamardLayer, RegisterLayout, subset_sums
+from .sim import Circuit, HadamardLayer, RegisterLayout, check_capacity, subset_sums
 
 _TERM_RE = re.compile(r"^k(\d+)$")
 
@@ -89,6 +89,8 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> BinaryPolynomial
     A term is ``1`` for the constant or ``*``-joined variables like
     ``k0*k2``; ``#`` starts a comment.  Repeated terms accumulate.
     """
+    if num_vars is not None and num_vars < 1:
+        raise ParseError(f"a polynomial needs at least one variable, but {num_vars} declared")
     terms: dict[int, float] = {}
     max_var = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -197,7 +199,10 @@ def dictionary_circuit(
     superposition first, for a circuit applied to the all-zeros state.
     Pass ``prepare_keys=False`` when the caller has prepared the key
     register; only the value register, which must be zero, is encoded.
+    A layout past :data:`~qinterp.sim.MAX_QUBITS` raises
+    :class:`~qinterp.errors.CapacityError` before any table is built.
     """
+    check_capacity(layout.num_qubits)
     if poly.num_vars != layout.key_width:
         raise DomainError(
             f"polynomial over {poly.num_vars} variables does not match key width {layout.key_width}"

@@ -15,11 +15,11 @@ buffer through ``out=``.  A Hadamard layer is one matrix product per block of
 up to four qubits.  Controlled operations act on a view with one length-2 axis
 per qubit, each control axis sliced to its set half, so no index array is
 built.  :meth:`Circuit.apply` fuses each maximal run of adjacent diagonal
-operations into one multiplication by a phase table where one table holds the
-whole run, and otherwise leaves it op by op.  Phase tables, ladder ramps and a
-loader's rank-1 update are built and applied in slices of about
-``_STREAM_CHUNK`` entries, so no operation allocates a temporary the size of
-the state.
+operations into one multiplication by a phase table over the run's first
+ladder's register where one such table holds the whole run, and otherwise
+leaves it op by op.  Phase tables, ladder ramps and a loader's rank-1 update
+are built and applied in slices of about ``_STREAM_CHUNK`` entries, so no
+operation allocates a temporary the size of the state.
 
 :meth:`Circuit.state` gives ``U|0...0>``: where the circuit starts with
 Hadamard layers on every qubit, it writes the product state they and the
@@ -491,22 +491,18 @@ class StatePrep(Operation):
         return StatePrep(self.register, self.target, not self.dagger)
 
 
-def _outside_bit(qubit: int, register: Register | None) -> int:
+def _outside_bit(qubit: int, register: Register) -> int:
     """Position of ``qubit`` in the index over the qubits outside ``register``."""
-    if register is None or qubit < register.offset:
-        return qubit
-    return qubit - register.width
+    return qubit if qubit < register.offset else qubit - register.width
 
 
-def _outside_mask(qubits, register: Register | None) -> int:
+def _outside_mask(qubits, register: Register) -> int:
     """Bitmask of ``qubits`` in the index over the qubits outside ``register``."""
     mask = 0
     for q in qubits:
         mask |= 1 << q
-    if register is not None:
-        below = (1 << register.offset) - 1
-        mask = mask & below | mask >> register.width & ~below
-    return mask
+    below = (1 << register.offset) - 1
+    return mask & below | mask >> register.width & ~below
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,17 +550,15 @@ class _PhaseTable(Operation):
         return _PhaseTable(self.register, -self.offset, -self.slope)
 
 
-def _fuse(run, register: Register | None, num_qubits: int) -> Operation:
-    """One op with the action of a run of diagonal ops that all :func:`_fits` ``register``.
+def _fuse(run, register: Register, num_qubits: int) -> _PhaseTable:
+    """The :class:`_PhaseTable` acting as a run of diagonal ops that all :func:`_fits` ``register``.
 
     Each ladder adds its theta to ``slope`` and each controlled phase its
     angle to ``offset``, at its control mask; one zeta transform then sums
     them over every ``c``.  Diagonal tables on outside qubits add last.
-    Without a ladder register the offsets are one :class:`DiagonalPhase` on
-    every qubit.  Callers reach it only through :func:`_table`.
+    Callers reach it only through :func:`_table`.
     """
-    width = register.width if register is not None else 0
-    offset = np.zeros(1 << (num_qubits - width))
+    offset = np.zeros(1 << (num_qubits - register.width))
     slope = np.zeros_like(offset)
     tables = []
     for op in run:
@@ -578,18 +572,17 @@ def _fuse(run, register: Register | None, num_qubits: int) -> Operation:
     for op in tables:
         bit = _outside_bit(op.register.offset, register)
         _register_view(offset, Register(bit, op.register.width))[...] += op.phases[None, :, None]
-    if register is None:
-        return DiagonalPhase(Register(0, num_qubits), offset)
     return _PhaseTable(register, offset, subset_sums(slope))
 
 
 _DIAGONAL_KINDS = (PhaseLadder, ControlledPhase, DiagonalPhase)
 
 
-def _fits(op: Operation, register: Register | None, num_qubits: int) -> bool:
+def _fits(op: Operation, register: Register, num_qubits: int) -> bool:
     """Whether ``op`` and ``register`` lie on qubits 0 to ``num_qubits - 1`` and ``op`` fuses over it.
 
-    ``register`` None stands for a run without a ladder.
+    A ladder fuses only on ``register`` itself; a controlled phase or a
+    diagonal table only on qubits outside it.
     """
     if isinstance(op, DiagonalPhase):
         qubits = op.register.qubits()
@@ -601,27 +594,24 @@ def _fits(op: Operation, register: Register | None, num_qubits: int) -> bool:
         return False
     if qubits and not (0 <= min(qubits) and max(qubits) < num_qubits):
         return False
-    if register is None:
-        return True
     lo, hi = register.offset, register.offset + register.width
     return hi <= num_qubits and all(q < lo or hi <= q for q in qubits)
 
 
-def _table(run, candidates, num_qubits: int) -> Operation | None:
-    """``run`` fused over the first of ``candidates`` that every op :func:`_fits`; None if none does.
+def _table(run, register: Register | None, num_qubits: int) -> _PhaseTable | None:
+    """``run`` fused over ``register``; None for no register or if an op does not :func:`_fits` it.
 
-    This is the one fusion rule: a diagonal run becomes one table whole, or
-    stays op by op.  No op at all is the table of phase 0.
+    This is the one fusion rule: a diagonal run becomes one table over one
+    register whole, or stays op by op.  No op at all is the table of phase 0.
     """
-    for register in candidates:
-        if all(_fits(op, register, num_qubits) for op in run):
-            return _fuse(run, register, num_qubits)
-    return None
+    if register is None or not all(_fits(op, register, num_qubits) for op in run):
+        return None
+    return _fuse(run, register, num_qubits)
 
 
-def _ladders(run) -> tuple[Register | None, ...]:
-    """The candidates of a diagonal run: its ladders' registers, or None alone if it has no ladder."""
-    return tuple(dict.fromkeys(op.register for op in run if isinstance(op, PhaseLadder))) or (None,)
+def _ladder_register(run) -> Register | None:
+    """The register a diagonal run fuses over: its first ladder's, or None if it has no ladder."""
+    return next((op.register for op in run if isinstance(op, PhaseLadder)), None)
 
 
 def _diagonal(op: Operation) -> bool:
@@ -636,7 +626,7 @@ def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
     fused = []
     for diagonal, group in itertools.groupby(ops, _diagonal):
         run = list(group)
-        table = _table(run, _ladders(run), num_qubits) if diagonal and len(run) >= 2 else None
+        table = _table(run, _ladder_register(run), num_qubits) if diagonal and len(run) >= 2 else None
         fused += run if table is None else [table]
     return fused
 
@@ -645,20 +635,19 @@ def _stream(table: _PhaseTable, x: np.ndarray) -> np.ndarray:
     """``D x`` for ``D[c, r] = exp(i (offset[c] + slope[c] r))``.
 
     ``r`` indexes the table's register, which ``x`` spans, and ``c`` the
-    qubits outside it.  D is built by :func:`_phase_ramps` in slices of at most
-    ``_STREAM_CHUNK`` entries and reduced by ``np.vecdot``, which keeps
-    the reduction off threaded matrix products; ``vecdot`` conjugates its
-    first argument, so ``x`` enters conjugated.
+    qubits outside it.  D is built by :func:`_ramp_slices`, as
+    :meth:`_PhaseTable.apply` builds it, in slices of at most
+    ``_STREAM_CHUNK`` entries, and reduced by ``np.vecdot``, which keeps the
+    reduction off threaded matrix products; ``vecdot`` conjugates its first
+    argument, so ``x`` enters conjugated.
     """
-    width = min(table.register.width, _STREAM_CHUNK.bit_length() - 1)
     step = max(1, _STREAM_CHUNK >> table.register.width)
     x_bar = x.conj()
     out = np.zeros(table.offset.size, dtype=np.complex128)
     for c in range(0, out.size, step):
-        offset, slope = table.offset[c : c + step, None], table.slope[c : c + step, None]
-        for r in range(0, x.size, 1 << width):
-            part = _phase_ramps(offset + slope * r, slope, width)[:, :, 0]
-            out[c : c + step] += np.vecdot(x_bar[r : r + part.shape[1]], part)
+        rows = slice(c, c + step)
+        for r, part in _ramp_slices(table.offset[rows, None], table.slope[rows, None], table.register.width):
+            out[rows] += np.vecdot(x_bar[r : r + part.shape[1]], part[:, :, 0])
     return out
 
 
@@ -767,13 +756,14 @@ class Circuit:
         When the ops start with Hadamard layers on disjoint registers that
         cover every qubit, they and the maximal diagonal run after them make
         the product state ``h exp(i phase(x))``.  Where :func:`_table` holds
-        that run, by the rule :meth:`apply` fuses by and for a run of one op
-        too, it is the run's fused table scaled in place by the amplitude
-        ``h`` the layers give; otherwise, or for an empty run, the buffer is
-        filled with ``h`` and every op after the layers runs as in
-        :meth:`apply`.  Any other circuit is ``apply(zero_state(n))``.  The
-        result is bit for bit that of :meth:`apply`, and the ops run on the
-        buffer built here, never copied.
+        that run over its first ladder's register, by the rule :meth:`apply`
+        fuses by and for a run of one ladder too, it is the run's fused table
+        scaled in place by the amplitude ``h`` the layers give; otherwise, for
+        a run without a ladder or an empty one, the buffer is filled with
+        ``h`` and every op after the layers runs as in :meth:`apply`.  Any
+        other circuit is ``apply(zero_state(n))``.  The result is bit for bit
+        that of :meth:`apply`, and the ops run on the buffer built here,
+        never copied.
         """
         check_capacity(self.num_qubits)
         front = _hadamard_front(self.ops, self.num_qubits)
@@ -782,12 +772,11 @@ class Circuit:
         count, scale = front
         rest = self.ops[count:]
         run = tuple(itertools.takewhile(_diagonal, rest))
-        table = _table(run, _ladders(run), self.num_qubits) if run else None
+        table = _table(run, _ladder_register(run), self.num_qubits)
         if table is None:
             amps = np.full(1 << self.num_qubits, scale, dtype=np.complex128)
         else:
-            ladder_free = isinstance(table, DiagonalPhase)
-            amps = np.exp(1j * table.phases) if ladder_free else table.factors(self.num_qubits)
+            amps = table.factors(self.num_qubits)
             amps *= scale
             rest = rest[len(run) :]
         return Circuit(self.num_qubits, rest).apply(_Buffer(self.num_qubits, amps))
@@ -817,7 +806,7 @@ class Circuit:
         registers = (layout.value_register, layout.key_register)
         heads, front = _local_prefix(self.ops, registers)
         tails, peeled = _local_prefix(self.ops[front:][::-1], registers)
-        table = _table(self.ops[front : len(self.ops) - peeled], (layout.value_register,), self.num_qubits)
+        table = _table(self.ops[front : len(self.ops) - peeled], layout.value_register, self.num_qubits)
         if table is None:
             raise LayoutError("readout middle is not one phase table over the value register")
 

@@ -272,6 +272,21 @@ class TestDict:
         code, _, _ = run(capsys, "dict", str(poly), "-n", "2", "-m", "3")
         assert code == 2
 
+    def test_width_over_cap_is_one_error_line(self, tmp_path, capsys):
+        poly = tmp_path / "linear.poly"
+        poly.write_text("1.2: 1\n0.4: k0\n")
+        code, out, err = run(capsys, "dict", str(poly), "-n", "40", "-m", "3")
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["error: qubit count 43 outside supported range 1..24"]
+
+    @pytest.mark.parametrize("widths", [("0", "3"), ("2", "0")], ids=["no-keys", "no-values"])
+    def test_empty_register_is_a_layout_error(self, tmp_path, capsys, widths):
+        poly = tmp_path / "const.poly"
+        poly.write_text("1: 1\n")
+        code, _, err = run(capsys, "dict", str(poly), "-n", widths[0], "-m", widths[1])
+        assert code == 3
+        assert err == "error: key and value registers need at least one qubit each\n"
+
 
 class TestSum:
     def test_reference_config(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from polynomials import KINDS, in_domain_polynomial, random_polynomial
 
 from qinterp import (
     BinaryPolynomial,
+    CapacityError,
     DomainError,
     EncodingDomain,
     ParseError,
@@ -140,6 +143,11 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_polynomial("1.0: k5\n", num_vars=2)
 
+    @pytest.mark.parametrize("num_vars", [0, -1])
+    def test_no_variables_declared(self, num_vars):
+        with pytest.raises(ParseError, match=f"at least one variable, but {num_vars} declared"):
+            parse_polynomial("1: 1", num_vars)
+
 
 class TestOperatorF:
     def test_constant_integer_function(self):
@@ -252,6 +260,18 @@ class TestRangeChecking:
         layout = RegisterLayout(2, 3)
         with pytest.raises(ValueRangeError):
             dictionary_circuit(layout, poly, TWOS)
+
+    def test_width_over_cap_raises_before_the_values_table(self):
+        # 27 qubits: the 2^24-entry table of key values is never built
+        poly = BinaryPolynomial(24, {0: 1.0, 0b01: 2.0})
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="qubit count 27"):
+                dictionary_circuit(RegisterLayout(24, 3), poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_key_width_mismatch(self):
         layout = RegisterLayout(3, 3)

@@ -671,7 +671,7 @@ class TestCircuitFusion:
             expected += [None] if diagonal and len(run) >= 2 else run
         assert len(fused) == len(expected)
         for op, want in zip(fused, expected):
-            assert op is want or want is None and isinstance(op, (sim._PhaseTable, DiagonalPhase))
+            assert op is want or want is None and isinstance(op, sim._PhaseTable)
         state = random_state(circuit.num_qubits, np.random.default_rng(17))
         direct = apply_one_by_one(circuit.ops, state).amplitudes
         assert np.max(np.abs(circuit.apply(state).amplitudes - direct)) < 1e-12
@@ -708,8 +708,8 @@ class TestCircuitFusion:
         with pytest.raises(LayoutError, match="control qubit 5 out of range"):
             circuit.apply(zero_state(3))
 
-    def test_ladder_free_run_fuses_into_one_table(self):
-        # 4096 controlled phases and diagonal tables with no ladder: one op, built in one pass
+    def test_ladder_free_run_stays_op_by_op(self):
+        # 4096 controlled phases and diagonal tables with no ladder: no register to fuse over
         rng = np.random.default_rng(41)
         n = 6
         ops = []
@@ -720,12 +720,11 @@ class TestCircuitFusion:
             else:
                 controls = tuple(int(q) for q in np.flatnonzero(rng.random(n) < 0.4))
                 ops.append(ControlledPhase(controls, rng.uniform(-4, 4)))
-        fused = _fuse_diagonals(ops, n)
-        assert len(fused) == 1
+        assert _fuse_diagonals(ops, n) == list(ops)
         state = random_state(n, rng)
-        expected = apply_one_by_one(ops, state).amplitudes
-        assert np.max(np.abs(fused[0].apply(state).amplitudes - expected)) < 1e-12
-        assert np.max(np.abs(Circuit(n, tuple(ops)).apply(state).amplitudes - expected)) < 1e-12
+        direct = apply_one_by_one(ops, state).amplitudes
+        assert Circuit(n, tuple(ops)).apply(state).amplitudes.tobytes() == direct.tobytes()
+        assert_state_is_apply(Circuit(n, (HadamardLayer(Register(0, n)), *ops)))
 
 
 @st.composite

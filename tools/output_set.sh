@@ -14,7 +14,7 @@
 #   diff -r /tmp/out-parent /tmp/out-head
 #
 # The set covers interpolate points and sweeps (nu2, lambda and table sources,
-# both domains, m=6 and m=12), eight sum configs, encode, dict (JSON and SVG)
+# both domains, m=6 and m=12), nine sum configs (one at m=16), encode, dict (JSON and SVG)
 # and repro with its artifacts.  Encodes at m=16 and m=17, where phase tables
 # are applied in slices, keep only the sha256 of their JSON in place of the
 # megabytes themselves.  It takes about half a minute on one core.
@@ -71,6 +71,9 @@ configs = {
     "constant": "n = 2\nm = 4\nweights = uniform\nhash = uniform\npoly = 5: 1\n",
     "out-of-range": "n = 2\nm = 2\npoly = 3: 1; 2: k0\n",
 }
+# a 16-qubit value register: the readout's phase table is streamed in slices of its register
+wide = poly_text(2, range(4), [float(v) for v in np.r_[30000.0, rng.uniform(-9000, 9000, 3)]])
+configs["dense-m16"] = f"n = 2\nm = 16\nweights = {' '.join(repr(float(v)) for v in rng.uniform(0, 1, 4))}\npoly = {wide}\n"
 for name, text in configs.items():
     write(f"{name}.cfg", text)
 EOF
