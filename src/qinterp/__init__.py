@@ -48,6 +48,7 @@ from .dictionary import (
 )
 from .patterns import (
     InterpolationResult,
+    Sweep,
     direct_weighted_identity_sum,
     direct_weighted_sum,
     generalized_inner_product,

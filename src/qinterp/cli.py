@@ -22,7 +22,7 @@ from . import dictionary
 from . import repro as repro_mod
 from .dictionary import parse_polynomial
 from .encoding import encode_value, encode_value_real
-from .errors import ParseError, QInterpError
+from .errors import LayoutError, ParseError, QInterpError
 from .kernels import EncodingDomain
 from .patterns import (
     _inverse_norm,
@@ -87,7 +87,19 @@ def _write_output(text: str, path: str | None):
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _check_widths(**widths: int):
+    """Refuse a register of fewer than one qubit, by name, before any register is built.
+
+    Every command calls this first, so a width of 0 (or below) gets the
+    same message whichever command is given it.
+    """
+    for name, width in widths.items():
+        if width < 1:
+            raise LayoutError(f"{name} register width {width}: a register needs at least one qubit")
+
+
 def _cmd_encode(args) -> int:
+    _check_widths(value=args.value_qubits)
     domain = _parse_domain(args.domain)
     if args.phase_correct:
         state = encode_value_real(args.value_qubits, args.value, domain)
@@ -112,6 +124,7 @@ def _load_table_prep(path: str, width: int):
 
 def _interp_source(source: str, width: int):
     """Returns (preparation circuit, exact function or None)."""
+    _check_widths(value=width)
     check_capacity(width)
     if source == "nu2":
         return prepare_nu2(width), nu2_function(width)
@@ -136,12 +149,12 @@ def _cmd_interpolate(args) -> int:
     sweep = quantum_interpolate_sweep(
         prep, args.t_start, args.t_stop, args.t_steps, domain, exact_fn
     )
-    rows = [(t, r.quantum_value, r.classical_value, r.exact_value) for t, r in sweep]
-    _write_output(sweep_to_csv(rows), args.csv)
+    _write_output(sweep_to_csv(sweep), args.csv)
     return EXIT_OK
 
 
 def _cmd_dict(args) -> int:
+    _check_widths(key=args.key_qubits, value=args.value_qubits)
     domain = _parse_domain(args.domain)
     layout = RegisterLayout(args.key_qubits, args.value_qubits)
     poly = parse_polynomial(_read_text(args.poly_file), args.key_qubits)
@@ -185,6 +198,7 @@ def _load_sum_config(path: str):
         raise ParseError(f"config is missing required key {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"bad register width: {exc}") from exc
+    _check_widths(key=key_width, value=value_width)
     for width in (key_width, value_width, key_width + value_width):
         check_capacity(width)
     try:

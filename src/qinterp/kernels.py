@@ -54,24 +54,47 @@ def normalize_to_domain(t: float, domain: EncodingDomain, modulus: int) -> float
     return float(t) if t >= 0 else float(t + modulus)
 
 
+def _quotient_rows(modulus: int, t: np.ndarray, nearest: np.ndarray, fraction: np.ndarray) -> np.ndarray:
+    """Kernel rows of the non-integer targets ``t = n + f`` (``nearest`` and ``fraction``).
+
+    The numerator ``(-1)^(n - k) sin(pi f)`` takes one ``sin`` per target:
+    ``(-1)^n`` is applied per target, ``(-1)^k`` to the odd columns.
+    """
+    numerator = np.sin(np.pi * fraction) / modulus
+    numerator[nearest % 2 == 1] *= -1.0
+    # equal to np.pi * d / M bit for bit, scaling by the power of two M being exact
+    quotient = (t[:, None] - np.arange(modulus)) * (np.pi / modulus)
+    np.sin(quotient, out=quotient)
+    np.divide(numerator[:, None], quotient, out=quotient)
+    quotient[:, 1::2] *= -1.0
+    return quotient
+
+
 def fejer_kernel_row(modulus: int, target) -> np.ndarray:
     """All M kernel coefficients for one target value, or one row per target.
 
+    Entry ``k`` of the row for ``t`` is ``sin(pi (t - k)) / (M sin(pi (t - k) / M))``.
     A scalar target gives a length-M row; an array of P targets gives a
-    (P, M) matrix whose rows equal the scalar calls.  Targets within
-    ``INTEGER_TOLERANCE`` of an integer give Kronecker rows without
-    evaluating the quotient, which is 0/0 there.
+    (P, M) matrix whose rows equal the scalar calls bit for bit.  Targets
+    within ``INTEGER_TOLERANCE`` of an integer give Kronecker rows without
+    evaluating the quotient, which is 0/0 there.  The numerator is taken
+    with its argument reduced: with ``n`` the integer nearest ``t`` and
+    ``f = t - n``, which is exact, ``sin(pi (t - k)) = (-1)^(n - k) sin(pi f)``.
+    So a row costs one ``sin`` for its numerator and one per entry for the
+    denominator, and the numerator's error does not grow with ``|t - k|``.
     """
     t = np.asarray(target, dtype=np.float64)
     flat = t.reshape(-1) % modulus
     nearest = np.round(flat)
-    integer = np.abs(flat - nearest) < INTEGER_TOLERANCE
+    fraction = flat - nearest
+    integer = np.abs(fraction) < INTEGER_TOLERANCE
+    off = np.flatnonzero(~integer)
+    quotients = _quotient_rows(modulus, flat[off], nearest[off], fraction[off]) if off.size else 0.0
+    # allocated after the quotients, whose temporaries are freed by then, to keep the peak low
     rows = np.zeros((flat.size, modulus))
+    rows[off] = quotients
     hits = np.flatnonzero(integer)
     rows[hits, nearest[hits].astype(np.int64) % modulus] = 1.0
-    if not integer.all():
-        d = flat[~integer, None] - np.arange(modulus)
-        rows[~integer] = np.sin(np.pi * d) / (modulus * np.sin(np.pi * d / modulus))
     return rows.reshape(t.shape + (modulus,))
 
 

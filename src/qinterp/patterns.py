@@ -27,7 +27,13 @@ import numpy as np
 from .dictionary import BinaryPolynomial, dictionary_circuit
 from .encoding import real_encoding_circuit
 from .errors import CapacityError, DomainError, NormalizationError, ValueRangeError
-from .kernels import INTEGER_TOLERANCE, EncodingDomain, fejer_kernel_row, normalize_to_domain
+from .kernels import (
+    INTEGER_TOLERANCE,
+    EncodingDomain,
+    domain_bounds,
+    fejer_kernel_row,
+    normalize_to_domain,
+)
 from .sim import MAX_QUBITS, Circuit, HadamardLayer, Register, RegisterLayout, StatePrep
 
 IMAG_WARNING_THRESHOLD = 1e-8
@@ -36,10 +42,10 @@ IMAG_WARNING_THRESHOLD = 1e-8
 # of float64), whatever the block sizes, so a long sweep's peak memory stays low.
 SWEEP_KERNEL_CHUNK = 1 << 14
 
-# Most points one sweep reads.  Each point holds Python objects (its t, its
-# result and, in the CLI, its CSV row): about 570 bytes at peak in a CLI sweep,
-# so the cap keeps a sweep near 150 MB.  Larger counts are refused before any
-# point is built.
+# Most points one sweep reads.  A point is a few float64 entries of the sweep's
+# columns, and in the CLI its CSV fields as Python floats and text: about 300
+# bytes at peak in a CLI sweep, so the cap keeps a sweep near 80 MB.  Larger
+# counts are refused before any point is built.
 MAX_SWEEP_STEPS = 1 << 18
 
 
@@ -62,11 +68,27 @@ class InterpolationResult:
         return abs(self.quantum_value - self.classical_value)
 
 
-def _warn_imag_residual(residual: float, label: str):
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """The readouts of a sweep, one array entry per point.
+
+    ``t`` holds the points, and ``quantum``, ``classical`` and
+    ``imag_residual`` what :class:`InterpolationResult` holds for each;
+    ``exact`` is None when the sweep had no exact function.
+    """
+
+    t: np.ndarray
+    quantum: np.ndarray
+    classical: np.ndarray
+    exact: np.ndarray | None
+    imag_residual: np.ndarray
+
+
+def _warn_imag_residual(residual: float, label: str, stacklevel: int = 3):
     if residual > IMAG_WARNING_THRESHOLD:
         warnings.warn(
             f"{label} has imaginary part {residual:.3e}; phase correction may be broken",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -160,69 +182,82 @@ def quantum_interpolate_sweep(
     steps: int,
     domain: EncodingDomain = EncodingDomain.UNSIGNED,
     exact_fn: Callable[[float], float] | None = None,
-) -> list[tuple[float, InterpolationResult]]:
+) -> Sweep:
     """Interpolate the encoded function at ``t_i = t_start + i (t_stop - t_start) / steps``.
 
-    Returns ``(t_i, result)`` for ``i`` in ``0..steps-1``; ``steps`` must be
-    at least 1 and at most ``MAX_SWEEP_STEPS``, and ``t_start``, ``t_stop``
-    and their difference finite (else :class:`DomainError`).  Every point is
-    checked against the domain before any circuit is built.  The points are
-    read in power-of-two blocks, taken by the binary decomposition of the
-    remaining count: a block of ``2**k`` points is one phase-corrected
-    dictionary circuit whose key register is the step index, with ``k``
-    capped only so that key and value registers together stay within
-    ``MAX_QUBITS``.  A wider block's readout streams the controlled
-    ladders' phase table, so it never builds its full state.  The classical
-    value of each point is the kernel-weighted sum of the function samples,
-    read once from the preparation itself, with the kernel rows built as
-    matrices of at most ``SWEEP_KERNEL_CHUNK`` entries.
+    Returns the :class:`Sweep` of the points ``i`` in ``0..steps-1``;
+    ``steps`` must be at least 1 and at most ``MAX_SWEEP_STEPS``, and
+    ``t_start``, ``t_stop`` and their difference finite (else
+    :class:`DomainError`).  The points are checked against the domain as one
+    array before any circuit is built; the first point outside it raises the
+    error :func:`normalize_to_domain` gives for it.  The points are read in
+    power-of-two blocks, taken by the binary decomposition of the remaining
+    count: a block of ``2**k`` points is one phase-corrected dictionary
+    circuit whose key register is the step index, with ``k`` capped only so
+    that key and value registers together stay within ``MAX_QUBITS``.  A
+    wider block's readout streams the controlled ladders' phase table, so it
+    never builds its full state.  The classical column is the kernel-weighted
+    sum of the function samples, read once from the preparation itself, with
+    the kernel rows built as matrices of at most ``SWEEP_KERNEL_CHUNK``
+    entries.  ``exact_fn`` is called once per point, with the point as a float.
     """
     if steps < 1:
         raise DomainError("a sweep needs at least one step")
     if steps > MAX_SWEEP_STEPS:
         raise CapacityError(f"a sweep of {steps} steps exceeds the cap of {MAX_SWEEP_STEPS}")
-    if not math.isfinite(t_stop - t_start):  # also inf or nan when a bound is
+    span = t_stop - t_start
+    if not math.isfinite(span):  # also inf or nan when a bound is
         raise DomainError(f"sweep t_start = {t_start} to t_stop = {t_stop} has no finite width")
+    ts = t_start + np.arange(steps) * span / steps
+    return _read_points(function_prep, ts, span / steps, domain, exact_fn)
+
+
+def _read_points(
+    function_prep: Circuit,
+    ts: np.ndarray,
+    step: float,
+    domain: EncodingDomain,
+    exact_fn: Callable[[float], float] | None,
+) -> Sweep:
+    """The :class:`Sweep` of the points ``ts``, which lie ``step`` apart."""
     width = function_prep.num_qubits
     modulus = 1 << width
-    ts = [t_start + i * (t_stop - t_start) / steps for i in range(steps)]
-    targets = [normalize_to_domain(t, domain, modulus) for t in ts]
+    points = ts.tolist()
+    lo, hi = domain_bounds(domain, modulus)
+    for i in np.flatnonzero(~((lo <= ts) & (ts < hi))):
+        # raises for a point outside the domain; one within round-off below 0 passes
+        normalize_to_domain(points[i], domain, modulus)
 
     samples = function_prep.state().amplitudes
     if np.max(np.abs(samples.imag)) > IMAG_WARNING_THRESHOLD:
-        warnings.warn("function preparation yields non-real amplitudes", stacklevel=2)
+        warnings.warn("function preparation yields non-real amplitudes", stacklevel=3)
 
-    step = (t_stop - t_start) / steps
     blocks = []
     start = 0
-    while start < steps:
-        key_width = max(0, min((steps - start).bit_length() - 1, MAX_QUBITS - width))
+    while start < len(points):
+        key_width = max(0, min((len(points) - start).bit_length() - 1, MAX_QUBITS - width))
         try:
-            block = _block_readout(function_prep, ts[start], step, key_width, domain)
+            block = _block_readout(function_prep, points[start], step, key_width, domain)
         except ValueRangeError:
             # Round-off in the block polynomial moved a point that lies within
             # a few ulps of the domain edge across it: read this point alone.
             key_width = 0
-            block = _block_readout(function_prep, ts[start], step, key_width, domain)
+            block = _block_readout(function_prep, points[start], step, key_width, domain)
         blocks.append(block)
         start += 1 << key_width
     readout = np.concatenate(blocks)
     rows = max(1, SWEEP_KERNEL_CHUNK >> width)
     # vecdot reduces each row as np.dot does; a matrix product may not
-    classical = [
-        np.vecdot(fejer_kernel_row(modulus, targets[i : i + rows]), samples.real)
-        for i in range(0, steps, rows)
-    ]
-
-    results = []
-    for t, value, amplitude in zip(ts, np.concatenate(classical).tolist(), readout):
-        exact = float(exact_fn(t)) if exact_fn is not None else None
-        results.append(
-            (t, InterpolationResult(float(amplitude.real), value, exact, abs(amplitude.imag)))
-        )
-    worst = max(result.imag_residual for _, result in results)
-    _warn_imag_residual(worst, "interpolation amplitude")
-    return results
+    classical = np.concatenate(
+        [
+            np.vecdot(fejer_kernel_row(modulus, ts[i : i + rows]), samples.real)
+            for i in range(0, len(points), rows)
+        ]
+    )
+    exact = None if exact_fn is None else np.array([float(exact_fn(t)) for t in points])
+    sweep = Sweep(ts, readout.real.copy(), classical, exact, np.abs(readout.imag))
+    _warn_imag_residual(float(sweep.imag_residual.max()), "interpolation amplitude", stacklevel=4)
+    return sweep
 
 
 def quantum_interpolate(
@@ -236,12 +271,18 @@ def quantum_interpolate(
     The quantum value is the real part of the all-zeros amplitude after
     encoding ``t`` and undoing the function preparation; the classical value
     is the kernel-weighted sum of the function samples read from the
-    preparation itself.  This is the one-point case of
-    :func:`quantum_interpolate_sweep`, with ``t`` checked against the domain first.
+    preparation itself.  This is a sweep of the one point ``t``, read into
+    an :class:`InterpolationResult`; ``t`` is checked against the domain as
+    a sweep's points are.
     """
-    normalize_to_domain(t, domain, 1 << function_prep.num_qubits)
-    ((_, result),) = quantum_interpolate_sweep(function_prep, t, t, 1, domain, exact_fn)
-    return result
+    # t + 0.0, as a one-step sweep's point formula gives it: -0.0 reads as 0.0
+    sweep = _read_points(function_prep, np.array([t + 0.0]), 0.0, domain, exact_fn)
+    return InterpolationResult(
+        float(sweep.quantum[0]),
+        float(sweep.classical[0]),
+        None if sweep.exact is None else float(sweep.exact[0]),
+        float(sweep.imag_residual[0]),
+    )
 
 
 def _norm(vector: np.ndarray) -> float:

@@ -341,20 +341,20 @@ def format_report(results: list[ReproResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _interp_sweep(prep, exact_fn, width: int) -> list[tuple[float, float, float, float | None]]:
+def _interp_sweep(prep, exact_fn, width: int) -> patterns.Sweep:
     """Readout at every quarter step of the unsigned domain."""
     modulus = 1 << width
-    sweep = quantum_interpolate_sweep(prep, 0.0, float(modulus), 4 * modulus, exact_fn=exact_fn)
-    return [(t, r.quantum_value, r.classical_value, r.exact_value) for t, r in sweep]
+    return quantum_interpolate_sweep(prep, 0.0, float(modulus), 4 * modulus, exact_fn=exact_fn)
 
 
-def _reconstruction_table(fn, num_samples: int, period: float, grid: int):
+def _reconstruction_table(fn, num_samples: int, period: float, grid: int) -> list[np.ndarray]:
+    """Columns t, exact, reconstructed and abs_error of a reconstruction on ``grid`` points."""
     xs = np.arange(num_samples) * (period / num_samples)
     signal = SampledSignal(fn(xs), period)
     ts = np.arange(grid) * period / grid
     recon = classical_interpolate(signal, ts)
     exact = fn(ts)
-    return np.column_stack([ts, exact, recon, np.abs(recon - exact)]).tolist()
+    return [ts, exact, recon, np.abs(recon - exact)]
 
 
 def write_artifacts(directory: str | Path) -> list[Path]:

@@ -13,14 +13,16 @@ import json
 import numpy as np
 
 from .errors import ParseError
+from .patterns import Sweep
 from .sim import MAX_QUBITS, RegisterLayout, StateVector
 
 
 ROUND_OFF = 8 * np.finfo(np.float64).eps  # relative to a CSV column's largest magnitude
+_FORMAT = "%.9g"
 
 
 def format_value(value: float) -> str:
-    return f"{value:.9g}"
+    return _FORMAT % value
 
 
 def state_to_dict(state: StateVector, layout: RegisterLayout | None = None) -> dict:
@@ -76,30 +78,36 @@ def state_from_json(text: str) -> tuple[StateVector, RegisterLayout | None]:
     return state_from_dict(data)
 
 
-def _column_text(values) -> list[str]:
-    """:func:`format_value` of each entry, with round-off printed as 0 and None as empty.
+def _round_off_to_zero(column) -> np.ndarray:
+    """A float64 copy of ``column``, its round-off set to 0.
 
     An entry within ``ROUND_OFF`` of the column's largest finite magnitude
     is a zero up to round-off, so a table changes only when its numbers do,
     not when the order of floating-point work does.
     """
-    magnitude = np.abs(np.array(values, dtype=np.float64))  # None reads as nan
-    floor = ROUND_OFF * magnitude[np.isfinite(magnitude)].max(initial=0.0)
-    texts = ["" if v is None else format_value(v) for v in values]
-    for i in np.flatnonzero(magnitude <= floor):
-        texts[i] = format_value(0.0)
-    return texts
+    values = np.array(column, dtype=np.float64)
+    magnitude = np.abs(values)
+    values[magnitude <= ROUND_OFF * magnitude[np.isfinite(magnitude)].max(initial=0.0)] = 0.0
+    return values
 
 
-def _csv(header: list[str], rows) -> str:
-    columns = [_column_text(column) for column in zip(*rows)]
-    return "\n".join([",".join(header), *(",".join(line) for line in zip(*columns))]) + "\n"
+def _csv(header: list[str], columns) -> str:
+    """One line per row of the equal-length ``columns``; a None column prints as empty fields."""
+    present = [_round_off_to_zero(column) for column in columns if column is not None]
+    line = ",".join("" if column is None else _FORMAT for column in columns) + "\n"
+    fields = np.column_stack(present).ravel().tolist()
+    body = (line * len(present[0])) % tuple(fields)
+    return ",".join(header) + "\n" + body
 
 
-def sweep_to_csv(rows: list[tuple[float, float, float, float | None]]) -> str:
+def sweep_to_csv(sweep: Sweep) -> str:
     """Interpolation sweep table: columns t, quantum, classical, exact."""
-    return _csv(["t", "quantum", "classical", "exact"], rows)
+    return _csv(
+        ["t", "quantum", "classical", "exact"],
+        [sweep.t, sweep.quantum, sweep.classical, sweep.exact],
+    )
 
 
-def table_to_csv(header: list[str], rows: list[list[float]]) -> str:
-    return _csv(header, rows)
+def table_to_csv(header: list[str], columns: list[np.ndarray | None]) -> str:
+    """A table given by its columns, under ``header``."""
+    return _csv(header, columns)

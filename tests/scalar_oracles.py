@@ -17,14 +17,16 @@ from qinterp.kernels import INTEGER_TOLERANCE, SAMPLE_TOLERANCE
 
 
 def kernel_row(modulus, target):
-    """All M kernel coefficients for one target value."""
+    """All M kernel coefficients for one target value, the numerator reduced to ``sin(pi f)``."""
     t = float(target) % modulus
     if abs(t - round(t)) < INTEGER_TOLERANCE:
         row = np.zeros(modulus)
         row[int(round(t)) % modulus] = 1.0
         return row
+    n = round(t)
     k = np.arange(modulus)
-    return np.sin(np.pi * (t - k)) / (modulus * np.sin(np.pi * (t - k) / modulus))
+    sign = np.where((n - k) % 2 == 1, -1.0, 1.0)
+    return sign * np.sin(np.pi * (t - n)) / (modulus * np.sin(np.pi * (t - k) / modulus))
 
 
 def interpolate(signal, t):

@@ -279,14 +279,6 @@ class TestDict:
         assert (code, out) == (3, "")
         assert err.splitlines() == ["error: qubit count 43 outside supported range 1..24"]
 
-    @pytest.mark.parametrize("widths", [("0", "3"), ("2", "0")], ids=["no-keys", "no-values"])
-    def test_empty_register_is_a_layout_error(self, tmp_path, capsys, widths):
-        poly = tmp_path / "const.poly"
-        poly.write_text("1: 1\n")
-        code, _, err = run(capsys, "dict", str(poly), "-n", widths[0], "-m", widths[1])
-        assert code == 3
-        assert err == "error: key and value registers need at least one qubit each\n"
-
 
 class TestSum:
     def test_reference_config(self, tmp_path, capsys):
@@ -348,6 +340,33 @@ class TestSum:
 
 class TestMalformedInput:
     """Bad input exits 2 (usage) or 3 (capacity) with one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, register, width",
+        [
+            (["encode", "-m", "0", "-t", "1"], "value", 0),
+            (["encode", "-m", "-2", "-t", "1", "--phase-correct"], "value", -2),
+            (["interpolate", "--source", "nu2", "-m", "0", "-t", "0"], "value", 0),
+            (["interpolate", "--source", "lambda", "-m", "0", "--t-stop", "1", "--t-steps", "4"], "value", 0),
+            (["dict", "POLY", "-n", "0", "-m", "3"], "key", 0),
+            (["dict", "POLY", "-n", "2", "-m", "0"], "value", 0),
+            (["sum", "n = 0\nm = 3\npoly = 1: 1\n"], "key", 0),
+            (["sum", "n = 2\nm = 0\npoly = 1: 1\n"], "value", 0),
+        ],
+        ids=["encode", "encode-negative", "interpolate", "sweep", "dict-no-keys", "dict-no-values",
+             "sum-no-keys", "sum-no-values"],
+    )  # fmt: skip
+    def test_register_without_qubits_is_one_refusal(self, tmp_path, capsys, command, register, width):
+        poly = tmp_path / "const.poly"
+        poly.write_text("1: 1\n")
+        if command[0] == "sum":
+            config = tmp_path / "sum.cfg"
+            config.write_text(command[1])
+            command = ["sum", str(config)]
+        command = [str(poly) if arg == "POLY" else arg for arg in command]
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (3, "")
+        assert err == f"error: {register} register width {width}: a register needs at least one qubit\n"
 
     def sum_error(self, tmp_path, capsys, extra):
         config = tmp_path / "sum.cfg"

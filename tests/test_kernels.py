@@ -71,6 +71,22 @@ class TestFejerKernel:
         assert np.allclose(row_neg, row_pos)
 
 
+class TestKernelNumerator:
+    @pytest.mark.parametrize("width", [12, 16])
+    @pytest.mark.parametrize("fraction", [0.125, 0.25, 0.5, 0.75])
+    def test_numerator_is_sin_pi_f_at_every_distance(self, width, fraction):
+        # row[k] M sin(pi (t - k) / M) (-1)^(n - k) = sin(pi f) for t = n + f;
+        # a numerator formed from sin(pi (t - k)) drifts by up to ~1e-12 at large t - k
+        modulus = 1 << width
+        k = np.arange(modulus)
+        expected = math.sin(math.pi * fraction)
+        for n in (0, 1, 7, modulus // 3, modulus // 2, modulus - 2, modulus - 1):
+            t = n + fraction
+            sign = np.where((n - k) % 2 == 1, -1.0, 1.0)
+            numerator = fejer_kernel_row(modulus, t) * modulus * np.sin(np.pi * (t - k) / modulus) * sign
+            assert np.max(np.abs(numerator - expected)) <= 4 * math.ulp(expected), (n, fraction)
+
+
 class TestNormalizeToDomain:
     def test_twos_complement_negative(self):
         assert normalize_to_domain(-4, EncodingDomain.TWOS_COMPLEMENT, 8) == 4.0

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinterp import (
     Circuit,
@@ -16,8 +18,9 @@ from qinterp import (
     encode_value_real,
     zero_state,
 )
-from qinterp.patterns import prepare_lambda, quantum_interpolate, quantum_interpolate_sweep
+from qinterp.patterns import Sweep, prepare_lambda, quantum_interpolate, quantum_interpolate_sweep
 from qinterp.stateio import (
+    ROUND_OFF,
     format_value,
     state_from_json,
     state_to_dict,
@@ -98,23 +101,57 @@ class TestStateJson:
             state_from_json(json.dumps(data))
 
 
+def csv_from_rows(header, rows):
+    """The CSV built one row at a time: the reference for the column-wise tables.
+
+    Each entry prints by ``format_value``, None as an empty field, and an
+    entry within ``ROUND_OFF`` of its column's largest finite magnitude as 0.
+    """
+    columns = []
+    for column in zip(*rows):
+        floor = ROUND_OFF * max((abs(v) for v in column if v is not None and math.isfinite(v)), default=0.0)
+        columns.append(["" if v is None else format_value(0.0 if abs(v) <= floor else v) for v in column])
+    return "\n".join([",".join(header), *(",".join(line) for line in zip(*columns))]) + "\n"
+
+
+def sweep_of(t, quantum, classical, exact=None):
+    return Sweep(np.asarray(t), np.asarray(quantum), np.asarray(classical), exact, np.zeros(len(t)))
+
+
+@st.composite
+def csv_columns(draw):
+    """Columns of one length, the first always present, with entries at and around the round-off floor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(0, 40))
+    columns = []
+    for i in range(draw(st.integers(1, 5))):
+        if i > 0 and draw(st.booleans()):
+            columns.append(None)
+            continue
+        scale = 10.0 ** rng.uniform(-300, 300)
+        values = rng.normal(size=rows) * scale
+        near_floor = rng.random(rows) < 0.3
+        values[near_floor] = scale * ROUND_OFF * rng.uniform(-3, 3, near_floor.sum())
+        specials = rng.random(rows) < 0.1
+        values[specials] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], specials.sum())
+        columns.append(values)
+    return columns
+
+
 class TestCsv:
     def test_reparse_precision(self):
         rng = np.random.default_rng(1)
-        rows = [
-            (float(t), float(q), float(c), float(e))
-            for t, q, c, e in rng.normal(size=(20, 4))
-        ]
-        text = sweep_to_csv(rows)
+        columns = rng.normal(size=(4, 20))
+        text = sweep_to_csv(sweep_of(*columns))
         lines = text.strip().splitlines()
         assert lines[0] == "t,quantum,classical,exact"
-        for (t, q, c, e), line in zip(rows, lines[1:]):
+        for row, line in zip(columns.T, lines[1:]):
             parsed = [float(tok) for tok in line.split(",")]
-            for original, reparsed in zip((t, q, c, e), parsed):
+            for original, reparsed in zip(row, parsed):
                 assert abs(original - reparsed) < 1e-8
 
     def test_missing_exact_column(self):
-        text = sweep_to_csv([(0.5, 1.0, 1.0, None)])
+        text = sweep_to_csv(sweep_of([0.5], [1.0], [1.0]))
         assert text.strip().splitlines()[1].endswith(",")
 
     def test_format_value_significant_digits(self):
@@ -125,25 +162,43 @@ class TestCsv:
         assert format_value(-6.938893903907228e-18) == "-6.9388939e-18"
 
     def test_round_off_prints_as_zero_per_column(self):
-        rows = [
-            [1.0, 2e-3, 0.0, math.nan],
-            [-6.9e-18, 3e-19, -0.0, 1e-300],
-            [3e-15, -1e-5, 0.0, math.inf],
+        columns = [
+            [1.0, -6.9e-18, 3e-15],
+            [2e-3, 3e-19, -1e-5],
+            [0.0, -0.0, 0.0],
+            [math.nan, 1e-300, math.inf],
         ]
-        lines = table_to_csv(["a", "b", "zeros", "odd"], rows).splitlines()
+        lines = table_to_csv(["a", "b", "zeros", "odd"], columns).splitlines()
         # 8 eps of column a is 1.8e-15 and of column b 3.6e-18; inf and nan set no
         # scale, so 1e-300 is the largest magnitude of its column and stays
         assert lines[1:] == ["1,0.002,0,nan", "0,0,0,1e-300", "3e-15,-1e-05,0,inf"]
+
+    @settings(max_examples=60)
+    @given(columns=csv_columns())
+    def test_columns_print_as_the_rows_would(self, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        rows = list(zip(*[[None] * len(columns[0]) if c is None else c.tolist() for c in columns]))
+        assert table_to_csv(header, columns) == csv_from_rows(header, rows)
+        if len(columns) == 4 and all(column is not None for column in columns[:3]):
+            sweep = sweep_of(*columns[:3], columns[3])
+            assert sweep_to_csv(sweep) == csv_from_rows(["t", "quantum", "classical", "exact"], rows)
+
+    def test_columns_are_not_changed(self):
+        column = np.array([1.0, 1e-300, -0.0])
+        table_to_csv(["a"], [column])
+        assert column.tolist() == [1.0, 1e-300, -0.0]
 
     def test_sweep_csv_independent_of_float_order(self):
         # the batched sweep sums in another order than one readout per point: at
         # t = 0 it reads -6.9e-18 where the point reads 0
         prep = prepare_lambda(6)
         sweep = quantum_interpolate_sweep(prep, 0.0, 64.0, 256)
-        points = [(t, quantum_interpolate(prep, t)) for t, _ in sweep]
-        assert any(a.quantum_value != b.quantum_value for (_, a), (_, b) in zip(sweep, points))
-        rows = [[(t, r.quantum_value, r.classical_value, None) for t, r in run] for run in (sweep, points)]
-        assert sweep_to_csv(rows[0]) == sweep_to_csv(rows[1])
+        points = [quantum_interpolate(prep, t) for t in sweep.t.tolist()]
+        by_point = sweep_of(
+            sweep.t, [p.quantum_value for p in points], [p.classical_value for p in points]
+        )
+        assert np.any(sweep.quantum != by_point.quantum)
+        assert sweep_to_csv(sweep) == sweep_to_csv(by_point)
 
 
 class TestSvg:

@@ -35,6 +35,7 @@ from qinterp import (
 )
 from qinterp import patterns, sim
 from qinterp.kernels import normalize_to_domain
+from qinterp.patterns import lambda_function
 
 TWOS = EncodingDomain.TWOS_COMPLEMENT
 
@@ -230,7 +231,7 @@ class TestQuantumInterpolate:
     def test_corrected_readout_records_no_imaginary_residual(self):
         assert quantum_interpolate(prepare_nu2(6), 44.8).imag_residual <= 1e-12
         sweep = quantum_interpolate_sweep(prepare_lambda(6), -20.5, 30.25, 37, TWOS)
-        assert max(result.imag_residual for _, result in sweep) <= 1e-12
+        assert sweep.imag_residual.max() <= 1e-12
 
 
 def check_sweep(samples, t_start, t_stop, steps, domain):
@@ -238,17 +239,18 @@ def check_sweep(samples, t_start, t_stop, steps, domain):
     prep = prepare_amplitudes(samples)
     modulus = samples.size
     sweep = quantum_interpolate_sweep(prep, t_start, t_stop, steps, domain)
-    assert [t for t, _ in sweep] == [
+    assert sweep.t.tolist() == [
         t_start + i * (t_stop - t_start) / steps for i in range(steps)
     ]
-    for t, result in sweep:
+    columns = sweep.quantum.tolist(), sweep.classical.tolist(), sweep.imag_residual.tolist()
+    for t, quantum, classical, residual in zip(sweep.t.tolist(), *columns):
         single = quantum_interpolate(prep, t, domain)
         target = t + modulus if t < 0 else t
         oracle = float(np.dot(samples, fejer_kernel_row(modulus, target)))
-        assert abs(result.quantum_value - single.quantum_value) <= 1e-12
-        assert result.classical_value == single.classical_value
-        assert abs(result.quantum_value - oracle) <= 1e-9
-        assert result.imag_residual <= 1e-9
+        assert abs(quantum - single.quantum_value) <= 1e-12
+        assert classical == single.classical_value
+        assert abs(quantum - oracle) <= 1e-9
+        assert residual <= 1e-9
 
 
 @st.composite
@@ -276,9 +278,8 @@ class TestQuantumInterpolateSweep:
     def test_start_at_negative_round_off(self):
         sweep = quantum_interpolate_sweep(prepare_nu2(3), -1e-17, 8.0, 16)
         reference = quantum_interpolate_sweep(prepare_nu2(3), 0.0, 8.0, 16)
-        for (_, point), (_, expected) in zip(sweep, reference):
-            assert abs(point.quantum_value - expected.quantum_value) < 1e-12
-            assert point.classical_value == expected.classical_value
+        assert np.max(np.abs(sweep.quantum - reference.quantum)) < 1e-12
+        assert np.array_equal(sweep.classical, reference.classical)
     @settings(max_examples=25)
     @given(case=sweeps())
     def test_points_match_single_readout_and_oracle(self, case):
@@ -313,9 +314,41 @@ class TestQuantumInterpolateSweep:
         # negative block values exercise the dictionary's correction table
         check_sweep(lambda_amplitudes(5), -10.3, 9.7, 64, TWOS)
 
+    @pytest.mark.parametrize("exact_fn", [None, lambda_function(6)], ids=["no-exact", "exact"])
+    def test_columns_are_the_points_read_one_by_one(self, exact_fn):
+        # 37 points run as blocks of 32, 4 and 1; t, classical and exact are
+        # the one-point readout's bit for bit, quantum to round-off
+        prep = prepare_lambda(6)
+        sweep = quantum_interpolate_sweep(prep, -20.5, 30.25, 37, TWOS, exact_fn)
+        for column in (sweep.t, sweep.quantum, sweep.classical, sweep.imag_residual):
+            assert column.shape == (37,) and column.dtype == np.float64
+        points = [quantum_interpolate(prep, t, TWOS, exact_fn) for t in sweep.t.tolist()]
+        assert sweep.classical.tolist() == [point.classical_value for point in points]
+        assert np.max(np.abs(sweep.quantum - [point.quantum_value for point in points])) <= 1e-12
+        if exact_fn is None:
+            assert sweep.exact is None
+        else:
+            assert sweep.exact.tolist() == [point.exact_value for point in points]
+            assert sweep.exact.tolist() == [exact_fn(t) for t in sweep.t.tolist()]
+
     def test_out_of_domain_point_rejected(self):
         with pytest.raises(DomainError):
             quantum_interpolate_sweep(prepare_nu2(3), 4.0, 12.0, 8)
+
+    @pytest.mark.parametrize(
+        "t_start, t_stop, domain, first_outside",
+        [
+            (4.0, 12.0, EncodingDomain.UNSIGNED, 8.0),
+            (-1e-12, 2.0, EncodingDomain.UNSIGNED, -1e-12),
+            (3.5, -8.5, TWOS, -5.5),
+        ],
+    )
+    def test_first_point_outside_named_as_one_point(self, t_start, t_stop, domain, first_outside):
+        with pytest.raises(DomainError) as sweep_error:
+            quantum_interpolate_sweep(prepare_nu2(3), t_start, t_stop, 4, domain)
+        with pytest.raises(DomainError) as point_error:
+            normalize_to_domain(first_outside, domain, 8)
+        assert str(sweep_error.value) == str(point_error.value)
 
     def test_needs_a_step(self):
         with pytest.raises(DomainError):
@@ -368,9 +401,9 @@ def check_classical_column(samples, t_start, t_stop, steps, domain):
         sweep = quantum_interpolate_sweep(prep, t_start, t_stop, steps, domain)
     # the function samples as the sweep reads them, a real view of the prepared state
     function_samples = prep.apply(zero_state(prep.num_qubits)).amplitudes.real
-    for t, result in sweep:
+    for t, classical in zip(sweep.t.tolist(), sweep.classical.tolist()):
         row = kernel_row(modulus, normalize_to_domain(t, domain, modulus))
-        assert result.classical_value == float(np.dot(function_samples, row))
+        assert classical == float(np.dot(function_samples, row))
     return blocks
 
 

@@ -14,7 +14,7 @@
 #   diff -r /tmp/out-parent /tmp/out-head
 #
 # The set covers interpolate points and sweeps (nu2, lambda and table sources,
-# both domains, m=6 and m=12), nine sum configs (one at m=16), encode, dict (JSON and SVG)
+# both domains, m=6 and m=12, and one m=16 point), nine sum configs (one at m=16), encode, dict (JSON and SVG)
 # and repro with its artifacts.  Encodes at m=16 and m=17, where phase tables
 # are applied in slices, keep only the sha256 of their JSON in place of the
 # megabytes themselves.  It takes about half a minute on one core.
@@ -111,6 +111,8 @@ for domain in unsigned twos; do
 done
 run interpolate-nu2-m6-outside interpolate --source nu2 -m 6 -t 64
 run interpolate-nu2-m6-sweep-csv interpolate --source nu2 -m 6 --t-start 1 --t-stop 60 --t-steps 37 --csv sweep.csv
+# far from most of its samples, where a kernel numerator taken as sin(pi (t - k)) is least accurate
+run interpolate-nu2-m16-t65535.3 interpolate --source nu2 -m 16 -t 65535.3
 
 for config in inputs/*.cfg; do
     name=${config#inputs/}
