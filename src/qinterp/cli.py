@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 reference-case failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -308,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     encode.add_argument("--phase-correct", action="store_true", help="produce real amplitudes")
     encode.add_argument("--out", choices=["json", "svg"], default="json")
     encode.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    encode.set_defaults(func=_cmd_encode)
 
     interp = sub.add_parser("interpolate", help="read an encoded function at any point")
     interp.add_argument(
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     interp.add_argument("--t-steps", type=int, default=0)
     interp.add_argument("--domain", choices=sorted(_DOMAIN_NAMES), default="unsigned")
     interp.add_argument("--csv", default=None, help="sweep output file (default stdout)")
-    interp.set_defaults(func=_cmd_interpolate)
 
     dict_cmd = sub.add_parser("dict", help="encode a polynomial as key-value pairs")
     dict_cmd.add_argument("poly_file")
@@ -333,21 +332,22 @@ def build_parser() -> argparse.ArgumentParser:
     dict_cmd.add_argument("--prime", action="store_true", help="apply the phase correction")
     dict_cmd.add_argument("--out", choices=["json", "svg"], default="json")
     dict_cmd.add_argument("-o", "--output", default=None)
-    dict_cmd.set_defaults(func=_cmd_dict)
 
     sum_cmd = sub.add_parser("sum", help="weighted sum of hashed function values")
     sum_cmd.add_argument("config")
-    sum_cmd.set_defaults(func=_cmd_sum)
 
     repro_cmd = sub.add_parser("repro", help="recompute the built-in reference cases")
     repro_cmd.add_argument("--filter", default=None, help="glob over case ids")
     repro_cmd.add_argument("--artifacts", default=None, help="directory for charts and sweeps")
-    repro_cmd.set_defaults(func=_cmd_repro)
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first call of main, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; each ``_cmd_<command>`` is looked up by name when it is called."""
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "interpolate" and args.value is None and args.t_stop is None:
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

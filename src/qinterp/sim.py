@@ -29,8 +29,9 @@ transform).  :meth:`Circuit.readout` applies ``<0|`` on the value register,
 and on the keys unless they are kept, to ``U|0...0>`` without building it.
 The operations inside one register run on that register's factor or bra;
 those that span the registers must fuse into one phase table over the value
-register, as in both readout pipelines, and it is contracted with the
-factors slice by slice.
+register, as in both readout pipelines.  That table is contracted with the
+factors in baby and giant steps over the value register's low and high bits,
+so an N x M table costs about ``2 N sqrt(M)`` exponent products, not ``N M``.
 
 Qubit convention: qubit 0 is the least significant bit of the basis index.
 A :class:`RegisterLayout` places the value register on the low-order qubits,
@@ -632,23 +633,55 @@ def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
 
 
 def _stream(table: _PhaseTable, x: np.ndarray) -> np.ndarray:
-    """``D x`` for ``D[c, r] = exp(i (offset[c] + slope[c] r))``.
+    """``D x`` for ``D[c, r] = exp(i (offset[c] + slope[c] r))``, in baby and giant steps.
 
     ``r`` indexes the table's register, which ``x`` spans, and ``c`` the
-    qubits outside it.  D is built by :func:`_ramp_slices`, as
-    :meth:`_PhaseTable.apply` builds it, in slices of at most
-    ``_STREAM_CHUNK`` entries, and reduced by ``np.vecdot``, which keeps the
-    reduction off threaded matrix products; ``vecdot`` conjugates its first
-    argument, so ``x`` enters conjugated.
+    qubits outside it.  Row ``c`` of ``D x`` is the polynomial
+    ``sum_r x[r] z^r`` at ``z = exp(i slope[c])``, times ``exp(i offset[c])``.
+    With ``r = h 2^low + l`` it is ``sum_h S[c, h] Y[c, h]``: the inner sums
+    ``Y[c, h] = sum_l x[h 2^low + l] R[c, l]`` run over the baby-step ramp
+    ``R[c, l] = exp(i (offset[c] + slope[c] l))``, and the giant steps are
+    ``S[c, h] = exp(i slope[c] 2^low h)`` (Paterson and Stockmeyer's split),
+    so an N x M table needs about ``2 N sqrt(M)`` ramp entries, not ``N M``.
+    A table that fits one ``_STREAM_CHUNK`` keeps ``low`` at the register's
+    width, with no giant step: one ``vecdot`` against its whole ramp, whose
+    result is bit for bit the whole table's product.  A wider one splits
+    near half its width, in blocks of rows whose ramp takes at most half a
+    ``_STREAM_CHUNK``, as do its ``S`` and ``Y`` slices unless the chunk
+    caps ``low``, which the real chunk never does within ``MAX_QUBITS``; no
+    slice takes more than one.  The halves keep the three slices a block
+    holds at once to 1.5 chunks.
     """
-    step = max(1, _STREAM_CHUNK >> table.register.width)
-    x_bar = x.conj()
-    out = np.zeros(table.offset.size, dtype=np.complex128)
-    for c in range(0, out.size, step):
-        rows = slice(c, c + step)
-        for r, part in _ramp_slices(table.offset[rows, None], table.slope[rows, None], table.register.width):
-            out[rows] += np.vecdot(x_bar[r : r + part.shape[1]], part[:, :, 0])
+    width, rows = table.register.width, table.offset.size
+    if rows << width <= _STREAM_CHUNK:
+        low, step = width, rows
+    else:
+        low = min((width + 1) // 2, _STREAM_CHUNK.bit_length() - 2)
+        step = max(1, _STREAM_CHUNK >> (low + 1))
+    x_bar = x.conj().reshape(-1, 1 << low)
+    out = np.zeros(rows, dtype=np.complex128)
+    for c in range(0, rows, step):
+        block = slice(c, c + step)
+        out[block] += _ramp_sums(x_bar, table.offset[block, None], table.slope[block, None], width)
     return out
+
+
+def _ramp_sums(x_bar: np.ndarray, offset: np.ndarray, slope: np.ndarray, width: int) -> np.ndarray:
+    """``sum_r x[r] exp(i (offset + slope r))`` per row of the (rows, 1) ``offset`` and ``slope``.
+
+    ``x_bar`` is ``conj(x)`` cut into rows of ``2^low`` baby steps.  The
+    sums are ``np.vecdot``, which keeps the reduction off threaded matrix
+    products; it conjugates its first argument, so ``x`` enters conjugated
+    and the giant steps are built as their conjugates.
+    """
+    low = x_bar.shape[1].bit_length() - 1
+    baby = _phase_ramps(offset, slope, low)[:, None, :, 0]
+    if low == width:
+        return np.vecdot(x_bar, baby)[:, 0]
+    total = 0
+    for h, giant in _ramp_slices(np.zeros_like(slope), -(1 << low) * slope, width - low):
+        total = total + np.vecdot(giant[:, :, 0], np.vecdot(x_bar[h : h + giant.shape[1]], baby))
+    return total
 
 
 def _home(op: Operation, registers: tuple[Register, ...]) -> int | None:
@@ -797,8 +830,10 @@ class Circuit:
         ``D[c, r]`` over the value register (``c`` the key), else
         :class:`LayoutError`; an empty middle is the table of phase 0.  With
         ``x = ket * conj(bra)`` per register, the amplitude is
-        ``x_k^T D x_v`` and the kept keys are ``ket_k * (D x_v)``, D built
-        and reduced in slices of at most ``_STREAM_CHUNK`` entries.
+        ``x_k^T D x_v`` and the kept keys are ``ket_k * (D x_v)``.  D is
+        never built whole: :func:`_stream` contracts it in baby and giant
+        steps, with ramps, partial sums and giant steps in slices of at most
+        ``_STREAM_CHUNK`` entries.
         """
         if layout.num_qubits != self.num_qubits:
             raise LayoutError(f"{layout.num_qubits}-qubit layout read on a {self.num_qubits}-qubit circuit")

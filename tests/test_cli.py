@@ -573,3 +573,10 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_parser_is_built_once_and_reused(self, capsys):
+        first = cli._parser()
+        for argv in (["frobnicate"], ["repro", "--filter", "zzz*"], ["encode", "-m", "3", "-t", "1"]):
+            main(argv)
+        assert cli._parser() is first
+        assert cli._parser.cache_info().misses == 1

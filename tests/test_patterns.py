@@ -518,6 +518,36 @@ class TestGeneralizedInnerProduct:
         assert abs(quantum - classical) < 1e-9
         assert peak < 32 << 20  # the 2^24-amplitude state alone would take 256 MiB
 
+    @pytest.mark.parametrize("key_width, value_width", [(8, 12), (10, 14)])
+    def test_ramps_grow_with_the_root_of_the_value_register(self, monkeypatch, key_width, value_width):
+        # The whole N x M phase table would be 2^20 entries at (8, 12) and 2^24 at
+        # (10, 14); the baby- and giant-step ramps are about 2N sqrt(M) of them.
+        rng = np.random.default_rng(key_width)
+        poly = in_domain_polynomial(rng, key_width, value_width, EncodingDomain.UNSIGNED, "dense")
+        key_spec = unit(rng.uniform(0.1, 1.0, 1 << key_width))
+        value_spec = unit(rng.uniform(0.1, 1.0, 1 << value_width))
+        phase_ramps, built = sim._phase_ramps, []
+
+        def counted(offset, slope, width):
+            built.append(offset.size << width)
+            return phase_ramps(offset, slope, width)
+
+        monkeypatch.setattr(sim, "_phase_ramps", counted)
+        generalized_inner_product(key_spec, poly, value_spec)
+        assert sum(built) <= 1 << (key_width + value_width // 2 + 2)
+
+    @pytest.mark.wide
+    @pytest.mark.parametrize("key_width, value_width", [(1, 23), (12, 12)])
+    def test_matches_oracle_at_the_widest_splits(self, key_width, value_width):
+        # (1, 23) splits the value register 12/11, its widest baby and giant steps;
+        # (12, 12) streams 4096 rows in 16 blocks
+        rng = np.random.default_rng(key_width + value_width)
+        poly = in_domain_polynomial(rng, key_width, value_width, EncodingDomain.UNSIGNED, "dense")
+        key_spec = unit(rng.uniform(0.1, 1.0, 1 << key_width))
+        value_spec = unit(rng.uniform(0.1, 1.0, 1 << value_width))
+        quantum = generalized_inner_product(key_spec, poly, value_spec)
+        assert abs(quantum - kernel_double_sum(key_spec, poly, value_spec)) < 1e-9
+
     def test_readouts_never_build_the_joined_state(self):
         # A register's factor fuses its own diagonal runs into a table on that
         # register; only a table on the key and value qubits together would

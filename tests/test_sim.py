@@ -958,6 +958,78 @@ class TestReadout:
             circuit.readout(RegisterLayout(2, 1))
 
 
+@st.composite
+def streamed_tables(draw, one_slice=False):
+    """A phase table, the vector it is contracted with, and a ``_STREAM_CHUNK``.
+
+    Widths run from 1 to 16 and rows from 1 to 256, with ``rows * 2^width``
+    kept to ``chunk * 2^10`` (so that a chunk of 2 takes at most about a
+    thousand slices) and to ``2^20`` (the dense reference's table), or with
+    ``one_slice`` to ``chunk`` itself.  Slopes are ``2 pi / M`` times a
+    non-integer, up to about 50 in size.
+    """
+    chunk = draw(st.sampled_from([2, 8, 64, 1 << 15]))
+    cap = chunk if one_slice else min(chunk << 10, 1 << 20)
+    width = draw(st.integers(1, min(16, cap.bit_length() - 1)))
+    rows = draw(st.integers(1, min(256, cap >> width)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << width
+    turns = rng.uniform(-50, 50, rows) * size / (2 * np.pi) + rng.uniform(0.05, 0.95, rows)
+    slope = turns * 2 * np.pi / size
+    offset = rng.uniform(-60, 60, rows)
+    x = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return sim._PhaseTable(Register(0, width), offset, slope), x, chunk
+
+
+def dense_stream(table, x):
+    """``D x`` from the whole table ``exp(i (offset[c] + slope[c] r))``, exponent by exponent.
+
+    ``slope * r`` is not rounded: the slope splits into a float32 head, whose
+    product with ``r < 2^16`` is exact in float64, and a tail, whose product
+    is at most 0.2 in size.  A single ``offset + slope * r`` would round the
+    phase at the scale of ``|slope| M``, up to about 5e-10 at M = 2^16.
+    """
+    r = np.arange(x.size)
+    head = table.slope.astype(np.float32).astype(np.float64)
+    tail = table.slope - head
+    phases = np.exp(1j * table.offset)[:, None] * np.exp(1j * (head[:, None] * r)) * np.exp(1j * (tail[:, None] * r))
+    return phases @ x
+
+
+def recorded_stream(table, x, chunk):
+    """``_stream(table, x)`` at ``chunk``, and the entries of each ramp it built."""
+    phase_ramps, slices = sim._phase_ramps, []
+
+    def recorded_ramps(offset, slope, width):
+        slices.append(offset.size << width)
+        return phase_ramps(offset, slope, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_STREAM_CHUNK", chunk)
+        patch.setattr(sim, "_phase_ramps", recorded_ramps)
+        return sim._stream(table, x), slices
+
+
+class TestStream:
+    @settings(max_examples=120)
+    @given(case=streamed_tables())
+    def test_matches_the_dense_table(self, case):
+        table, x, chunk = case
+        got, slices = recorded_stream(table, x, chunk)
+        # relative to sum_r |x_r|, the size of each row's terms
+        assert np.max(np.abs(got - dense_stream(table, x))) <= 1e-12 * np.sum(np.abs(x))
+        assert max(slices) <= chunk
+
+    @settings(max_examples=40)
+    @given(case=streamed_tables(one_slice=True))
+    def test_one_slice_is_the_single_ramp_vecdot(self, case):
+        table, x, chunk = case
+        got, slices = recorded_stream(table, x, chunk)
+        offset, slope, width = table.offset[:, None], table.slope[:, None], table.register.width
+        assert slices == [table.offset.size << width]
+        assert np.array_equal(got, np.vecdot(x.conj(), sim._phase_ramps(offset, slope, width)[:, :, 0]))
+
+
 class TestWideReadouts:
     """One seeded inner-product circuit per width past the property tests' 10 qubits.
 

@@ -14,7 +14,8 @@
 #   diff -r /tmp/out-parent /tmp/out-head
 #
 # The set covers interpolate points and sweeps (nu2, lambda and table sources,
-# both domains, m=6 and m=12, and one m=16 point), nine sum configs (one at m=16), encode, dict (JSON and SVG)
+# both domains, m=6 and m=12, and one m=16 point), ten sum configs (one at m=16
+# and a sparse one at the 24-qubit cap), encode, dict (JSON and SVG)
 # and repro with its artifacts.  Encodes at m=16 and m=17, where phase tables
 # are applied in slices, keep only the sha256 of their JSON in place of the
 # megabytes themselves.  It takes about half a minute on one core.
@@ -74,6 +75,9 @@ configs = {
 # a 16-qubit value register: the readout's phase table is streamed in slices of its register
 wide = poly_text(2, range(4), [float(v) for v in np.r_[30000.0, rng.uniform(-9000, 9000, 3)]])
 configs["dense-m16"] = f"n = 2\nm = 16\nweights = {' '.join(repr(float(v)) for v in rng.uniform(0, 1, 4))}\npoly = {wide}\n"
+# the 24-qubit cap, (n, m) = (10, 14): the readout splits its value register into 7-bit baby and giant steps
+cap = poly_text(10, [0, 1, 6, 33, 40, 300, 513, 1023], [float(v) for v in np.r_[8000.0, rng.uniform(-900, 900, 7)]])
+configs["sparse-cap"] = f"n = 10\nm = 14\nweights = sin2\npoly = {cap}\n"
 for name, text in configs.items():
     write(f"{name}.cfg", text)
 EOF
