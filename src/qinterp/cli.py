@@ -120,7 +120,8 @@ def _load_table_prep(path: str, width: int):
     table = _finite_floats(tokens, f"table {path}")
     if table.size != (1 << width):
         raise ParseError(f"table holds {table.size} values, expected {1 << width}")
-    return prepare_amplitudes(table * _inverse_norm(table, "table")), None
+    s, scale = _inverse_norm(table, "table")
+    return prepare_amplitudes(table / s * scale), None
 
 
 def _interp_source(source: str, width: int):

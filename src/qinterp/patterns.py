@@ -208,7 +208,8 @@ def quantum_interpolate_sweep(
     span = t_stop - t_start
     if not math.isfinite(span):  # also inf or nan when a bound is
         raise DomainError(f"sweep t_start = {t_start} to t_stop = {t_stop} has no finite width")
-    ts = t_start + np.arange(steps) * span / steps
+    with np.errstate(over="ignore"):  # a point past the float range reads inf, which the domain check refuses
+        ts = t_start + np.arange(steps) * span / steps
     return _read_points(function_prep, ts, span / steps, domain, exact_fn)
 
 
@@ -286,18 +287,9 @@ def quantum_interpolate(
 
 
 def _norm(vector: np.ndarray) -> float:
-    """Euclidean norm of ``vector``.
-
-    Where the squares of nonzero entries underflow to a norm of 0, it is the
-    norm of ``vector / max|entry|`` scaled back; other vectors keep the plain
-    norm bit for bit.  An overflowing norm reads inf, which the callers reject.
-    """
+    """Euclidean norm of ``vector``; where its squares overflow it reads inf, without a warning."""
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(vector))
-    if norm == 0 and vector.any():
-        scale = float(np.max(np.abs(vector)))
-        norm = scale * float(np.linalg.norm(vector / scale))
-    return norm
+        return float(np.linalg.norm(vector))
 
 
 def _unit_vector(vector, what: str) -> np.ndarray:
@@ -378,11 +370,24 @@ def kernel_double_sum(
     return total / math.sqrt(a.size)
 
 
-def _inverse_norm(vector: np.ndarray, what: str) -> float:
-    norm = _norm(vector)
-    if not 0 < norm < math.inf:
-        raise NormalizationError(f"{what} norm {norm} is not positive and finite")
-    return 1.0 / norm
+def _inverse_norm(vector: np.ndarray, what: str) -> tuple[float, float]:
+    """``(s, scale)``: ``vector / s * scale`` is ``vector`` normalized, and ``s / scale`` is its norm.
+
+    ``s`` is 1 and ``scale`` the inverse of the plain norm, so the vector
+    keeps its bits, unless that norm or its inverse is 0 or inf; then ``s``
+    is ``max|entry|``, so a vector whose squares underflow or overflow, or
+    whose norm has no finite inverse, normalizes too.  A norm that is not
+    positive and finite, an overflowing one included, raises
+    :class:`NormalizationError` naming ``what``.
+    """
+    s, norm = 1.0, _norm(vector)
+    if not 0 < norm < math.inf or 1.0 / norm == math.inf:
+        s = float(np.max(np.abs(vector), initial=0.0))
+        if 0 < s < math.inf:
+            norm = _norm(vector / s)
+    if not 0 < s * norm < math.inf:
+        raise NormalizationError(f"{what} norm {s * norm} is not positive and finite")
+    return s, 1.0 / norm
 
 
 def weighted_sum(
@@ -403,10 +408,10 @@ def weighted_sum(
     """
     w = np.asarray(weights, dtype=np.float64)
     h = np.asarray(hash_values, dtype=np.float64)
-    scale_w = _inverse_norm(w, "weight vector")
-    scale_h = _inverse_norm(h, "hash vector")
-    amplitude = generalized_inner_product(w * scale_w, poly, h * scale_h, domain)
-    return amplitude, math.sqrt(w.size) / (scale_w * scale_h) * amplitude
+    s_w, scale_w = _inverse_norm(w, "weight vector")
+    s_h, scale_h = _inverse_norm(h, "hash vector")
+    amplitude = generalized_inner_product(w / s_w * scale_w, poly, h / s_h * scale_h, domain)
+    return amplitude, math.sqrt(w.size) / (scale_w * scale_h) * amplitude * s_w * s_h
 
 
 def direct_weighted_sum(weights, poly: BinaryPolynomial, hash_values) -> float:

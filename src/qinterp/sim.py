@@ -12,21 +12,23 @@ returns a new :class:`StateVector` and leaves its input as it was.
 Each operation is one numpy transform of the amplitude buffer.  The Fourier
 transform is one unitary FFT along the register axis, written back into the
 buffer through ``out=``.  A Hadamard layer is one matrix product per block of
-up to four qubits.  Controlled operations act on a view with one length-2 axis
+up to four qubits.  A controlled phase acts on a view with one length-2 axis
 per qubit, each control axis sliced to its set half, so no index array is
-built.  :meth:`Circuit.apply` fuses each maximal run of adjacent diagonal
-operations into one multiplication by a phase table over the run's first
-ladder's register where one such table holds the whole run, and otherwise
-leaves it op by op.  Phase tables, ladder ramps and a loader's rank-1 update
-are built and applied in slices of about ``_STREAM_CHUNK`` entries, so no
-operation allocates a temporary the size of the state.
+built.  Every phase ladder runs as a phase table: :meth:`Circuit.apply` fuses
+each maximal run of adjacent diagonal operations that holds a ladder into one
+multiplication by a table over the run's first ladder's register where one
+such table holds the whole run, and otherwise leaves it op by op; a ladder
+applied alone is the table of itself.  Phase tables and a loader's rank-1
+update are built and applied in slices of about ``_STREAM_CHUNK`` entries, so
+no operation allocates a temporary the size of the state.
 
 :meth:`Circuit.state` gives ``U|0...0>``: where the circuit starts with
-Hadamard layers on every qubit, it writes the product state they and the
-diagonal run after them make as that run's phase table, scaled once, so the
-full-buffer work starts at the first other operation (an encoder's Fourier
-transform).  :meth:`Circuit.readout` applies ``<0|`` on the value register,
-and on the keys unless they are kept, to ``U|0...0>`` without building it.
+Hadamard layers on every qubit, it takes the steps :meth:`Circuit.apply` runs
+after them and writes the first, if it is a phase table, as the product
+state, scaled once, so the full-buffer work starts at the first other
+operation (an encoder's Fourier transform).  :meth:`Circuit.readout` applies
+``<0|`` on the value register, and on the keys unless they are kept, to
+``U|0...0>`` without building it.
 The operations inside one register run on that register's factor or bra;
 those that span the registers must fuse into one phase table over the value
 register, as in both readout pipelines.  That table is contracted with the
@@ -186,18 +188,6 @@ def _require_controls(state: StateVector, controls: tuple[int, ...], register: R
             raise LayoutError(f"control qubit {q} overlaps the target register")
 
 
-def _qubit_view(amps: np.ndarray, num_qubits: int, controls: tuple[int, ...]) -> np.ndarray:
-    """View with one length-2 axis per qubit, each control axis sliced to its set half.
-
-    Qubit ``q`` sits on axis ``num_qubits - 1 - q``, so writing through the view
-    touches exactly the amplitudes whose control bits are all set.
-    """
-    index = [slice(None)] * num_qubits
-    for q in controls:
-        index[num_qubits - 1 - q] = slice(1, 2)
-    return amps.reshape((2,) * num_qubits)[tuple(index)]
-
-
 def _register_view(amps: np.ndarray, register: Register) -> np.ndarray:
     """Reshape to (high bits, register, low bits); middle axis is the register index."""
     post = 1 << register.offset
@@ -348,9 +338,9 @@ class PhaseLadder(Operation):
 
     Equivalent to one phase gate P(2^j * theta) per register qubit j.  With
     ``controls`` the phase fires only where every control bit is set; control
-    qubits must lie outside the target register.  The ramp ``exp(i k theta)``
-    is built and applied in slices by :func:`_ramp_slices`, each fixing the
-    register's high bits on the per-qubit view.
+    qubits must lie outside the target register.  Applied as the one-op
+    :class:`_PhaseTable` that :func:`_fuse` builds, the same path a fused run
+    of diagonal operations takes.
     """
 
     register: Register
@@ -360,15 +350,7 @@ class PhaseLadder(Operation):
     def apply(self, state: StateVector) -> StateVector:
         _require_register(state, self.register)
         _require_controls(state, self.controls, self.register)
-        reg = self.register
-        amps = _writable(state)
-        view = _qubit_view(amps, state.num_qubits, self.controls)
-        for r, part in _ramp_slices(np.zeros((1, 1)), np.full((1, 1), self.theta), reg.width):
-            low = part.shape[1].bit_length() - 1
-            high = tuple(r >> b & 1 for b in range(reg.width - 1, low - 1, -1))
-            ramp = part.reshape((2,) * low + (1,) * reg.offset)
-            view[(..., *high) + (slice(None),) * (low + reg.offset)] *= ramp
-        return _written(state, amps)
+        return _fuse((self,), self.register, state.num_qubits).apply(state)
 
     def adjoint(self) -> "PhaseLadder":
         return PhaseLadder(self.register, -self.theta, self.controls)
@@ -380,6 +362,8 @@ class ControlledPhase(Operation):
 
     With no controls this is a global phase.  Two controls and the symmetric
     angle give the controlled-phase gate used inside the Fourier transform.
+    It multiplies a view with one length-2 axis per qubit, qubit ``q`` on
+    axis ``num_qubits - 1 - q``, each control axis sliced to its set half.
     """
 
     controls: tuple[int, ...]
@@ -388,8 +372,10 @@ class ControlledPhase(Operation):
     def apply(self, state: StateVector) -> StateVector:
         _require_controls(state, self.controls, None)
         amps = _writable(state)
-        view = _qubit_view(amps, state.num_qubits, self.controls)
-        view *= np.exp(1j * self.angle)
+        index = [slice(None)] * state.num_qubits
+        for q in self.controls:
+            index[state.num_qubits - 1 - q] = slice(1, 2)
+        amps.reshape((2,) * state.num_qubits)[tuple(index)] *= np.exp(1j * self.angle)
         return _written(state, amps)
 
     def adjoint(self) -> "ControlledPhase":
@@ -547,9 +533,6 @@ class _PhaseTable(Operation):
                 np.multiply(part, target, out=target)
         return _written(state, amps)
 
-    def adjoint(self) -> "_PhaseTable":
-        return _PhaseTable(self.register, -self.offset, -self.slope)
-
 
 def _fuse(run, register: Register, num_qubits: int) -> _PhaseTable:
     """The :class:`_PhaseTable` acting as a run of diagonal ops that all :func:`_fits` ``register``.
@@ -557,7 +540,8 @@ def _fuse(run, register: Register, num_qubits: int) -> _PhaseTable:
     Each ladder adds its theta to ``slope`` and each controlled phase its
     angle to ``offset``, at its control mask; one zeta transform then sums
     them over every ``c``.  Diagonal tables on outside qubits add last.
-    Callers reach it only through :func:`_table`.
+    Callers reach it through :func:`_table`, or for one ladder whose
+    register and controls are checked, from :meth:`PhaseLadder.apply`.
     """
     offset = np.zeros(1 << (num_qubits - register.width))
     slope = np.zeros_like(offset)
@@ -610,24 +594,21 @@ def _table(run, register: Register | None, num_qubits: int) -> _PhaseTable | Non
     return _fuse(run, register, num_qubits)
 
 
-def _ladder_register(run) -> Register | None:
-    """The register a diagonal run fuses over: its first ladder's, or None if it has no ladder."""
-    return next((op.register for op in run if isinstance(op, PhaseLadder)), None)
-
-
 def _diagonal(op: Operation) -> bool:
     return isinstance(op, _DIAGONAL_KINDS)
 
 
 def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
-    """The gate list with each maximal diagonal run of two or more ops as one op, if :func:`_table` holds it.
+    """The gate list with each maximal diagonal run as one op where :func:`_table` holds it.
 
-    Diagonal ops commute, so fusing keeps the circuit's action.
+    A run fuses over its first ladder's register, so one without a ladder,
+    as every run of non-diagonal ops, stays op by op.  Diagonal ops commute,
+    so fusing keeps the circuit's action.
     """
     fused = []
-    for diagonal, group in itertools.groupby(ops, _diagonal):
+    for _, group in itertools.groupby(ops, _diagonal):
         run = list(group)
-        table = _table(run, _ladder_register(run), num_qubits) if diagonal and len(run) >= 2 else None
+        table = _table(run, next((op.register for op in run if isinstance(op, PhaseLadder)), None), num_qubits)
         fused += run if table is None else [table]
     return fused
 
@@ -767,7 +748,7 @@ class Circuit:
     ops: tuple[Operation, ...]
 
     def apply(self, state: StateVector) -> StateVector:
-        """Apply the ops in order, each run of diagonal ops fused into one op.
+        """Apply the ops in order, as the steps :func:`_fuse_diagonals` makes of them.
 
         The input is copied once into the buffer this run owns, and every op
         writes through it; the input is left as it was.  A buffer that
@@ -787,32 +768,27 @@ class Circuit:
         """``U|0...0>``, started from the product state where the gate list has one.
 
         When the ops start with Hadamard layers on disjoint registers that
-        cover every qubit, they and the maximal diagonal run after them make
-        the product state ``h exp(i phase(x))``.  Where :func:`_table` holds
-        that run over its first ladder's register, by the rule :meth:`apply`
-        fuses by and for a run of one ladder too, it is the run's fused table
-        scaled in place by the amplitude ``h`` the layers give; otherwise, for
-        a run without a ladder or an empty one, the buffer is filled with
-        ``h`` and every op after the layers runs as in :meth:`apply`.  Any
-        other circuit is ``apply(zero_state(n))``.  The result is bit for bit
-        that of :meth:`apply`, and the ops run on the buffer built here,
-        never copied.
+        cover every qubit, the buffer after them holds the amplitude ``h``
+        they give ``|0...0>`` everywhere.  The ops after the layers become
+        the steps :meth:`apply` runs; if the first is a phase table, the
+        buffer starts as its factors scaled in place by ``h``, else as ``h``
+        alone, and the other steps run through :meth:`apply`.  Any other
+        circuit is ``apply(zero_state(n))``.  The result is bit for bit that
+        of :meth:`apply`, and the ops run on the buffer built here, never
+        copied.
         """
         check_capacity(self.num_qubits)
         front = _hadamard_front(self.ops, self.num_qubits)
         if front is None:
             return self.apply(_Buffer(self.num_qubits, zero_state(self.num_qubits).amplitudes))
         count, scale = front
-        rest = self.ops[count:]
-        run = tuple(itertools.takewhile(_diagonal, rest))
-        table = _table(run, _ladder_register(run), self.num_qubits)
-        if table is None:
-            amps = np.full(1 << self.num_qubits, scale, dtype=np.complex128)
-        else:
-            amps = table.factors(self.num_qubits)
+        steps = _fuse_diagonals(self.ops[count:], self.num_qubits)
+        if steps and isinstance(steps[0], _PhaseTable):
+            amps = steps.pop(0).factors(self.num_qubits)
             amps *= scale
-            rest = rest[len(run) :]
-        return Circuit(self.num_qubits, rest).apply(_Buffer(self.num_qubits, amps))
+        else:
+            amps = np.full(1 << self.num_qubits, scale, dtype=np.complex128)
+        return Circuit(self.num_qubits, tuple(steps)).apply(_Buffer(self.num_qubits, amps))
 
     def adjoint(self) -> "Circuit":
         return Circuit(self.num_qubits, tuple(op.adjoint() for op in reversed(self.ops)))

@@ -201,7 +201,27 @@ class TestInterpolate:
         for name in ("quantum", "classical"):
             assert abs(readings[0][name] - readings[1][name]) <= 1e-12
 
-    @pytest.mark.parametrize("value, norm", [("1e200", "inf"), ("0", "0.0")], ids=["huge", "zero"])
+    @pytest.mark.parametrize("table", ["1e-320 0", "1e200 0"], ids=["subnormal-norm", "overflowing-squares"])
+    def test_table_out_of_float_range_reads_as_its_unit_vector(self, tmp_path, capsys, table):
+        # 1e-320 has a norm without a finite inverse, 1e200 squares that overflow; both read as "1 0"
+        outputs = []
+        for text in (table, "1 0"):
+            path = tmp_path / "table.txt"
+            path.write_text(text + "\n")
+            outputs.append(run(capsys, "interpolate", "--source", str(path), "-m", "1", "-t", "0.3"))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
+    def test_sweep_past_the_float_range_exits_3(self, capsys):
+        # points from 2 * 1e308 / 4 on overflow to inf; the first point outside is refused, with no warning
+        code, out, err = run(
+            capsys, "interpolate", "--source", "nu2", "-m", "6", "--t-start", "0", "--t-stop", "1e308", "--t-steps", "4"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: value 2.5e+307 outside unsigned domain [0, 64)\n"
+
+    # each 1e308 is finite, but the table's norm is past the float range
+    @pytest.mark.parametrize("value, norm", [("1e308", "inf"), ("0", "0.0")], ids=["huge", "zero"])
     def test_table_without_a_unit_vector(self, tmp_path, capsys, value, norm):
         table = tmp_path / "table.txt"
         table.write_text(" ".join([value] * 8) + "\n")
@@ -294,6 +314,21 @@ class TestSum:
         assert abs(values["sum"] - 15.1555) < 0.2
         assert abs(values["classical"] - 15.9130) < 1e-3
         assert abs(values["abs-error"] - abs(values["sum"] - values["classical"])) < 1e-6
+
+    @pytest.mark.parametrize(
+        "weights, unscaled",
+        [("1e200 0 0 0", "1 0 0 0"), ("1e-320 1e-320 1e-320 1e-320", "1 1 1 1")],
+        ids=["overflowing-squares", "subnormal-norm"],
+    )
+    def test_weights_out_of_float_range_keep_the_amplitude(self, tmp_path, capsys, weights, unscaled):
+        amplitudes = []
+        for text in (weights, unscaled):
+            config = tmp_path / "sum.cfg"
+            config.write_text(f"n = 2\nm = 3\nweights = {text}\npoly = 1: 1; 2: k0; 3: k1\n")
+            code, out, err = run(capsys, "sum", str(config))
+            assert (code, err) == (0, "")
+            amplitudes.append(out.splitlines()[0])
+        assert amplitudes[0] == amplitudes[1]
 
     def test_scaled_config(self, tmp_path, capsys):
         poly_file = tmp_path / "p.poly"
@@ -426,8 +461,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("key, vector", [("weights", "weight"), ("hash", "hash")])
     def test_overflowing_vector_norm(self, tmp_path, capsys, key, vector):
-        # every entry is finite but the squares overflow; the error names the vector
-        code, err = self.sum_error(tmp_path, capsys, f"{key} = 1e200 1e200 1e200 1e200\n")
+        # every entry is finite but the norm, 2e308, is past the float range; the error names the vector
+        code, err = self.sum_error(tmp_path, capsys, f"{key} = 1e308 1e308 1e308 1e308\n")
         assert code == 3
         assert err == f"error: {vector} vector norm inf is not positive and finite\n"
 

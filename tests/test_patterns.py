@@ -98,12 +98,34 @@ class TestUnitVectors:
 
     @pytest.mark.parametrize("vector", ["weight", "hash"])
     def test_overflowing_norm_rejected(self, vector):
-        # the squares overflow although every entry is finite; pytest's settings
-        # make a RuntimeWarning an error, so this also checks that none is issued
-        big, ones = [1e200, 1e200], [1.0, 1.0]
+        # the norm, 2.1e308, is past the float range although every entry is finite; pytest's
+        # settings make a RuntimeWarning an error, so this also checks that none is issued
+        big, ones = [1.5e308, 1.5e308], [1.0, 1.0]
         weights, hashes = (big, ones) if vector == "weight" else (ones, big)
         with pytest.raises(NormalizationError, match=f"{vector} vector norm inf"):
             weighted_sum(weights, ONE_VAR, hashes)
+
+    @pytest.mark.parametrize("vector", ["weight", "hash"])
+    @pytest.mark.parametrize(
+        "scaled, unscaled, scale",
+        [
+            ([1e200, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1e200),
+            ([1e200] * 4, [1.0] * 4, 1e200),
+            ([1e-320] * 4, [1.0] * 4, 1e-320),
+        ],
+        ids=["overflowing-squares", "overflowing-squares-dense", "subnormal-norm"],
+    )
+    def test_norm_out_of_float_range_keeps_the_amplitude(self, vector, scaled, unscaled, scale):
+        # the plain norm is inf, or its inverse is: the vector loads as the unscaled one does
+        other = [1.0, 2.0, 3.0, 4.0]
+        poly = BinaryPolynomial(2, {0: 1.0, 1: 1.0, 2: 1.0})
+        runs = [
+            weighted_sum(v, poly, other) if vector == "weight" else weighted_sum(other, poly, v)
+            for v in (scaled, unscaled)
+        ]
+        assert runs[0][0] == runs[1][0]
+        # a subnormal entry holds about 11 significant bits
+        assert runs[0][1] == pytest.approx(runs[1][1] * scale, rel=1e-12 if scale > 1 else 1e-3)
 
     def test_nan_amplitudes_rejected(self):
         with pytest.raises(NormalizationError):

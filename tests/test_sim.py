@@ -532,6 +532,24 @@ class TestOneBuffer:
         expected = np.multiply(table.factors(n), state.amplitudes)
         assert table.apply(state).amplitudes.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("width", [15, 16, 17])
+    @pytest.mark.parametrize("offset", [0, 2])
+    @pytest.mark.parametrize("controlled", [False, True], ids=["uncontrolled", "controlled"])
+    def test_sliced_ladder_matches_index_arithmetic(self, width, offset, controlled):
+        # a bare ladder whose table is applied in slices of its register, checked against
+        # exp(i theta r) from each basis index; theta has 20 fraction bits, so theta * r is exact
+        n = offset + width + 1
+        reg = Register(offset, width)
+        controls = tuple(q for q in range(n) if q not in reg.qubits()) if controlled else ()
+        rng = np.random.default_rng(100 * width + 10 * offset + controlled)
+        theta = int(rng.integers(-(1 << 22), 1 << 22)) / (1 << 20)
+        index = np.arange(1 << n)
+        mask = sum(1 << q for q in controls)
+        phase = np.where(index & mask == mask, theta * (index >> offset & (reg.size - 1)), 0.0)
+        ones = StateVector(n, np.ones(1 << n, dtype=complex))
+        factors = PhaseLadder(reg, theta, controls).apply(ones).amplitudes
+        assert np.max(np.abs(factors - np.exp(1j * phase))) < 1e-12
+
     @pytest.mark.parametrize("chunk", [4, 8, 64])
     def test_slice_size_leaves_every_bit(self, chunk):
         # the slicing rules at bounds small enough that every branch runs
@@ -662,13 +680,14 @@ class TestCircuitFusion:
 
     @pytest.mark.parametrize("name", sorted(PIPELINE_CIRCUITS))
     def test_dictionary_runs_fuse_into_two_tables(self, name):
-        # every maximal diagonal run of two or more ops in a pipeline's gate list becomes one table
+        # every maximal diagonal run that holds a ladder in a pipeline's gate list becomes one table,
+        # a run of one ladder included
         circuit = PIPELINE_CIRCUITS[name]()
         fused = _fuse_diagonals(circuit.ops, circuit.num_qubits)
         expected = []
         for diagonal, run in itertools.groupby(circuit.ops, lambda op: isinstance(op, DIAGONAL)):
             run = list(run)
-            expected += [None] if diagonal and len(run) >= 2 else run
+            expected += [None] if diagonal and any(isinstance(op, PhaseLadder) for op in run) else run
         assert len(fused) == len(expected)
         for op, want in zip(fused, expected):
             assert op is want or want is None and isinstance(op, sim._PhaseTable)

@@ -14,11 +14,13 @@
 #   diff -r /tmp/out-parent /tmp/out-head
 #
 # The set covers interpolate points and sweeps (nu2, lambda and table sources,
-# both domains, m=6 and m=12, and one m=16 point), ten sum configs (one at m=16
-# and a sparse one at the 24-qubit cap), encode, dict (JSON and SVG)
-# and repro with its artifacts.  Encodes at m=16 and m=17, where phase tables
-# are applied in slices, keep only the sha256 of their JSON in place of the
-# megabytes themselves.  It takes about half a minute on one core.
+# both domains, m=6 and m=12, one m=16 point, and a sweep whose points pass the
+# float range), twelve sum configs (one at m=16, a sparse one at the 24-qubit
+# cap, one with a single controlled term and one whose weights' squares
+# overflow), encode, dict (JSON and SVG; one of a single controlled term, plain
+# and F') and repro with its artifacts.  Encodes at m=16 and m=17, where phase
+# tables are applied in slices, keep only the sha256 of their JSON in place of
+# the megabytes themselves.  It takes about half a minute on one core.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -59,6 +61,7 @@ def poly_text(num_vars, masks, coefficients):
 dense = poly_text(4, range(16), [float(v) for v in np.r_[100.0, rng.uniform(-6, 6, 15)]])
 sparse = poly_text(6, [0, 1, 6, 33, 40], [float(v) for v in rng.uniform(-3, 3, 5)])
 write("linear.poly", "1.2: 1\n0.4: k0\n0.8: k1\n")
+write("controlled.poly", "3: k1\n")
 write("demo.poly", "0.725: 1\n2.451: k1\n2.716: k2\n1.321: k0*k2\n")
 write("random.poly", dense.replace("; ", "\n") + "\n")
 configs = {
@@ -71,6 +74,8 @@ configs = {
     "integer-hash": "n = 2\nm = 3\nweights = 1 2 3 4\nhash = 0 1 4 9 16 25 36 49\npoly = 1: 1; 2: k0; 3: k1\n",
     "constant": "n = 2\nm = 4\nweights = uniform\nhash = uniform\npoly = 5: 1\n",
     "out-of-range": "n = 2\nm = 2\npoly = 3: 1; 2: k0\n",
+    "one-controlled-term": "n = 2\nm = 3\nweights = 1 2 3 4\npoly = 3: k1\n",
+    "huge-weight": "n = 2\nm = 3\nweights = 1e200 0 0 0\npoly = 1: 1; 2: k0; 3: k1\n",
 }
 # a 16-qubit value register: the readout's phase table is streamed in slices of its register
 wide = poly_text(2, range(4), [float(v) for v in np.r_[30000.0, rng.uniform(-9000, 9000, 3)]])
@@ -114,6 +119,7 @@ for domain in unsigned twos; do
     done
 done
 run interpolate-nu2-m6-outside interpolate --source nu2 -m 6 -t 64
+run interpolate-nu2-m6-sweep-overflow interpolate --source nu2 -m 6 --t-start 0 --t-stop 1e308 --t-steps 4
 run interpolate-nu2-m6-sweep-csv interpolate --source nu2 -m 6 --t-start 1 --t-stop 60 --t-steps 37 --csv sweep.csv
 # far from most of its samples, where a kernel numerator taken as sin(pi (t - k)) is least accurate
 run interpolate-nu2-m16-t65535.3 interpolate --source nu2 -m 16 -t 65535.3
@@ -137,6 +143,8 @@ run encode-m4-svg-file encode -m 4 -t 9.5 --out svg -o encode.svg
 
 run dict-linear-json dict inputs/linear.poly -n 2 -m 3
 run dict-linear-prime-svg dict inputs/linear.poly -n 2 -m 3 --prime --out svg
+run dict-controlled-json dict inputs/controlled.poly -n 2 -m 3
+run dict-controlled-prime-json dict inputs/controlled.poly -n 2 -m 3 --prime
 run dict-random-prime-json dict inputs/random.poly -n 4 -m 8 --prime
 run dict-demo-twos-svg dict inputs/demo.poly -n 3 -m 4 --domain twos --out svg -o dict.svg
 
