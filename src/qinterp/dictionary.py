@@ -18,7 +18,7 @@ import numpy as np
 from .encoding import correction_ops, encoder_ops
 from .errors import DomainError, ParseError, ValueRangeError
 from .kernels import INTEGER_TOLERANCE, EncodingDomain, domain_bounds, normalize_to_domain
-from .sim import Circuit, HadamardLayer, RegisterLayout, check_capacity, subset_sums
+from .sim import MAX_QUBITS, Circuit, HadamardLayer, RegisterLayout, check_capacity, subset_sums
 
 _TERM_RE = re.compile(r"^k(\d+)$")
 
@@ -87,10 +87,14 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> BinaryPolynomial
     """Parse the one-term-per-line format ``<coefficient>: <term>``.
 
     A term is ``1`` for the constant or ``*``-joined variables like
-    ``k0*k2``; ``#`` starts a comment.  Repeated terms accumulate.
+    ``k0*k2``; ``#`` starts a comment.  Repeated terms accumulate.  A
+    variable index must lie below ``num_vars``, or below ``MAX_QUBITS`` when
+    no count is declared; one that does not is refused from its digits,
+    before it is converted or shifted into a mask.
     """
     if num_vars is not None and num_vars < 1:
         raise ParseError(f"a polynomial needs at least one variable, but {num_vars} declared")
+    bound, limit = (MAX_QUBITS, "supported") if num_vars is None else (num_vars, "declared")
     terms: dict[int, float] = {}
     max_var = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -113,18 +117,18 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> BinaryPolynomial
                 match = _TERM_RE.match(factor.strip())
                 if not match:
                     raise ParseError(f"line {lineno}: bad term factor {factor.strip()!r}")
-                var = int(match.group(1))
+                index = match.group(1).lstrip("0") or "0"
+                if len(index) > len(str(bound)) or int(index) >= bound:
+                    raise ParseError(
+                        f"line {lineno}: term uses variable k{index}, but only {bound} variables are {limit}"
+                    )
+                var = int(index)
                 mask |= 1 << var
                 max_var = max(max_var, var)
         terms[mask] = terms.get(mask, 0.0) + coef
     if not terms:
         raise ParseError("no polynomial terms found")
-    inferred = max(max_var + 1, 1)
-    if num_vars is None:
-        num_vars = inferred
-    elif num_vars < inferred:
-        raise ParseError(f"term uses variable k{max_var} but only {num_vars} variables declared")
-    return BinaryPolynomial(num_vars, terms)
+    return BinaryPolynomial(max(max_var + 1, 1) if num_vars is None else num_vars, terms)
 
 
 def format_polynomial(poly: BinaryPolynomial) -> str:

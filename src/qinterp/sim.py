@@ -19,7 +19,7 @@ each maximal run of adjacent diagonal operations that holds a ladder into one
 multiplication by a table over the run's first ladder's register where one
 such table holds the whole run, and otherwise leaves it op by op; a ladder
 applied alone is the table of itself.  Phase tables and a loader's rank-1
-update are built and applied in slices of about ``_STREAM_CHUNK`` entries, so
+update are built and applied in slices of about ``_CHUNK`` entries, so
 no operation allocates a temporary the size of the state.
 
 :meth:`Circuit.state` gives ``U|0...0>``: where the circuit starts with
@@ -230,7 +230,7 @@ def _phase_ramps(offset: np.ndarray, slope: np.ndarray, width: int) -> np.ndarra
 
 
 _HADAMARD_BLOCK = 4  # register qubits per matrix product of a Hadamard layer
-_HADAMARD_CHUNK = 1 << 15  # float64 entries per in-place product, about half an L2 cache
+_CHUNK = 1 << 15  # entries per slice of an in-place product or an applied or streamed table
 
 
 def _hadamard_matrix(width: int) -> np.ndarray:
@@ -245,43 +245,42 @@ _HADAMARD_MATRICES = tuple(_hadamard_matrix(b) for b in range(_HADAMARD_BLOCK + 
 
 
 def _chunks(shape: tuple[int, int, int]) -> list[tuple[slice, slice, slice]]:
-    """Index triples that cut an (X, B, Q) array into slices of about ``_HADAMARD_CHUNK`` entries.
+    """Index triples that cut an (X, B, Q) array into slices of about ``_CHUNK`` entries.
 
     A slice is a run of whole rows where a row fits, else part of one row
-    with its whole middle axis where one column fits, else part of one
-    column; the last never happens for a Hadamard block's ``B <= 16``.
+    with its whole middle axis where one column fits or ``B`` is at most a
+    Hadamard block's 16, else part of one column.  A Hadamard block's matrix
+    product needs its whole middle axis, so it never takes the last, also
+    under a budget below 16.
     """
     rows, size, cols = shape
     whole = slice(None)
-    if size * cols <= _HADAMARD_CHUNK:
-        step = _HADAMARD_CHUNK // (size * cols)
+    if size * cols <= _CHUNK:
+        step = _CHUNK // (size * cols)
         return [(slice(i, i + step), whole, whole) for i in range(0, rows, step)]
-    if size <= _HADAMARD_CHUNK:
-        step = _HADAMARD_CHUNK // size
+    if size <= max(_CHUNK, 1 << _HADAMARD_BLOCK):
+        step = max(1, _CHUNK // size)
         return [(slice(i, i + 1), whole, slice(j, j + step)) for i in range(rows) for j in range(0, cols, step)]
     return [
-        (slice(i, i + 1), slice(k, k + _HADAMARD_CHUNK), slice(j, j + 1))
+        (slice(i, i + 1), slice(k, k + _CHUNK), slice(j, j + 1))
         for i in range(rows)
         for j in range(cols)
-        for k in range(0, size, _HADAMARD_CHUNK)
+        for k in range(0, size, _CHUNK)
     ]
-
-
-_STREAM_CHUNK = 1 << 15  # phase-table entries per slice of an applied or streamed table
 
 
 def _ramp_slices(offset: np.ndarray, slope: np.ndarray, width: int):
     """:func:`_phase_ramps` of ``offset`` and ``slope`` in slices along axis 1, bit for bit.
 
     Yields ``(r, part)``: ``part`` holds the table's entries ``r`` to
-    ``r + part.shape[1] - 1`` on axis 1, at most ``_STREAM_CHUNK`` of them
+    ``r + part.shape[1] - 1`` on axis 1, at most ``_CHUNK`` of them
     per slice unless ``offset`` alone has more.  The first slice is the ramp
     over the low bits; every other one is the slice of ``r`` without its top
     bit times that bit's step, so each entry is the product of the same
     factors in the same low-to-high order as in the doubling.  A walk depth
     first over the high bits keeps one slice per bit alive at most.
     """
-    low = min(width, max(0, (_STREAM_CHUNK // offset.size).bit_length() - 1))
+    low = min(width, max(0, (_CHUNK // offset.size).bit_length() - 1))
     steps = [np.exp(1j * (1 << b) * slope)[:, None, :] for b in range(low, width)]
 
     def descend(r, part, first):
@@ -399,8 +398,8 @@ class DiagonalPhase(Operation):
         _require_register(state, self.register)
         amps = _writable(state)
         view = _register_view(amps, self.register)
-        for r in range(0, self.register.size, _STREAM_CHUNK):
-            view[:, r : r + _STREAM_CHUNK] *= np.exp(1j * self.phases[r : r + _STREAM_CHUNK])[None, :, None]
+        for r in range(0, self.register.size, _CHUNK):
+            view[:, r : r + _CHUNK] *= np.exp(1j * self.phases[r : r + _CHUNK])[None, :, None]
         return _written(state, amps)
 
     def adjoint(self) -> "DiagonalPhase":
@@ -439,7 +438,7 @@ class StatePrep(Operation):
     Realized as a Householder reflection combined with a global phase, so the
     adjoint is available in closed form and round trips are exact to float
     precision.  The reflection's rank-1 update is applied in slices of about
-    ``_HADAMARD_CHUNK`` entries, so no outer product the size of the state is
+    ``_CHUNK`` entries, so no outer product the size of the state is
     built.
     """
 
@@ -478,20 +477,6 @@ class StatePrep(Operation):
         return StatePrep(self.register, self.target, not self.dagger)
 
 
-def _outside_bit(qubit: int, register: Register) -> int:
-    """Position of ``qubit`` in the index over the qubits outside ``register``."""
-    return qubit if qubit < register.offset else qubit - register.width
-
-
-def _outside_mask(qubits, register: Register) -> int:
-    """Bitmask of ``qubits`` in the index over the qubits outside ``register``."""
-    mask = 0
-    for q in qubits:
-        mask |= 1 << q
-    below = (1 << register.offset) - 1
-    return mask & below | mask >> register.width & ~below
-
-
 @dataclass(frozen=True, eq=False)
 class _PhaseTable(Operation):
     """Phase ``offset[c] + slope[c] * r``, fused from a run of diagonal operations.
@@ -514,7 +499,7 @@ class _PhaseTable(Operation):
         """Multiply by the table slice by slice, each slice built by :func:`_ramp_slices`.
 
         A slice takes whole rows of the (high, register, low) view where they
-        fit ``_STREAM_CHUNK`` entries, else two rows split along the register
+        fit ``_CHUNK`` entries, else two rows split along the register
         index and, past that, along the low qubits.  Two rows at least, so
         that a ramp's first doubling multiplies strided rows as
         :meth:`factors` does: numpy's complex product rounds by memory
@@ -524,8 +509,8 @@ class _PhaseTable(Operation):
         view = _register_view(amps, self.register)
         rows, size, cols = view.shape
         offset, slope = self.offset.reshape(rows, cols), self.slope.reshape(rows, cols)
-        step_h = min(rows, max(2, _STREAM_CHUNK // (size * cols)))
-        step_c = min(cols, max(1, _STREAM_CHUNK // step_h))
+        step_h = min(rows, max(2, _CHUNK // (size * cols)))
+        step_c = min(cols, max(1, _CHUNK // step_h))
         for h, c in itertools.product(range(0, rows, step_h), range(0, cols, step_c)):
             block = (slice(h, h + step_h), slice(c, c + step_c))
             for r, part in _ramp_slices(offset[block], slope[block], self.register.width):
@@ -534,81 +519,65 @@ class _PhaseTable(Operation):
         return _written(state, amps)
 
 
-def _fuse(run, register: Register, num_qubits: int) -> _PhaseTable:
-    """The :class:`_PhaseTable` acting as a run of diagonal ops that all :func:`_fits` ``register``.
+def _fuse(run, register: Register | None, num_qubits: int) -> _PhaseTable | None:
+    """The :class:`_PhaseTable` over ``register`` that acts as the diagonal ``run``, or None.
 
-    Each ladder adds its theta to ``slope`` and each controlled phase its
-    angle to ``offset``, at its control mask; one zeta transform then sums
-    them over every ``c``.  Diagonal tables on outside qubits add last.
-    Callers reach it through :func:`_table`, or for one ladder whose
-    register and controls are checked, from :meth:`PhaseLadder.apply`.
+    This is the one fusion rule: a run becomes one table over one register
+    whole, or stays op by op.  A ladder fits only on ``register`` itself; a
+    controlled phase or a diagonal table only on qubits outside it.  Each
+    op's qubits are range-checked as it is added, before any is shifted into
+    its mask over the outside qubits; None for no register, a register past
+    ``num_qubits`` or the first op that does not fit.  Each ladder adds its
+    theta to ``slope`` and each controlled phase its angle to ``offset``, at
+    that mask; one zeta transform then sums them over every ``c``.  Diagonal
+    tables add last, at their mask's lowest bit.  No op at all is the table
+    of phase 0.
     """
+    if register is None:
+        return None
+    lo, hi = register.offset, register.offset + register.width
+    if hi > num_qubits:
+        return None
+    below = (1 << lo) - 1
     offset = np.zeros(1 << (num_qubits - register.width))
     slope = np.zeros_like(offset)
     tables = []
     for op in run:
-        if isinstance(op, PhaseLadder):
-            slope[_outside_mask(op.controls, register)] += op.theta
-        elif isinstance(op, ControlledPhase):
-            offset[_outside_mask(op.controls, register)] += op.angle
+        if isinstance(op, DiagonalPhase):
+            qubits = op.register.qubits()
+        elif isinstance(op, ControlledPhase) or isinstance(op, PhaseLadder) and op.register == register:
+            qubits = op.controls
         else:
-            tables.append(op)
+            return None
+        mask = 0
+        for q in qubits:
+            if not 0 <= q < num_qubits or lo <= q < hi:
+                return None
+            mask |= 1 << q
+        mask = mask & below | mask >> register.width & ~below
+        if isinstance(op, PhaseLadder):
+            slope[mask] += op.theta
+        elif isinstance(op, ControlledPhase):
+            offset[mask] += op.angle
+        else:
+            tables.append(((mask & -mask).bit_length() - 1, op))
     offset = subset_sums(offset)
-    for op in tables:
-        bit = _outside_bit(op.register.offset, register)
+    for bit, op in tables:
         _register_view(offset, Register(bit, op.register.width))[...] += op.phases[None, :, None]
     return _PhaseTable(register, offset, subset_sums(slope))
 
 
-_DIAGONAL_KINDS = (PhaseLadder, ControlledPhase, DiagonalPhase)
-
-
-def _fits(op: Operation, register: Register, num_qubits: int) -> bool:
-    """Whether ``op`` and ``register`` lie on qubits 0 to ``num_qubits - 1`` and ``op`` fuses over it.
-
-    A ladder fuses only on ``register`` itself; a controlled phase or a
-    diagonal table only on qubits outside it.
-    """
-    if isinstance(op, DiagonalPhase):
-        qubits = op.register.qubits()
-    elif isinstance(op, ControlledPhase):
-        qubits = op.controls
-    elif isinstance(op, PhaseLadder) and op.register == register:
-        qubits = op.controls
-    else:
-        return False
-    if qubits and not (0 <= min(qubits) and max(qubits) < num_qubits):
-        return False
-    lo, hi = register.offset, register.offset + register.width
-    return hi <= num_qubits and all(q < lo or hi <= q for q in qubits)
-
-
-def _table(run, register: Register | None, num_qubits: int) -> _PhaseTable | None:
-    """``run`` fused over ``register``; None for no register or if an op does not :func:`_fits` it.
-
-    This is the one fusion rule: a diagonal run becomes one table over one
-    register whole, or stays op by op.  No op at all is the table of phase 0.
-    """
-    if register is None or not all(_fits(op, register, num_qubits) for op in run):
-        return None
-    return _fuse(run, register, num_qubits)
-
-
-def _diagonal(op: Operation) -> bool:
-    return isinstance(op, _DIAGONAL_KINDS)
-
-
 def _fuse_diagonals(ops, num_qubits: int) -> list[Operation]:
-    """The gate list with each maximal diagonal run as one op where :func:`_table` holds it.
+    """The gate list with each maximal diagonal run as one op where :func:`_fuse` holds it.
 
     A run fuses over its first ladder's register, so one without a ladder,
     as every run of non-diagonal ops, stays op by op.  Diagonal ops commute,
     so fusing keeps the circuit's action.
     """
-    fused = []
-    for _, group in itertools.groupby(ops, _diagonal):
+    fused, diagonal = [], (PhaseLadder, ControlledPhase, DiagonalPhase)
+    for _, group in itertools.groupby(ops, lambda op: isinstance(op, diagonal)):
         run = list(group)
-        table = _table(run, next((op.register for op in run if isinstance(op, PhaseLadder)), None), num_qubits)
+        table = _fuse(run, next((op.register for op in run if isinstance(op, PhaseLadder)), None), num_qubits)
         fused += run if table is None else [table]
     return fused
 
@@ -624,21 +593,21 @@ def _stream(table: _PhaseTable, x: np.ndarray) -> np.ndarray:
     ``R[c, l] = exp(i (offset[c] + slope[c] l))``, and the giant steps are
     ``S[c, h] = exp(i slope[c] 2^low h)`` (Paterson and Stockmeyer's split),
     so an N x M table needs about ``2 N sqrt(M)`` ramp entries, not ``N M``.
-    A table that fits one ``_STREAM_CHUNK`` keeps ``low`` at the register's
+    A table that fits one ``_CHUNK`` keeps ``low`` at the register's
     width, with no giant step: one ``vecdot`` against its whole ramp, whose
     result is bit for bit the whole table's product.  A wider one splits
     near half its width, in blocks of rows whose ramp takes at most half a
-    ``_STREAM_CHUNK``, as do its ``S`` and ``Y`` slices unless the chunk
+    ``_CHUNK``, as do its ``S`` and ``Y`` slices unless the chunk
     caps ``low``, which the real chunk never does within ``MAX_QUBITS``; no
     slice takes more than one.  The halves keep the three slices a block
     holds at once to 1.5 chunks.
     """
     width, rows = table.register.width, table.offset.size
-    if rows << width <= _STREAM_CHUNK:
+    if rows << width <= _CHUNK:
         low, step = width, rows
     else:
-        low = min((width + 1) // 2, _STREAM_CHUNK.bit_length() - 2)
-        step = max(1, _STREAM_CHUNK >> (low + 1))
+        low = min((width + 1) // 2, _CHUNK.bit_length() - 2)
+        step = max(1, _CHUNK >> (low + 1))
     x_bar = x.conj().reshape(-1, 1 << low)
     out = np.zeros(rows, dtype=np.complex128)
     for c in range(0, rows, step):
@@ -726,8 +695,10 @@ def _hadamard_front(ops, num_qubits: int) -> tuple[int, float] | None:
         if count == len(ops) or not isinstance(ops[count], HadamardLayer):
             return None
         reg = ops[count].register
+        if reg.offset + reg.width > num_qubits:
+            return None
         bits = (reg.size - 1) << reg.offset
-        if covered & bits or bits > full:
+        if covered & bits:
             return None
         covered |= bits
         for q in range(0, reg.width, _HADAMARD_BLOCK):
@@ -802,14 +773,16 @@ class Circuit:
         register's factor of the product state, the trailing ones as
         adjoints on its ``<0|`` factor, or forward on the contracted vector
         for kept keys; lowered onto the factor, whose ``apply`` fuses them.
-        The ops between must fuse by :func:`_table` into one phase table
+        The ops between must fuse by :func:`_fuse` into one phase table
         ``D[c, r]`` over the value register (``c`` the key), else
-        :class:`LayoutError`; an empty middle is the table of phase 0.  With
+        :class:`LayoutError`; an op on a qubit past the width acts inside
+        no register, so it stays in the middle and is refused there.  An
+        empty middle is the table of phase 0.  With
         ``x = ket * conj(bra)`` per register, the amplitude is
         ``x_k^T D x_v`` and the kept keys are ``ket_k * (D x_v)``.  D is
         never built whole: :func:`_stream` contracts it in baby and giant
         steps, with ramps, partial sums and giant steps in slices of at most
-        ``_STREAM_CHUNK`` entries.
+        ``_CHUNK`` entries.
         """
         if layout.num_qubits != self.num_qubits:
             raise LayoutError(f"{layout.num_qubits}-qubit layout read on a {self.num_qubits}-qubit circuit")
@@ -817,7 +790,7 @@ class Circuit:
         registers = (layout.value_register, layout.key_register)
         heads, front = _local_prefix(self.ops, registers)
         tails, peeled = _local_prefix(self.ops[front:][::-1], registers)
-        table = _table(self.ops[front : len(self.ops) - peeled], layout.value_register, self.num_qubits)
+        table = _fuse(self.ops[front : len(self.ops) - peeled], layout.value_register, self.num_qubits)
         if table is None:
             raise LayoutError("readout middle is not one phase table over the value register")
 

@@ -508,6 +508,23 @@ class TestMalformedInput:
         assert code == 2
         assert "not finite" in err
 
+    @pytest.mark.parametrize("command", ["dict", "sum"])
+    @pytest.mark.parametrize(
+        "index", ["2", "1000000000", "99999999999999999999", "9" * 5000, "0" * 5000 + "7"],
+        ids=["next", "1e9", "1e20", "5000-digits", "leading-zeros"],
+    )
+    def test_variable_index_past_the_count_is_one_refusal(self, tmp_path, capsys, command, index):
+        if command == "dict":
+            poly = tmp_path / "big.poly"
+            poly.write_text(f"1: k{index}\n")
+            code, out, err = run(capsys, "dict", str(poly), "-n", "2", "-m", "3")
+        else:
+            config = tmp_path / "sum.cfg"
+            config.write_text(f"n = 2\nm = 3\npoly = 1: k{index}\n")
+            code, out, err = run(capsys, "sum", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 1: term uses variable k{index.lstrip('0')}, but only 2 variables are declared\n"
+
     def test_key_width_over_cap_rejected_before_allocation(self, tmp_path, capsys):
         config = tmp_path / "sum.cfg"
         config.write_text("n = 40\nm = 2\npoly = 1.0: 1\n")

@@ -26,7 +26,7 @@ from qinterp import (
     zero_state,
 )
 from qinterp.kernels import domain_bounds
-from qinterp.sim import ControlledPhase, DiagonalPhase, PhaseLadder, StateVector
+from qinterp.sim import MAX_QUBITS, ControlledPhase, DiagonalPhase, PhaseLadder, StateVector
 
 TWOS = EncodingDomain.TWOS_COMPLEMENT
 
@@ -142,6 +142,21 @@ class TestTextFormat:
             parse_polynomial("")
         with pytest.raises(ParseError):
             parse_polynomial("1.0: k5\n", num_vars=2)
+
+    def test_variable_index_bound_without_a_count(self):
+        assert parse_polynomial("1: k23").num_vars == MAX_QUBITS
+        with pytest.raises(ParseError, match="variable k24, but only 24 variables are supported"):
+            parse_polynomial("1: k24")
+
+    def test_huge_variable_index_refused_before_its_mask(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="variable k1000000000, but only 2 variables are declared"):
+                parse_polynomial("1: k1000000000", 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("num_vars", [0, -1])
     def test_no_variables_declared(self, num_vars):

@@ -562,9 +562,21 @@ class TestOneBuffer:
             state = random_state(n, rng)
             expected = [op.apply(state).amplitudes.tobytes() for op in ops]
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(sim, "_STREAM_CHUNK", chunk)
-                patch.setattr(sim, "_HADAMARD_CHUNK", chunk)
+                patch.setattr(sim, "_CHUNK", chunk)
                 assert [op.apply(state).amplitudes.tobytes() for op in ops] == expected
+
+    @pytest.mark.parametrize("chunk", [2, 4, 8])
+    def test_hadamard_blocks_stay_whole_under_a_small_budget(self, chunk):
+        # a budget below a block's 16 entries still gives each matrix product its whole block;
+        # a product over fewer columns may round differently, so this is not bit for bit
+        rng = np.random.default_rng(chunk)
+        state = random_state(7, rng)
+        layers = [HadamardLayer(Register(offset, width)) for offset in range(3) for width in range(1, 8 - offset)]
+        expected = [layer.apply(state).amplitudes for layer in layers]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_CHUNK", chunk)
+            for layer, want in zip(layers, expected):
+                assert np.max(np.abs(layer.apply(state).amplitudes - want)) < 1e-15
 
     def test_circuit_apply_peaks_near_two_buffers(self):
         # input and run buffer; every op kind at up to full width, one fused table among them
@@ -721,11 +733,27 @@ class TestCircuitFusion:
         assert Circuit(4, ops).apply(state).amplitudes.tobytes() == direct.tobytes()
         assert_state_is_apply(Circuit(4, (HadamardLayer(Register(0, 4)), *ops)))
 
-    def test_invalid_op_raises_in_order(self):
-        # the fusion pass leaves an op that does not fit the state to its own apply
-        circuit = Circuit(3, (PhaseLadder(Register(0, 2), 0.3), ControlledPhase((5,), 0.2)))
-        with pytest.raises(LayoutError, match="control qubit 5 out of range"):
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (ControlledPhase((5,), 0.2), "control qubit 5 out of range"),
+            (ControlledPhase((-1,), 0.2), "control qubit -1 out of range"),
+            (ControlledPhase((10**20,), 0.2), f"control qubit {10**20} out of range"),
+            (PhaseLadder(Register(0, 2), 0.4, (-1,)), "control qubit -1 out of range"),
+            (DiagonalPhase(Register(10**20, 1), [0, 0]), "does not fit a 3-qubit state"),
+            (PhaseLadder(Register(0, 4), 0.4), "does not fit a 3-qubit state"),
+        ],
+        ids=["control-past-the-width", "negative-control", "huge-control", "negative-ladder-control",
+             "huge-table-offset", "ladder-past-the-width"],
+    )  # fmt: skip
+    def test_invalid_op_raises_in_order(self, op, message):
+        # the fusion pass leaves an op that does not fit the state to its own apply, and
+        # range-checks a qubit before it shifts it, so a huge one fails fast, not in a mask
+        circuit = Circuit(3, (PhaseLadder(Register(0, 2), 0.3), op))
+        with pytest.raises(LayoutError, match=message):
             circuit.apply(zero_state(3))
+        with pytest.raises(LayoutError, match="phase table over the value register"):
+            circuit.readout(RegisterLayout(1, 2))
 
     def test_ladder_free_run_stays_op_by_op(self):
         # 4096 controlled phases and diagonal tables with no ladder: no register to fuse over
@@ -814,8 +842,11 @@ class TestCircuitState:
             (HadamardLayer(Register(0, 4)), PhaseLadder(Register(0, 3), 0.3)),
             (HadamardLayer(Register(0, 3)), PhaseLadder(Register(0, 2), 0.3), ControlledPhase((5,), 0.2)),
             (HadamardLayer(Register(0, 3)), DiagonalPhase(Register(1, 4), np.zeros(16))),
+            (HadamardLayer(Register(0, 10**20)),),
+            (HadamardLayer(Register(10**20, 1)),),
         ],
-        ids=["ladder-outside", "hadamard-outside", "control-outside", "table-outside"],
+        ids=["ladder-outside", "hadamard-outside", "control-outside", "table-outside", "huge-hadamard-width",
+             "huge-hadamard-offset"],
     )
     def test_register_outside_the_width_raises_as_apply(self, ops):
         circuit = Circuit(3, ops)
@@ -918,7 +949,7 @@ def layout_readouts(draw, refused=False):
         middle.insert(draw(st.integers(0, len(middle))), _spanning_op(values, keys, rng))
     front = [HadamardLayer(values), HadamardLayer(keys)] + [local() for _ in range(draw(st.integers(0, 3)))]
     back = [local() for _ in range(draw(st.integers(0, 4)))]
-    chunk = draw(st.sampled_from([2, 8, 64, sim._STREAM_CHUNK]))
+    chunk = draw(st.sampled_from([2, 8, 64, sim._CHUNK]))
     return layout, tuple(front + middle + back), chunk
 
 
@@ -943,7 +974,7 @@ class TestReadout:
                 return stream(*args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim, "_STREAM_CHUNK", chunk)
+            patch.setattr(sim, "_CHUNK", chunk)
             patch.setattr(sim, "_stream", recorded_stream)
             assert abs(circuit.readout(layout) - full[0, 0]) < 1e-12
             assert np.max(np.abs(circuit.readout(layout, keep_keys=True) - full[:, 0])) < 1e-12
@@ -979,7 +1010,7 @@ class TestReadout:
 
 @st.composite
 def streamed_tables(draw, one_slice=False):
-    """A phase table, the vector it is contracted with, and a ``_STREAM_CHUNK``.
+    """A phase table, the vector it is contracted with, and a ``_CHUNK``.
 
     Widths run from 1 to 16 and rows from 1 to 256, with ``rows * 2^width``
     kept to ``chunk * 2^10`` (so that a chunk of 2 takes at most about a
@@ -1024,7 +1055,7 @@ def recorded_stream(table, x, chunk):
         return phase_ramps(offset, slope, width)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_STREAM_CHUNK", chunk)
+        patch.setattr(sim, "_CHUNK", chunk)
         patch.setattr(sim, "_phase_ramps", recorded_ramps)
         return sim._stream(table, x), slices
 
@@ -1054,7 +1085,7 @@ class TestWideReadouts:
 
     Its readout streams the controlled ladders' table over the value
     register.  At 22 qubits and up that register has 16 qubits or more, so
-    ``_stream`` slices its columns at the real ``_STREAM_CHUNK``.
+    ``_stream`` slices its columns at the real ``_CHUNK``.
     """
 
     @pytest.mark.parametrize("n", [*range(13, 23), *WIDEST])

@@ -15,10 +15,11 @@
 #
 # The set covers interpolate points and sweeps (nu2, lambda and table sources,
 # both domains, m=6 and m=12, one m=16 point, and a sweep whose points pass the
-# float range), twelve sum configs (one at m=16, a sparse one at the 24-qubit
-# cap, one with a single controlled term and one whose weights' squares
-# overflow), encode, dict (JSON and SVG; one of a single controlled term, plain
-# and F') and repro with its artifacts.  Encodes at m=16 and m=17, where phase
+# float range), thirteen sum configs (one at m=16, a sparse one at the 24-qubit
+# cap, one with a single controlled term, one whose weights' squares overflow
+# and one whose variable index is past any count), encode, dict (JSON and SVG;
+# one of a single controlled term, plain and F', and one of that huge index)
+# and repro with its artifacts.  Encodes at m=16 and m=17, where phase
 # tables are applied in slices, keep only the sha256 of their JSON in place of
 # the megabytes themselves.  It takes about half a minute on one core.
 set -euo pipefail
@@ -64,6 +65,7 @@ write("linear.poly", "1.2: 1\n0.4: k0\n0.8: k1\n")
 write("controlled.poly", "3: k1\n")
 write("demo.poly", "0.725: 1\n2.451: k1\n2.716: k2\n1.321: k0*k2\n")
 write("random.poly", dense.replace("; ", "\n") + "\n")
+write("huge-index.poly", "1: k99999999999999999999\n")
 configs = {
     "reference": "n = 3\nm = 4\nweights = sin2\npoly = 0.725: 1; 2.451: k1; 2.716: k2; 1.321: k0*k2\n",
     "scaled": "n = 3\nm = 10\nscale = 64\nweights = sin2\npoly_file = demo.poly\n",
@@ -76,6 +78,7 @@ configs = {
     "out-of-range": "n = 2\nm = 2\npoly = 3: 1; 2: k0\n",
     "one-controlled-term": "n = 2\nm = 3\nweights = 1 2 3 4\npoly = 3: k1\n",
     "huge-weight": "n = 2\nm = 3\nweights = 1e200 0 0 0\npoly = 1: 1; 2: k0; 3: k1\n",
+    "huge-index": "n = 2\nm = 3\npoly = 1: k99999999999999999999\n",
 }
 # a 16-qubit value register: the readout's phase table is streamed in slices of its register
 wide = poly_text(2, range(4), [float(v) for v in np.r_[30000.0, rng.uniform(-9000, 9000, 3)]])
@@ -146,6 +149,7 @@ run dict-linear-prime-svg dict inputs/linear.poly -n 2 -m 3 --prime --out svg
 run dict-controlled-json dict inputs/controlled.poly -n 2 -m 3
 run dict-controlled-prime-json dict inputs/controlled.poly -n 2 -m 3 --prime
 run dict-random-prime-json dict inputs/random.poly -n 4 -m 8 --prime
+run dict-huge-index-json dict inputs/huge-index.poly -n 2 -m 3
 run dict-demo-twos-svg dict inputs/demo.poly -n 3 -m 4 --domain twos --out svg -o dict.svg
 
 run repro repro --artifacts artifacts
