@@ -62,9 +62,6 @@ class BinaryPolynomial:
     def scaled(self, factor: float) -> "BinaryPolynomial":
         return BinaryPolynomial(self.num_vars, {m: c * factor for m, c in self.terms.items()})
 
-    def sorted_terms(self) -> list[tuple[int, float]]:
-        return sorted(self.terms.items())
-
 
 def polynomial_from_table(values) -> BinaryPolynomial:
     """Interpolating polynomial of a full value table (length a power of two).
@@ -78,9 +75,7 @@ def polynomial_from_table(values) -> BinaryPolynomial:
         raise DomainError(f"table length {table.size} is not a power of two >= 2")
     coeffs = subset_sums(table, inverse=True)
     terms = {mask: float(c) for mask, c in enumerate(coeffs) if c != 0.0}
-    if not terms:
-        terms = {0: 0.0}
-    return BinaryPolynomial(n, terms)
+    return BinaryPolynomial(n, terms or {0: 0.0})
 
 
 def parse_polynomial(text: str, num_vars: int | None = None) -> BinaryPolynomial:
@@ -90,13 +85,16 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> BinaryPolynomial
     ``k0*k2``; ``#`` starts a comment.  Repeated terms accumulate.  A
     variable index must lie below ``num_vars``, or below ``MAX_QUBITS`` when
     no count is declared; one that does not is refused from its digits,
-    before it is converted or shifted into a mask.
+    before it is converted or shifted into a mask.  A factor is looked up by
+    its canonical name ``k<j>``; only another spelling, such as ``k01``, is
+    matched and converted.
     """
     if num_vars is not None and num_vars < 1:
         raise ParseError(f"a polynomial needs at least one variable, but {num_vars} declared")
     bound, limit = (MAX_QUBITS, "supported") if num_vars is None else (num_vars, "declared")
+    bits = {f"k{j}": 1 << j for j in range(min(bound, MAX_QUBITS))}
     terms: dict[int, float] = {}
-    max_var = -1
+    used = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,15 +103,16 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> BinaryPolynomial
             raise ParseError(f"line {lineno}: expected '<coefficient>: <term>', got {raw!r}")
         coef_part, term_part = line.split(":", 1)
         try:
-            coef = float(coef_part.strip())
+            coef = float(coef_part)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad coefficient {coef_part.strip()!r}") from exc
         if not math.isfinite(coef):
             raise ParseError(f"line {lineno}: coefficient {coef_part.strip()!r} is not finite")
         term_part = term_part.strip()
         mask = 0
-        if term_part != "1":
-            for factor in term_part.split("*"):
+        for factor in term_part.split("*") if term_part != "1" else ():
+            bit = bits.get(factor.strip())
+            if bit is None:
                 match = _TERM_RE.match(factor.strip())
                 if not match:
                     raise ParseError(f"line {lineno}: bad term factor {factor.strip()!r}")
@@ -122,23 +121,20 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> BinaryPolynomial
                     raise ParseError(
                         f"line {lineno}: term uses variable k{index}, but only {bound} variables are {limit}"
                     )
-                var = int(index)
-                mask |= 1 << var
-                max_var = max(max_var, var)
+                bit = 1 << int(index)
+            mask |= bit
+        used |= mask
         terms[mask] = terms.get(mask, 0.0) + coef
     if not terms:
         raise ParseError("no polynomial terms found")
-    return BinaryPolynomial(max(max_var + 1, 1) if num_vars is None else num_vars, terms)
+    return BinaryPolynomial(max(used.bit_length(), 1) if num_vars is None else num_vars, terms)
 
 
 def format_polynomial(poly: BinaryPolynomial) -> str:
     """Inverse of :func:`parse_polynomial`, terms ordered by mask."""
     lines = []
-    for mask, coef in poly.sorted_terms():
-        if mask == 0:
-            term = "1"
-        else:
-            term = "*".join(f"k{j}" for j in range(poly.num_vars) if mask & (1 << j))
+    for mask, coef in sorted(poly.terms.items()):
+        term = "*".join(f"k{j}" for j in range(poly.num_vars) if mask & (1 << j)) or "1"
         lines.append(f"{coef!r}: {term}")
     return "\n".join(lines) + "\n"
 
@@ -187,7 +183,9 @@ def dictionary_circuit(
 ) -> Circuit:
     """The key-value encoder: :func:`~qinterp.encoding.encoder_ops` with one term per monomial.
 
-    Each term is controlled by its monomial's key qubits.  The plain form is
+    Each term is controlled by its monomial's key qubits, so the constant
+    term is one uncontrolled ladder and the others are one controlled ladder
+    holding one term per monomial, not one ladder each.  The plain form is
     the paper's operator F: value slices carry the kernel magnitudes and the
     residual phases.  The phase-corrected form is F': it appends the
     correction of :func:`~qinterp.encoding.correction_ops`, a value-register
@@ -212,13 +210,10 @@ def dictionary_circuit(
             f"polynomial over {poly.num_vars} variables does not match key width {layout.key_width}"
         )
     table = validate_values(poly, layout.value_width, domain)
-    key_offset = layout.key_register.offset
-    terms = [
-        (tuple(key_offset + j for j in range(poly.num_vars) if mask & (1 << j)), coef)
-        for mask, coef in poly.sorted_terms()
-    ]
+    masks = np.fromiter(poly.terms, dtype=np.int64, count=len(poly.terms))
+    values = np.fromiter(poly.terms.values(), dtype=np.float64, count=len(poly.terms))[masks != 0]
     ops = [HadamardLayer(layout.key_register)] if prepare_keys else []
-    ops += encoder_ops(layout.value_register, terms)
+    ops += encoder_ops(layout.value_register, poly.terms.get(0), masks[masks != 0] << layout.value_width, values)
     if phase_corrected:
         ops += correction_ops(layout.value_register, table, layout.key_register)
     return Circuit(layout.num_qubits, tuple(ops))

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .kernels import INTEGER_TOLERANCE, EncodingDomain, normalize_to_domain
 from .sim import (
@@ -68,20 +70,24 @@ class ValueEncoding:
         return 2.0 * math.pi * self.normalized_target / self.modulus
 
 
-def encoder_ops(register: Register, terms) -> list[Operation]:
-    """The encoder's gate list: Hadamard layer, one phase ladder per term, inverse QFT.
+def encoder_ops(register: Register, constant: float | None, masks=(), values=()) -> list[Operation]:
+    """The encoder's gate list: Hadamard layer, the terms' phase ladders, inverse QFT.
 
-    A term ``(controls, value)`` adds the ladder angle ``2 pi value / M``
-    where every control qubit is set; the values of the terms whose controls
-    a basis state satisfies add up to the value encoded there.  A scalar is
-    one uncontrolled term, a dictionary one term per monomial.
+    A term adds the ladder angle ``2 pi value / M`` where every one of its
+    control qubits is set; the values of the terms whose controls a basis
+    state satisfies add up to the value encoded there.  The term without
+    controls, ``constant`` (a scalar, or a polynomial's constant term; None
+    for none), is its own uncontrolled ladder, first.  Term j of the others
+    has the value ``values[j]`` and the control mask ``masks[j]`` over the
+    state's qubits, and together they make one controlled ladder holding one
+    term per monomial.
     """
     modulus = register.size
-    return [
-        HadamardLayer(register),
-        *(PhaseLadder(register, 2.0 * math.pi * value / modulus, controls) for controls, value in terms),
-        QftGate(register, inverse=True),
-    ]
+    ladders = [] if constant is None else [PhaseLadder(register, 2.0 * math.pi * constant / modulus)]
+    if len(masks):
+        thetas = 2.0 * math.pi * np.asarray(values, dtype=np.float64) / modulus
+        ladders.append(PhaseLadder(register, thetas, masks))
+    return [HadamardLayer(register), *ladders, QftGate(register, inverse=True)]
 
 
 def correction_ops(register: Register, value, keys: Register | None = None) -> list[Operation]:
@@ -106,7 +112,7 @@ def correction_ops(register: Register, value, keys: Register | None = None) -> l
 def _scalar_ops(width: int, t: float, domain: EncodingDomain) -> tuple[list[Operation], list[Operation]]:
     """The encoder and correction gate lists of ``t``: one uncontrolled term."""
     register, target = Register(0, width), ValueEncoding(width, t, domain).normalized_target
-    return encoder_ops(register, [((), target)]), correction_ops(register, target)
+    return encoder_ops(register, target), correction_ops(register, target)
 
 
 def value_encoding_circuit(width: int, t: float, domain: EncodingDomain = EncodingDomain.UNSIGNED) -> Circuit:

@@ -4,36 +4,26 @@ The gate set is deliberately small: Hadamard layers, phase ladders,
 multi-controlled diagonal phases, the (inverse) quantum Fourier transform,
 and an exact amplitude loader.  Every operation is a value-like description
 with ``apply`` and ``adjoint``; a :class:`Circuit` is a plain sequence of
-them.  A circuit run owns one amplitude buffer: :meth:`Circuit.apply` copies
-its input once, :meth:`Circuit.state` builds its own, and every operation
-then writes through that buffer in place.  A bare ``op.apply(state)`` still
-returns a new :class:`StateVector` and leaves its input as it was.
+them.  One phase ladder may hold many terms, each with its own control mask,
+so a dictionary's operator F is one controlled ladder holding one term per
+monomial.  A circuit run owns one amplitude buffer: :meth:`Circuit.apply`
+copies its input once, :meth:`Circuit.state` builds its own, and every
+operation then writes through that buffer in place.  A bare
+``op.apply(state)`` still returns a new :class:`StateVector` and leaves its
+input as it was.
 
-Each operation is one numpy transform of the amplitude buffer.  The Fourier
-transform is one unitary FFT along the register axis, written back into the
-buffer through ``out=``.  A Hadamard layer is one matrix product per block of
-up to four qubits.  A controlled phase acts on a view with one length-2 axis
-per qubit, each control axis sliced to its set half, so no index array is
-built.  Every phase ladder runs as a phase table: :meth:`Circuit.apply` fuses
-each maximal run of adjacent diagonal operations that holds a ladder into one
-multiplication by a table over the run's first ladder's register where one
-such table holds the whole run, and otherwise leaves it op by op; a ladder
-applied alone is the table of itself.  Phase tables and a loader's rank-1
-update are built and applied in slices of about ``_CHUNK`` entries, so
-no operation allocates a temporary the size of the state.
-
-:meth:`Circuit.state` gives ``U|0...0>``: where the circuit starts with
-Hadamard layers on every qubit, it takes the steps :meth:`Circuit.apply` runs
-after them and writes the first, if it is a phase table, as the product
-state, scaled once, so the full-buffer work starts at the first other
-operation (an encoder's Fourier transform).  :meth:`Circuit.readout` applies
-``<0|`` on the value register, and on the keys unless they are kept, to
-``U|0...0>`` without building it.
-The operations inside one register run on that register's factor or bra;
-those that span the registers must fuse into one phase table over the value
-register, as in both readout pipelines.  That table is contracted with the
-factors in baby and giant steps over the value register's low and high bits,
-so an N x M table costs about ``2 N sqrt(M)`` exponent products, not ``N M``.
+Each operation is one numpy transform of the amplitude buffer.  Every phase
+ladder runs as a phase table: :meth:`Circuit.apply` fuses each maximal run
+of adjacent diagonal operations that holds a ladder into one multiplication
+by a table over the run's first ladder's register where one such table holds
+the whole run, and otherwise leaves it op by op.  Phase tables and a
+loader's rank-1 update are built and applied in slices of about ``_CHUNK``
+entries, so no operation allocates a temporary the size of the state.
+:meth:`Circuit.state` starts from the product state where the gate list
+opens with Hadamard layers on every qubit, and :meth:`Circuit.readout`
+reads value-0 amplitudes without building the state: the operations that
+span the registers fuse into one table over the value register, contracted
+in baby and giant steps, about ``2 N sqrt(M)`` exponent products for N x M.
 
 Qubit convention: qubit 0 is the least significant bit of the basis index.
 A :class:`RegisterLayout` places the value register on the low-order qubits,
@@ -175,9 +165,7 @@ def zero_state(num_qubits: int) -> StateVector:
 
 def _require_register(state: StateVector, register: Register):
     if register.offset + register.width > state.num_qubits:
-        raise LayoutError(
-            f"register {register} does not fit a {state.num_qubits}-qubit state"
-        )
+        raise LayoutError(f"register {register} does not fit a {state.num_qubits}-qubit state")
 
 
 def _require_controls(state: StateVector, controls: tuple[int, ...], register: Register | None):
@@ -190,8 +178,7 @@ def _require_controls(state: StateVector, controls: tuple[int, ...], register: R
 
 def _register_view(amps: np.ndarray, register: Register) -> np.ndarray:
     """Reshape to (high bits, register, low bits); middle axis is the register index."""
-    post = 1 << register.offset
-    return amps.reshape(-1, register.size, post)
+    return amps.reshape(-1, register.size, 1 << register.offset)
 
 
 def subset_sums(values, inverse: bool = False) -> np.ndarray:
@@ -337,19 +324,32 @@ class PhaseLadder(Operation):
 
     Equivalent to one phase gate P(2^j * theta) per register qubit j.  With
     ``controls`` the phase fires only where every control bit is set; control
-    qubits must lie outside the target register.  Applied as the one-op
-    :class:`_PhaseTable` that :func:`_fuse` builds, the same path a fused run
-    of diagonal operations takes.
+    qubits must lie outside the target register.  One ladder may also hold
+    many terms: ``theta`` an array of angles and ``controls`` the array of
+    their control masks (bit q set where qubit q controls the term).  It acts
+    as the product of its one-term ladders, so a dictionary's operator F is
+    one controlled ladder holding one term per monomial.  Applied as the
+    one-op :class:`_PhaseTable` that :func:`_fuse` builds, the same path a
+    fused run of diagonal operations takes.
     """
 
     register: Register
-    theta: float
-    controls: tuple[int, ...] = ()
+    theta: float | np.ndarray
+    controls: tuple[int, ...] | np.ndarray = ()
+
+    def __post_init__(self):
+        if not isinstance(self.theta, (int, float, np.number)):  # many terms: float angles, integer masks
+            object.__setattr__(self, "theta", np.asarray(self.theta, dtype=np.float64))
+            object.__setattr__(self, "controls", np.asarray(self.controls, dtype=np.int64))
 
     def apply(self, state: StateVector) -> StateVector:
         _require_register(state, self.register)
-        _require_controls(state, self.controls, self.register)
-        return _fuse((self,), self.register, state.num_qubits).apply(state)
+        table = _fuse((self,), self.register, state.num_qubits)
+        if table is None:  # a control does not fit: name the first, reading a mask as a 64-bit word
+            rows = (tuple(q for q in range(64) if int(mask) >> q & 1) for mask in self.controls)
+            for controls in rows if isinstance(self.theta, np.ndarray) else [self.controls]:
+                _require_controls(state, controls, self.register)
+        return table.apply(state)
 
     def adjoint(self) -> "PhaseLadder":
         return PhaseLadder(self.register, -self.theta, self.controls)
@@ -529,20 +529,24 @@ def _fuse(run, register: Register | None, num_qubits: int) -> _PhaseTable | None
     its mask over the outside qubits; None for no register, a register past
     ``num_qubits`` or the first op that does not fit.  Each ladder adds its
     theta to ``slope`` and each controlled phase its angle to ``offset``, at
-    that mask; one zeta transform then sums them over every ``c``.  Diagonal
-    tables add last, at their mask's lowest bit.  No op at all is the table
-    of phase 0.
+    that mask; one zeta transform then sums them over every ``c``.  A ladder
+    of many terms is checked, remapped and added as arrays, by one
+    ``np.add.at`` that adds repeated masks in order.  Diagonal tables add
+    last, at their mask's lowest bit.  No op at all is the table of phase 0.
     """
-    if register is None:
+    if register is None or register.offset + register.width > num_qubits:
         return None
     lo, hi = register.offset, register.offset + register.width
-    if hi > num_qubits:
-        return None
-    below = (1 << lo) - 1
+    below, outside = (1 << lo) - 1, ((1 << num_qubits) - 1) ^ ((register.size - 1) << lo)
     offset = np.zeros(1 << (num_qubits - register.width))
     slope = np.zeros_like(offset)
     tables = []
     for op in run:
+        if isinstance(op, PhaseLadder) and isinstance(op.theta, np.ndarray) and op.register == register:
+            if (op.controls & ~outside).any():  # a bit in the register, past the width, or the sign
+                return None
+            np.add.at(slope, op.controls & below | op.controls >> register.width & ~below, op.theta)
+            continue
         if isinstance(op, DiagonalPhase):
             qubits = op.register.qubits()
         elif isinstance(op, ControlledPhase) or isinstance(op, PhaseLadder) and op.register == register:
@@ -594,13 +598,11 @@ def _stream(table: _PhaseTable, x: np.ndarray) -> np.ndarray:
     ``S[c, h] = exp(i slope[c] 2^low h)`` (Paterson and Stockmeyer's split),
     so an N x M table needs about ``2 N sqrt(M)`` ramp entries, not ``N M``.
     A table that fits one ``_CHUNK`` keeps ``low`` at the register's
-    width, with no giant step: one ``vecdot`` against its whole ramp, whose
-    result is bit for bit the whole table's product.  A wider one splits
-    near half its width, in blocks of rows whose ramp takes at most half a
-    ``_CHUNK``, as do its ``S`` and ``Y`` slices unless the chunk
-    caps ``low``, which the real chunk never does within ``MAX_QUBITS``; no
-    slice takes more than one.  The halves keep the three slices a block
-    holds at once to 1.5 chunks.
+    width, with no giant step: one ``vecdot`` against its whole ramp, bit for
+    bit the whole table's product.  A wider one splits near half its width,
+    in blocks of rows whose ramp, ``S`` and ``Y`` slices take at most half a
+    ``_CHUNK`` each (the real chunk never caps ``low`` within ``MAX_QUBITS``),
+    so a block holds at most 1.5 chunks at once.
     """
     width, rows = table.register.width, table.offset.size
     if rows << width <= _CHUNK:
@@ -646,7 +648,10 @@ def _home(op: Operation, registers: tuple[Register, ...]) -> int | None:
         lo, hi = min(op.controls), max(op.controls)
     elif isinstance(op, (HadamardLayer, PhaseLadder, DiagonalPhase, QftGate, StatePrep)):
         lo, hi = op.register.offset, op.register.offset + op.register.width - 1
-        if isinstance(op, PhaseLadder) and op.controls:
+        if isinstance(op, PhaseLadder) and isinstance(op.theta, np.ndarray):  # masks read as 64-bit words
+            used = int(np.bitwise_or.reduce(op.controls)) % (1 << 64) or 1 << lo
+            lo, hi = min(lo, (used & -used).bit_length() - 1), max(hi, used.bit_length() - 1)
+        elif isinstance(op, PhaseLadder) and op.controls:
             lo, hi = min(lo, *op.controls), max(hi, *op.controls)
     else:
         return None
@@ -675,7 +680,9 @@ def _lowered(op: Operation, offset: int) -> Operation:
         return ControlledPhase(tuple(q - offset for q in op.controls), op.angle)
     register = Register(op.register.offset - offset, op.register.width)
     if isinstance(op, PhaseLadder):
-        return PhaseLadder(register, op.theta, tuple(q - offset for q in op.controls))
+        many = isinstance(op.theta, np.ndarray)
+        controls = op.controls >> offset if many else tuple(q - offset for q in op.controls)
+        return PhaseLadder(register, op.theta, controls)
     return replace(op, register=register)
 
 
@@ -779,10 +786,8 @@ class Circuit:
         no register, so it stays in the middle and is refused there.  An
         empty middle is the table of phase 0.  With
         ``x = ket * conj(bra)`` per register, the amplitude is
-        ``x_k^T D x_v`` and the kept keys are ``ket_k * (D x_v)``.  D is
-        never built whole: :func:`_stream` contracts it in baby and giant
-        steps, with ramps, partial sums and giant steps in slices of at most
-        ``_CHUNK`` entries.
+        ``x_k^T D x_v`` and the kept keys are ``ket_k * (D x_v)``, with D
+        never built whole: :func:`_stream` contracts it.
         """
         if layout.num_qubits != self.num_qubits:
             raise LayoutError(f"{layout.num_qubits}-qubit layout read on a {self.num_qubits}-qubit circuit")

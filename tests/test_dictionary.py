@@ -26,7 +26,7 @@ from qinterp import (
     zero_state,
 )
 from qinterp.kernels import domain_bounds
-from qinterp.sim import MAX_QUBITS, ControlledPhase, DiagonalPhase, PhaseLadder, StateVector
+from qinterp.sim import MAX_QUBITS, Circuit, ControlledPhase, DiagonalPhase, PhaseLadder, StateVector
 
 TWOS = EncodingDomain.TWOS_COMPLEMENT
 
@@ -163,6 +163,48 @@ class TestTextFormat:
         with pytest.raises(ParseError, match=f"at least one variable, but {num_vars} declared"):
             parse_polynomial("1: 1", num_vars)
 
+    @pytest.mark.parametrize(
+        "text, num_vars, terms",
+        [
+            ("1: k01", 2, {0b10: 1.0}),
+            ("1: k007*k2", 8, {0b10000100: 1.0}),
+            ("1:  k1 * k0 ", 2, {0b11: 1.0}),
+            ("1: k0*k0", 1, {0b1: 1.0}),
+            ("1: k1\n2: k1\n0.5: 1\n4: k1\n", 2, {0b10: 7.0, 0: 0.5}),
+        ],
+        ids=["leading-zero", "zeros-and-plain", "spaces", "repeated-factor", "repeated-lines"],
+    )
+    def test_spellings_keep_their_masks(self, text, num_vars, terms):
+        # a leading zero names the same variable, a repeated factor adds no bit, repeated lines add up
+        poly = parse_polynomial(text)
+        assert (poly.num_vars, poly.terms) == (num_vars, terms)
+
+    @pytest.mark.parametrize(
+        "text, num_vars, message",
+        [
+            ("1: kx", None, "line 1: bad term factor 'kx'"),
+            ("1: k-1", None, "line 1: bad term factor 'k-1'"),
+            ("1: k1*k2", 2, "line 1: term uses variable k2, but only 2 variables are declared"),
+            ("1: k24", None, "line 1: term uses variable k24, but only 24 variables are supported"),
+            (
+                "1: k0\n2: k099999999999999999999",
+                None,
+                "line 2: term uses variable k99999999999999999999, but only 24 variables are supported",
+            ),
+        ],
+        ids=["letter", "negative", "past-the-count", "past-the-cap", "twenty-digits"],
+    )
+    def test_refusals_keep_their_text(self, text, num_vars, message):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, num_vars)
+        assert str(info.value) == message
+
+    @settings(max_examples=60)
+    @given(poly=polynomials())
+    def test_format_then_parse_is_the_polynomial(self, poly):
+        again = parse_polynomial(format_polynomial(poly), poly.num_vars)
+        assert (again.num_vars, again.terms) == (poly.num_vars, poly.terms)
+
 
 class TestOperatorF:
     def test_constant_integer_function(self):
@@ -192,6 +234,26 @@ class TestOperatorF:
             slice_ = conditional_value_state(state, layout, key)
             reference = encode_value(3, LINEAR.evaluate(key)).amplitudes
             assert np.max(np.abs(slice_ - reference)) < 1e-10
+
+    @pytest.mark.parametrize("phase_corrected", [False, True])
+    def test_dense_polynomial_is_one_ladder_of_many_terms(self, phase_corrected):
+        # a dense (8, 4) F: the constant's own ladder and one ladder holding the other 255 terms,
+        # whose state is bit for bit that of one controlled ladder per monomial
+        layout = RegisterLayout(8, 4)
+        poly = polynomial_from_table(np.random.default_rng(5).uniform(0.25, 15.75, 256))
+        circuit = dictionary_circuit(layout, poly, phase_corrected=phase_corrected)
+        ladders = [op for op in circuit.ops if isinstance(op, PhaseLadder)]
+        assert len(circuit.ops) == 5 + 2 * phase_corrected and len(ladders) == 2 + phase_corrected
+        constant, terms = ladders[:2]
+        assert constant.controls == () and constant.theta == 2 * np.pi * poly.terms[0] / 16
+        assert sorted(terms.controls) == [mask << 4 for mask in range(1, 256)]
+        one_each = tuple(
+            PhaseLadder(layout.value_register, 2 * np.pi * coef / 16, tuple(4 + j for j in range(8) if mask >> j & 1))
+            for mask, coef in sorted(poly.terms.items())[1:]
+        )
+        i = circuit.ops.index(terms)
+        old = Circuit(layout.num_qubits, circuit.ops[:i] + one_each + circuit.ops[i + 1 :])
+        assert circuit.state().amplitudes.tobytes() == old.state().amplitudes.tobytes()
 
 
 class TestOperatorFPrime:

@@ -158,6 +158,94 @@ class TestPhaseLadder:
             PhaseLadder(Register(0, 2), 0.5, (1,)).apply(state)
 
 
+def mask_qubits(mask):
+    """The qubits of a control mask, lowest first."""
+    return tuple(q for q in range(64) if int(mask) >> q & 1)
+
+
+def many_term_ladder(reg, qubits, rng, angles=None):
+    """A ladder on ``reg`` of 1 to 8 terms, each controlled by a random subset of ``qubits``.
+
+    Masks may repeat and may be 0.  ``angles`` draws the angles from the
+    generator; by default they are uniform in [-4, 4).
+    """
+    count = int(rng.integers(1, 9))
+    masks = [sum(1 << q for q in qubits if rng.random() < 0.5) for _ in range(count)]
+    theta = rng.uniform(-4, 4, count) if angles is None else angles(count)
+    return PhaseLadder(reg, theta, np.array(masks, dtype=np.int64))
+
+
+@st.composite
+def many_term_ladders(draw):
+    """(num_qubits, ladder, seed): a ladder of many terms on a random register, controlled outside it.
+
+    Its angles lie on a grid of 2^-8, so any sum of them is exact.
+    """
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = int(rng.integers(0, n))
+    reg = Register(offset, int(rng.integers(1, n - offset + 1)))
+    outside = [q for q in range(n) if q not in reg.qubits()]
+    ladder = many_term_ladder(reg, outside, rng, lambda count: rng.integers(-1024, 1024, count) / 256)
+    return n, ladder, int(rng.integers(2**32))
+
+
+class TestManyTermLadder:
+    @settings(max_examples=80)
+    @given(case=many_term_ladders())
+    def test_matches_its_one_term_ladders(self, case):
+        # the angles' sums are exact, so the two differ only in how the exponentials round
+        n, ladder, seed = case
+        state = random_state(n, np.random.default_rng(seed))
+        terms = [PhaseLadder(ladder.register, float(t), mask_qubits(m)) for t, m in zip(ladder.theta, ladder.controls)]
+        expected = apply_one_by_one(terms, state).amplitudes
+        assert np.max(np.abs(ladder.apply(state).amplitudes - expected)) < 1e-15
+
+    @settings(max_examples=40)
+    @given(case=many_term_ladders())
+    def test_one_term_is_the_one_term_form_bit_for_bit(self, case):
+        n, ladder, seed = case
+        state = random_state(n, np.random.default_rng(seed))
+        theta, mask = ladder.theta[:1], ladder.controls[:1]
+        single = PhaseLadder(ladder.register, theta, mask).apply(state).amplitudes
+        plain = PhaseLadder(ladder.register, float(theta[0]), mask_qubits(mask[0])).apply(state).amplitudes
+        assert single.tobytes() == plain.tobytes()
+
+    @settings(max_examples=40)
+    @given(case=many_term_ladders())
+    def test_adjoint_undoes_it(self, case):
+        n, ladder, seed = case
+        state = random_state(n, np.random.default_rng(seed))
+        back = ladder.apply(ladder.adjoint().apply(state)).amplitudes
+        assert np.max(np.abs(back - state.amplitudes)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "mask, message",
+        [
+            (0b0010, "control qubit 1 overlaps the target register"),
+            (0b1001, "control qubit 3 out of range"),
+            (1 << 40, "control qubit 40 out of range"),
+            (-(1 << 63), "control qubit 63 out of range"),
+        ],
+        ids=["into-the-register", "past-the-width", "far-past-the-width", "negative"],
+    )
+    def test_row_that_does_not_fit(self, mask, message):
+        # on 3 qubits with the ladder on qubits 1 and 2: the row is refused whole, before any
+        # shift, and named as the one-term form names the same control qubits
+        reg = Register(1, 2)
+        ladder = PhaseLadder(reg, [0.3, -0.2, 0.5], np.array([0b1, mask, 0], dtype=np.int64))
+        assert sim._fuse((ladder,), reg, 3) is None
+        with pytest.raises(LayoutError) as info:
+            ladder.apply(zero_state(3))
+        assert str(info.value) == message
+        if mask >= 0:
+            with pytest.raises(LayoutError) as plain:
+                PhaseLadder(reg, 0.5, mask_qubits(mask)).apply(zero_state(3))
+            assert str(plain.value) == message
+        fitting = PhaseLadder(reg, [0.3, 0.5], np.array([0b1, 0], dtype=np.int64))
+        assert sim._fuse((fitting,), reg, 3) is not None
+
+
 class TestQft:
     def test_geometric_state_decodes_to_integer(self):
         state = HadamardLayer(Register(0, 3)).apply(zero_state(3))
@@ -607,7 +695,7 @@ class TestOneBuffer:
 def diagonal_runs(draw):
     """(num_qubits, ops, seed): diagonal ops on random registers and controls.
 
-    Ladders use one of two registers; controlled phases and diagonal tables
+    Ladders, some of many terms, use one of two registers; controlled phases and diagonal tables
     may touch a ladder's register, and a Hadamard layer may sit between
     them, so some runs cannot be fused and stay op by op.
     """
@@ -623,11 +711,14 @@ def diagonal_runs(draw):
 
     ladders = [register(), register()]
     ops = []
-    for kind in draw(st.lists(st.sampled_from(["ladder", "phase", "table", "hadamard"]), max_size=12)):
-        if kind == "ladder":
+    for kind in draw(st.lists(st.sampled_from(["ladder", "terms", "phase", "table", "hadamard"]), max_size=12)):
+        if kind in ("ladder", "terms"):
             reg = ladders[int(rng.integers(2))]
-            controls = subset([q for q in range(n) if q not in reg.qubits()])
-            ops.append(PhaseLadder(reg, rng.uniform(-4, 4), controls))
+            outside = [q for q in range(n) if q not in reg.qubits()]
+            if kind == "terms":
+                ops.append(many_term_ladder(reg, outside, rng))
+            else:
+                ops.append(PhaseLadder(reg, rng.uniform(-4, 4), subset(outside)))
         elif kind == "phase":
             ops.append(ControlledPhase(subset(range(n)), rng.uniform(-4, 4)))
         elif kind == "table":
@@ -877,11 +968,13 @@ def _local_op(reg, rng):
     """A random gate acting inside ``reg``."""
     sub = _sub_register(reg, rng)
     rest = [q for q in reg.qubits() if q not in sub.qubits()]
-    kind = rng.choice(["hadamard", "ladder", "phase", "table", "qft", "prep"])
+    kind = rng.choice(["hadamard", "ladder", "terms", "phase", "table", "qft", "prep"])
     if kind == "hadamard":
         return HadamardLayer(sub)
     if kind == "ladder":
         return PhaseLadder(sub, rng.uniform(-4, 4), tuple(q for q in rest if rng.random() < 0.5))
+    if kind == "terms":
+        return many_term_ladder(sub, rest, rng)
     if kind == "phase":
         controls = tuple(q for q in reg.qubits() if rng.random() < 0.5)
         return ControlledPhase(controls, rng.uniform(-4, 4))
@@ -894,10 +987,13 @@ def _local_op(reg, rng):
 
 def _spanning_op(values, keys, rng):
     """A random gate on qubits of both registers that no phase table over ``values`` holds."""
-    kind = rng.choice(["key ladder", "phase", "hadamard"])
+    kind = rng.choice(["key ladder", "key terms", "phase", "hadamard"])
     if kind == "key ladder":
         controls = tuple(q for q in values.qubits() if rng.random() < 0.5) or (values.offset,)
         return PhaseLadder(_sub_register(keys, rng), rng.uniform(-4, 4), controls)
+    if kind == "key terms":  # one term at least is controlled by a value qubit
+        ladder = many_term_ladder(_sub_register(keys, rng), values.qubits(), rng)
+        return PhaseLadder(ladder.register, [*ladder.theta, 0.7], [*ladder.controls, 1 << values.offset])
     if kind == "phase":
         return ControlledPhase((int(rng.choice(values.qubits())), keys.offset), rng.uniform(-4, 4))
     lo = int(rng.integers(values.width))
@@ -910,8 +1006,8 @@ def layout_readouts(draw, refused=False):
 
     Hadamard layers and random local ops come first and last.  The middle
     starts and ends with a ladder on the value register controlled by the
-    keys, so none of it is peeled; between, ladders with any controls,
-    controlled phases and diagonal tables on the keys.  With ``refused``
+    keys, so none of it is peeled; between, ladders with any controls, some
+    of many terms, controlled phases and diagonal tables on the keys.  With ``refused``
     the middle also holds one op on both registers that no such table
     holds, or holds only that op.  ``chunk`` is the slice bound the
     readout is run with.
@@ -932,9 +1028,11 @@ def layout_readouts(draw, refused=False):
         return _local_op((values, keys)[int(rng.integers(2))], rng)
 
     middle = [ladder(controlled=True)]
-    for kind in draw(st.lists(st.sampled_from(["ladder", "phase", "table"]), max_size=5)):
+    for kind in draw(st.lists(st.sampled_from(["ladder", "terms", "phase", "table"]), max_size=5)):
         if kind == "ladder":
             middle.append(ladder(controlled=False))
+        elif kind == "terms":
+            middle.append(many_term_ladder(values, keys.qubits(), rng))
         elif kind == "phase":
             controls = tuple(q for q in keys.qubits() if rng.random() < 0.5)
             middle.append(ControlledPhase(controls, rng.uniform(-4, 4)))

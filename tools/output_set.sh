@@ -15,11 +15,12 @@
 #
 # The set covers interpolate points and sweeps (nu2, lambda and table sources,
 # both domains, m=6 and m=12, one m=16 point, and a sweep whose points pass the
-# float range), thirteen sum configs (one at m=16, a sparse one at the 24-qubit
-# cap, one with a single controlled term, one whose weights' squares overflow
-# and one whose variable index is past any count), encode, dict (JSON and SVG;
-# one of a single controlled term, plain and F', and one of that huge index)
-# and repro with its artifacts.  Encodes at m=16 and m=17, where phase
+# float range), fourteen sum configs (one at m=16, a sparse one at the 24-qubit
+# cap, a dense (8, 4) one whose 256 terms come from a poly_file, one with a
+# single controlled term, one whose weights' squares overflow and one whose
+# variable index is past any count), encode, dict (JSON and SVG; one of a
+# single controlled term, plain and F', one spelled with k01 and k0*k0, plain
+# and F', and one of that huge index) and repro with its artifacts.  Encodes at m=16 and m=17, where phase
 # tables are applied in slices, keep only the sha256 of their JSON in place of
 # the megabytes themselves.  It takes about half a minute on one core.
 set -euo pipefail
@@ -66,6 +67,7 @@ write("controlled.poly", "3: k1\n")
 write("demo.poly", "0.725: 1\n2.451: k1\n2.716: k2\n1.321: k0*k2\n")
 write("random.poly", dense.replace("; ", "\n") + "\n")
 write("huge-index.poly", "1: k99999999999999999999\n")
+write("spellings.poly", "0.5: 1\n1.25: k01\n2: k0*k0\n0.75: k01*k0\n")
 configs = {
     "reference": "n = 3\nm = 4\nweights = sin2\npoly = 0.725: 1; 2.451: k1; 2.716: k2; 1.321: k0*k2\n",
     "scaled": "n = 3\nm = 10\nscale = 64\nweights = sin2\npoly_file = demo.poly\n",
@@ -86,6 +88,13 @@ configs["dense-m16"] = f"n = 2\nm = 16\nweights = {' '.join(repr(float(v)) for v
 # the 24-qubit cap, (n, m) = (10, 14): the readout splits its value register into 7-bit baby and giant steps
 cap = poly_text(10, [0, 1, 6, 33, 40, 300, 513, 1023], [float(v) for v in np.r_[8000.0, rng.uniform(-900, 900, 7)]])
 configs["sparse-cap"] = f"n = 10\nm = 14\nweights = sin2\npoly = {cap}\n"
+# every subset of 8 key bits: the Moebius transform of values inside [0, 2^4), one poly_file line per term
+table = rng.uniform(0.25, 15.75, 256)
+for bit in range(8):
+    pairs = table.reshape(-1, 2, 1 << bit)
+    pairs[:, 1] -= pairs[:, 0]
+write("dense-8-4.poly", poly_text(8, range(256), [float(v) for v in table]).replace("; ", "\n") + "\n")
+configs["dense-8-4"] = "n = 8\nm = 4\nweights = sin2\npoly_file = dense-8-4.poly\n"
 for name, text in configs.items():
     write(f"{name}.cfg", text)
 EOF
@@ -149,6 +158,8 @@ run dict-linear-prime-svg dict inputs/linear.poly -n 2 -m 3 --prime --out svg
 run dict-controlled-json dict inputs/controlled.poly -n 2 -m 3
 run dict-controlled-prime-json dict inputs/controlled.poly -n 2 -m 3 --prime
 run dict-random-prime-json dict inputs/random.poly -n 4 -m 8 --prime
+run dict-spellings-json dict inputs/spellings.poly -n 2 -m 3
+run dict-spellings-prime-json dict inputs/spellings.poly -n 2 -m 3 --prime
 run dict-huge-index-json dict inputs/huge-index.poly -n 2 -m 3
 run dict-demo-twos-svg dict inputs/demo.poly -n 3 -m 4 --domain twos --out svg -o dict.svg
 
