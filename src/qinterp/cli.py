@@ -88,6 +88,18 @@ def _write_output(text: str, path: str | None):
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _write_state(state, layout: RegisterLayout | None, args):
+    """``state`` as ``--out`` asks, SVG chart or JSON dump, to ``-o`` or stdout."""
+    render = render_state_svg if args.out == "svg" else state_to_json
+    _write_output(render(state, layout), args.output)
+
+
+def _print_report(rows, width: int):
+    """One ``label value`` line per row, each label padded to ``width`` columns."""
+    for label, value in rows:
+        print(f"{label:<{width}}{format_value(value)}")
+
+
 def _check_widths(**widths: int):
     """Refuse a register of fewer than one qubit, by name, before any register is built.
 
@@ -106,10 +118,7 @@ def _cmd_encode(args) -> int:
         state = encode_value_real(args.value_qubits, args.value, domain)
     else:
         state = encode_value(args.value_qubits, args.value, domain)
-    if args.out == "svg":
-        _write_output(render_state_svg(state), args.output)
-    else:
-        _write_output(state_to_json(state), args.output)
+    _write_state(state, None, args)
     return EXIT_OK
 
 
@@ -140,11 +149,10 @@ def _cmd_interpolate(args) -> int:
     prep, exact_fn = _interp_source(args.source, args.value_qubits)
     if args.value is not None:
         result = quantum_interpolate(prep, args.value, domain, exact_fn)
-        print(f"t         {format_value(args.value)}")
-        print(f"quantum   {format_value(result.quantum_value)}")
-        print(f"classical {format_value(result.classical_value)}")
+        rows = [("t", args.value), ("quantum", result.quantum_value), ("classical", result.classical_value)]
         if result.exact_value is not None:
-            print(f"exact     {format_value(result.exact_value)}")
+            rows.append(("exact", result.exact_value))
+        _print_report(rows, 10)
         return EXIT_OK
     if args.t_steps < 1:
         raise ParseError("sweep needs at least one step")
@@ -161,11 +169,7 @@ def _cmd_dict(args) -> int:
     layout = RegisterLayout(args.key_qubits, args.value_qubits)
     poly = parse_polynomial(_read_text(args.poly_file), args.key_qubits)
     circuit = dictionary.dictionary_circuit(layout, poly, domain, phase_corrected=args.prime)
-    state = circuit.state()
-    if args.out == "svg":
-        _write_output(render_state_svg(state, layout), args.output)
-    else:
-        _write_output(state_to_json(state, layout), args.output)
+    _write_state(circuit.state(), layout, args)
     return EXIT_OK
 
 
@@ -244,27 +248,17 @@ def _load_sum_config(path: str):
 
 def _cmd_sum(args) -> int:
     scale, domain, poly, weights, hashes = _load_sum_config(args.config)
-    if not np.any(weights):
-        print("amplitude   0")
-        print("sum         0")
-        print("classical   0")
-        print("abs-error   0")
-        return EXIT_OK
-    amplitude, total = weighted_sum(weights, poly.scaled(scale), hashes, domain)
-    total = total / scale
-    if _is_identity_hash(hashes):
-        classical = direct_weighted_identity_sum(weights, poly)
-    else:
-        classical = direct_weighted_sum(weights, poly, hashes)
-    print(f"amplitude   {format_value(amplitude)}")
-    print(f"sum         {format_value(total)}")
-    print(f"classical   {format_value(classical)}")
-    print(f"abs-error   {format_value(abs(total - classical))}")
+    amplitude = total = classical = 0.0  # all-zero weights: every number is 0, with no vector to normalize
+    if np.any(weights):
+        amplitude, total = weighted_sum(weights, poly.scaled(scale), hashes, domain)
+        total = total / scale
+        if np.array_equal(hashes, np.arange(hashes.size, dtype=np.float64)):  # the identity hash
+            classical = direct_weighted_identity_sum(weights, poly)
+        else:
+            classical = direct_weighted_sum(weights, poly, hashes)
+    error = abs(total - classical)
+    _print_report([("amplitude", amplitude), ("sum", total), ("classical", classical), ("abs-error", error)], 12)
     return EXIT_OK
-
-
-def _is_identity_hash(hashes: np.ndarray) -> bool:
-    return bool(np.array_equal(hashes, np.arange(hashes.size, dtype=np.float64)))
 
 
 def _cmd_repro(args) -> int:

@@ -341,12 +341,6 @@ def format_report(results: list[ReproResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _interp_sweep(prep, exact_fn, width: int) -> patterns.Sweep:
-    """Readout at every quarter step of the unsigned domain."""
-    modulus = 1 << width
-    return quantum_interpolate_sweep(prep, 0.0, float(modulus), 4 * modulus, exact_fn=exact_fn)
-
-
 def _reconstruction_table(fn, num_samples: int, period: float, grid: int) -> list[np.ndarray]:
     """Columns t, exact, reconstructed and abs_error of a reconstruction on ``grid`` points."""
     xs = np.arange(num_samples) * (period / num_samples)
@@ -391,26 +385,19 @@ def write_artifacts(directory: str | Path) -> list[Path]:
     ):
         emit(name, svgchart.render_state_svg(circuit.state(), demo_layout))
 
-    emit("sweep_nu2.csv", stateio.sweep_to_csv(_interp_sweep(prepare_nu2(6), nu2_function(6), 6)))
-    emit("sweep_lambda.csv", stateio.sweep_to_csv(_interp_sweep(prepare_lambda(6), lambda_function(6), 6)))
+    for name, prep, exact_fn in (
+        ("sweep_nu2.csv", prepare_nu2, nu2_function),
+        ("sweep_lambda.csv", prepare_lambda, lambda_function),
+    ):  # readout at every quarter step of the 6-qubit unsigned domain
+        sweep = quantum_interpolate_sweep(prep(6), 0.0, 64.0, 256, exact_fn=exact_fn(6))
+        emit(name, stateio.sweep_to_csv(sweep))
 
     header = ["t", "exact", "reconstructed", "abs_error"]
-    emit(
-        "recon_sin.csv",
-        stateio.table_to_csv(header, _reconstruction_table(np.sin, 8, 2 * math.pi, 256)),
-    )
-    emit(
-        "recon_sin2.csv",
-        stateio.table_to_csv(
-            header, _reconstruction_table(lambda x: np.sin(x) ** 2, 8, 2 * math.pi, 256)
-        ),
-    )
-    emit(
-        "recon_linear.csv",
-        stateio.table_to_csv(header, _reconstruction_table(lambda x: x, 32, 1.0, 256)),
-    )
-    emit(
-        "recon_exp.csv",
-        stateio.table_to_csv(header, _reconstruction_table(np.exp, 32, 1.0, 256)),
-    )
+    for name, fn, samples, period in (
+        ("recon_sin.csv", np.sin, 8, 2 * math.pi),
+        ("recon_sin2.csv", lambda x: np.sin(x) ** 2, 8, 2 * math.pi),
+        ("recon_linear.csv", lambda x: x, 32, 1.0),
+        ("recon_exp.csv", np.exp, 32, 1.0),
+    ):
+        emit(name, stateio.table_to_csv(header, _reconstruction_table(fn, samples, period, 256)))
     return written

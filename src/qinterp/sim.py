@@ -328,9 +328,11 @@ class PhaseLadder(Operation):
     many terms: ``theta`` an array of angles and ``controls`` the array of
     their control masks (bit q set where qubit q controls the term).  It acts
     as the product of its one-term ladders, so a dictionary's operator F is
-    one controlled ladder holding one term per monomial.  Applied as the
-    one-op :class:`_PhaseTable` that :func:`_fuse` builds, the same path a
-    fused run of diagonal operations takes.
+    one controlled ladder holding one term per monomial.  A 0-d ``theta`` is
+    one term, kept as a float, whose ``controls`` are kept as a tuple; many
+    terms need 1-d ``theta`` and ``controls`` of one length, else
+    :class:`LayoutError`.  Applied as the one-op :class:`_PhaseTable` that
+    :func:`_fuse` builds, the same path a fused run of diagonal ops takes.
     """
 
     register: Register
@@ -338,9 +340,22 @@ class PhaseLadder(Operation):
     controls: tuple[int, ...] | np.ndarray = ()
 
     def __post_init__(self):
-        if not isinstance(self.theta, (int, float, np.number)):  # many terms: float angles, integer masks
-            object.__setattr__(self, "theta", np.asarray(self.theta, dtype=np.float64))
-            object.__setattr__(self, "controls", np.asarray(self.controls, dtype=np.int64))
+        if not isinstance(self.theta, (int, float, np.number)):
+            if isinstance(self.theta, np.ndarray) and self.theta.ndim == 0:
+                object.__setattr__(self, "theta", float(self.theta))
+            else:  # many terms: float angles, integer masks, one of each per term
+                theta = np.asarray(self.theta, dtype=np.float64)
+                controls = np.asarray(self.controls, dtype=np.int64)
+                if theta.ndim != 1 or theta.shape != controls.shape:
+                    raise LayoutError(
+                        "a many-term ladder needs 1-d angles and masks of one length, "
+                        f"got {theta.shape} and {controls.shape}"
+                    )
+                object.__setattr__(self, "theta", theta)
+                object.__setattr__(self, "controls", controls)
+                return
+        if type(self.controls) is not tuple:  # one term: its control qubits as a tuple
+            object.__setattr__(self, "controls", tuple(np.asarray(self.controls).tolist()))
 
     def apply(self, state: StateVector) -> StateVector:
         _require_register(state, self.register)

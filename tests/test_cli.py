@@ -350,6 +350,13 @@ class TestSum:
         values = {line.split()[0]: float(line.split()[1]) for line in out.strip().splitlines()}
         assert values["sum"] == 0.0
 
+    def test_zero_weights_print_four_zeros(self, tmp_path, capsys):
+        config = tmp_path / "sum.cfg"
+        config.write_text("n = 2\nm = 3\nweights = 0 0 0 0\npoly = 1: 1; 2: k0; 3: k1\n")
+        code, out, err = run(capsys, "sum", str(config))
+        assert (code, err) == (0, "")
+        assert out == "amplitude   0\nsum         0\nclassical   0\nabs-error   0\n"
+
     def test_tiny_weights_read_as_their_unit_vector(self, tmp_path, capsys):
         # the squares of 1e-170 underflow to 0, yet the weights have a unit vector
         amplitudes = []

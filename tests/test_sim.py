@@ -246,6 +246,36 @@ class TestManyTermLadder:
         assert sim._fuse((fitting,), reg, 3) is not None
 
 
+class TestLadderConstructor:
+    def test_zero_d_angle_is_the_one_term_form(self):
+        # (3,) stays control qubit 3; read as a mask it would be qubits 0 and 1
+        state = HadamardLayer(Register(0, 4)).apply(zero_state(4))
+        ladder = PhaseLadder(Register(2, 1), np.array(0.3), (3,))
+        assert (type(ladder.theta), ladder.controls) == (float, (3,))
+        plain = PhaseLadder(Register(2, 1), 0.3, (3,)).apply(state).amplitudes
+        assert ladder.apply(state).amplitudes.tobytes() == plain.tobytes()
+
+    def test_array_control_qubits_read_out_as_the_tuple_form(self):
+        layout = RegisterLayout(2, 2)
+        readouts = []
+        for controls in ((2, 3), np.array([2, 3])):
+            ladder = PhaseLadder(layout.value_register, 0.3, controls)
+            assert ladder.controls == (2, 3)
+            hadamards = (HadamardLayer(layout.key_register), HadamardLayer(layout.value_register))
+            readouts.append(Circuit(4, (*hadamards, ladder)).readout(layout))
+        assert readouts[0] == readouts[1] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize(
+        "theta, controls, shapes",
+        [([0.1], [4, 8], "(1,) and (2,)"), ([0.1, 0.2], [4], "(2,) and (1,)"), ([0.1, 0.2], [[4, 8]], "(2,) and (1, 2)")],
+        ids=["fewer-angles", "fewer-masks", "2-d-masks"],
+    )
+    def test_many_terms_need_one_angle_per_mask(self, theta, controls, shapes):
+        with pytest.raises(LayoutError) as info:
+            PhaseLadder(Register(0, 2), theta, controls)
+        assert str(info.value) == f"a many-term ladder needs 1-d angles and masks of one length, got {shapes}"
+
+
 class TestQft:
     def test_geometric_state_decodes_to_integer(self):
         state = HadamardLayer(Register(0, 3)).apply(zero_state(3))

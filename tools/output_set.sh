@@ -6,23 +6,21 @@
 # SRC_DIR is the root of a qinterp source tree (it holds src/qinterp).
 # OUT_DIR receives the inputs, written from a fixed seed, and one file per
 # command: its stdout and stderr, then a last line "exit CODE".  Commands run
-# inside OUT_DIR with relative paths, so two trees' sets compare whole:
-#
-#   git archive HEAD~1 | tar -x -C /tmp/parent
-#   tools/output_set.sh /tmp/parent /tmp/out-parent
-#   tools/output_set.sh . /tmp/out-head
-#   diff -r /tmp/out-parent /tmp/out-head
+# inside OUT_DIR with relative paths, so two trees' sets compare whole;
+# tools/compare_outputs.sh [REV] runs this script on REV and on the working
+# tree and prints the diff.
 #
 # The set covers interpolate points and sweeps (nu2, lambda and table sources,
 # both domains, m=6 and m=12, one m=16 point, and a sweep whose points pass the
-# float range), fourteen sum configs (one at m=16, a sparse one at the 24-qubit
+# float range), sixteen sum configs (one at m=16, a sparse one at the 24-qubit
 # cap, a dense (8, 4) one whose 256 terms come from a poly_file, one with a
-# single controlled term, one whose weights' squares overflow and one whose
-# variable index is past any count), encode, dict (JSON and SVG; one of a
-# single controlled term, plain and F', one spelled with k01 and k0*k0, plain
-# and F', and one of that huge index) and repro with its artifacts.  Encodes at m=16 and m=17, where phase
-# tables are applied in slices, keep only the sha256 of their JSON in place of
-# the megabytes themselves.  It takes about half a minute on one core.
+# single controlled term, one whose weights' squares overflow, one whose
+# variable index is past any count, one of all-zero weights and one of an
+# all-zero hash), encode, dict (JSON and SVG; one of a single controlled term,
+# plain and F', one spelled with k01 and k0*k0, plain and F', and one of that
+# huge index) and repro with its artifacts.  Encodes at m=16 and m=17, where
+# phase tables are applied in slices, keep only the sha256 of their JSON in
+# place of the megabytes themselves.  It takes about half a minute on one core.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -81,6 +79,8 @@ configs = {
     "one-controlled-term": "n = 2\nm = 3\nweights = 1 2 3 4\npoly = 3: k1\n",
     "huge-weight": "n = 2\nm = 3\nweights = 1e200 0 0 0\npoly = 1: 1; 2: k0; 3: k1\n",
     "huge-index": "n = 2\nm = 3\npoly = 1: k99999999999999999999\n",
+    "zero-weights": "n = 2\nm = 3\nweights = 0 0 0 0\npoly = 1: 1; 2: k0; 3: k1\n",
+    "zero-hash": "n = 2\nm = 3\nhash = 0 0 0 0 0 0 0 0\npoly = 1: 1; 2: k0; 3: k1\n",
 }
 # a 16-qubit value register: the readout's phase table is streamed in slices of its register
 wide = poly_text(2, range(4), [float(v) for v in np.r_[30000.0, rng.uniform(-9000, 9000, 3)]])
