@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dictionary
 from . import repro as repro_mod
-from .dictionary import parse_polynomial
+from .dictionary import parse_polynomial, validate_values
 from .encoding import encode_value, encode_value_real
 from .errors import LayoutError, ParseError, QInterpError
 from .kernels import EncodingDomain
@@ -256,6 +256,8 @@ def _cmd_sum(args) -> int:
             classical = direct_weighted_identity_sum(weights, poly)
         else:
             classical = direct_weighted_sum(weights, poly, hashes)
+    else:  # nothing to simulate, but the polynomial is refused as weighted_sum would refuse it
+        validate_values(poly.scaled(scale), hashes.size.bit_length() - 1, domain)
     error = abs(total - classical)
     _print_report([("amplitude", amplitude), ("sum", total), ("classical", classical), ("abs-error", error)], 12)
     return EXIT_OK

@@ -20,7 +20,10 @@ the whole run, and otherwise leaves it op by op.  Phase tables and a
 loader's rank-1 update are built and applied in slices of about ``_CHUNK``
 entries, so no operation allocates a temporary the size of the state.
 :meth:`Circuit.state` starts from the product state where the gate list
-opens with Hadamard layers on every qubit, and :meth:`Circuit.readout`
+opens with Hadamard layers on every qubit; where a QFT on the first phase
+table's register follows, as in the encoder, it transforms that product
+state directly, one ``np.fft`` over at most 15 of the register's qubits and
+one radix-2 doubling per qubit below them.  :meth:`Circuit.readout`
 reads value-0 amplitudes without building the state: the operations that
 span the registers fuse into one table over the value register, contracted
 in baby and giant steps, about ``2 N sqrt(M)`` exponent products for N x M.
@@ -199,14 +202,14 @@ def subset_sums(values, inverse: bool = False) -> np.ndarray:
     return out
 
 
-def _phase_ramps(offset: np.ndarray, slope: np.ndarray, width: int) -> np.ndarray:
+def _phase_ramps(offset: np.ndarray, slope: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
     """``exp(i (offset + slope * r))`` for ``r`` in ``[0, 2**width)`` on axis 1.
 
     ``offset`` and ``slope`` have shape (H, L); the (H, 2**width, L) table is
     built by doubling over the bits of ``r``, with ``width + 1`` exponentials
-    per (H, L) entry instead of one per table entry.
+    per (H, L) entry instead of one per table entry, into ``out`` if given.
     """
-    table = np.empty((offset.shape[0], 1 << width, offset.shape[1]), dtype=np.complex128)
+    table = np.empty((offset.shape[0], 1 << width, offset.shape[1]), dtype=np.complex128) if out is None else out
     table[:, 0, :] = np.exp(1j * offset)
     filled = 1
     while filled < table.shape[1]:
@@ -355,7 +358,13 @@ class PhaseLadder(Operation):
                 object.__setattr__(self, "controls", controls)
                 return
         if type(self.controls) is not tuple:  # one term: its control qubits as a tuple
-            object.__setattr__(self, "controls", tuple(np.asarray(self.controls).tolist()))
+            controls = np.asarray(self.controls)
+            if controls.ndim != 1:
+                raise LayoutError(f"one-term controls {self.controls!r} are not a sequence of qubits")
+            object.__setattr__(self, "controls", tuple(controls.tolist()))
+        for q in self.controls:
+            if not isinstance(q, (int, np.integer)):
+                raise LayoutError(f"control qubit {q!r} is not an integer")
 
     def apply(self, state: StateVector) -> StateVector:
         _require_register(state, self.register)
@@ -428,7 +437,9 @@ class QftGate(Operation):
     The inverse direction realizes ``y_j = (1/sqrt(W)) sum_k x_k e^{-2 pi i jk / W}``
     on the register axis, i.e. the unitary DFT computed by ``np.fft.fft`` with
     ``norm="ortho"``; the forward direction is its adjoint (positive sign,
-    ``np.fft.ifft``).
+    ``np.fft.ifft``).  :meth:`Circuit.state` does not call ``apply`` where the
+    QFT directly follows its product-front phase table on the same register:
+    :meth:`_PhaseTable.fourier` transforms that product state instead.
     """
 
     register: Register
@@ -509,6 +520,49 @@ class _PhaseTable(Operation):
         reg = self.register
         shape = (1 << (num_qubits - reg.offset - reg.width), 1 << reg.offset)
         return _phase_ramps(self.offset.reshape(shape), self.slope.reshape(shape), reg.width).reshape(-1)
+
+    def fourier(self, num_qubits: int, scale: float, inverse: bool) -> np.ndarray:
+        """``QftGate(register, inverse)`` applied to :meth:`factors` times ``scale``, fresh.
+
+        The table is a product state, one geometric ramp per row, so its
+        transform splits one qubit at a time (Cooley and Tukey's decimation
+        in time).  The ramp over the register's top ``min(width, 15)``
+        qubits, slope ``2^low slope`` with ``low`` qubits below them, is
+        built at the head of each row, scaled by ``scale 2^(-low/2)`` and
+        given one ``np.fft``.  Each lower qubit ``l``, highest first, then
+        doubles the transformed block ``A`` of ``s`` entries: the ramp at
+        odd indices is the ramp at even ones times ``exp(i 2^l slope)``, so
+        with ``u[j]`` that factor times ``exp(-+i pi j / s)`` the upper half
+        becomes ``A - A u`` and ``A`` becomes ``A + A u``.  A level is O(N),
+        in place, in slices of about ``_CHUNK / 8`` entries whose twiddles
+        are one factor per slice times one table per level.  Up to 15
+        register qubits there is no level, and the steps are those of
+        :meth:`factors`, a scaling and :meth:`QftGate.apply`, bit for bit.
+        """
+        reg = self.register
+        head = min(reg.width, _CHUNK.bit_length() - 1)
+        low = reg.width - head
+        shape = (1 << (num_qubits - reg.offset - reg.width), 1 << reg.offset)
+        offset, slope = self.offset.reshape(shape), self.slope.reshape(shape)
+        amps = np.empty(1 << num_qubits, dtype=np.complex128)
+        view = _register_view(amps, reg)
+        top = _phase_ramps(offset, slope * (1 << low), head, out=view[:, : 1 << head])
+        top *= scale * 2.0 ** (-low / 2)
+        (np.fft.fft if inverse else np.fft.ifft)(top, axis=1, norm="ortho", out=top)
+        sign = -1.0 if inverse else 1.0
+        for l in reversed(range(low)):
+            half = 1 << (reg.width - 1 - l)
+            k = min(half, max(1, (_CHUNK >> 3) // offset.size))
+            twiddles = np.exp(1j * sign * np.pi / half * np.arange(k))[:, None]
+            step = np.exp(1j * (1 << l) * slope)[:, None, :]
+            for j in range(0, half, k):
+                block = view[:, j : j + k]
+                turn = sign * 1j if 2 * j >= half else 1.0  # exact, so the rounded angle stays below pi / 2
+                u = step * (np.exp(1j * sign * np.pi * (j % (half // 2)) / half) * turn) * twiddles
+                u *= block
+                np.subtract(block, u, out=view[:, half + j : half + j + k])
+                block += u
+        return amps
 
     def apply(self, state: StateVector) -> StateVector:
         """Multiply by the table slice by slice, each slice built by :func:`_ramp_slices`.
@@ -764,11 +818,14 @@ class Circuit:
         cover every qubit, the buffer after them holds the amplitude ``h``
         they give ``|0...0>`` everywhere.  The ops after the layers become
         the steps :meth:`apply` runs; if the first is a phase table, the
-        buffer starts as its factors scaled in place by ``h``, else as ``h``
-        alone, and the other steps run through :meth:`apply`.  Any other
-        circuit is ``apply(zero_state(n))``.  The result is bit for bit that
-        of :meth:`apply`, and the ops run on the buffer built here, never
-        copied.
+        buffer starts as its factors scaled in place by ``h``, and if a QFT
+        on the table's register comes next, as that QFT of them, built by
+        :meth:`_PhaseTable.fourier`; else the buffer starts as ``h`` alone.
+        The other steps run through :meth:`apply`.  Any other circuit is
+        ``apply(zero_state(n))``.  The result is bit for bit that of
+        :meth:`apply` where the QFT's register has at most 15 qubits or no
+        QFT is built here, and within a few ulps (``4 eps`` in the tests)
+        past that.  The ops run on the buffer built here, never copied.
         """
         check_capacity(self.num_qubits)
         front = _hadamard_front(self.ops, self.num_qubits)
@@ -777,8 +834,12 @@ class Circuit:
         count, scale = front
         steps = _fuse_diagonals(self.ops[count:], self.num_qubits)
         if steps and isinstance(steps[0], _PhaseTable):
-            amps = steps.pop(0).factors(self.num_qubits)
-            amps *= scale
+            table = steps.pop(0)
+            if steps and isinstance(steps[0], QftGate) and steps[0].register == table.register:
+                amps = table.fourier(self.num_qubits, scale, steps.pop(0).inverse)
+            else:
+                amps = table.factors(self.num_qubits)
+                amps *= scale
         else:
             amps = np.full(1 << self.num_qubits, scale, dtype=np.complex128)
         return Circuit(self.num_qubits, tuple(steps)).apply(_Buffer(self.num_qubits, amps))

@@ -357,6 +357,20 @@ class TestSum:
         assert (code, err) == (0, "")
         assert out == "amplitude   0\nsum         0\nclassical   0\nabs-error   0\n"
 
+    def test_zero_weights_still_refuse_an_aliasing_polynomial(self, tmp_path, capsys):
+        results = []
+        for weights in ("0 0 0 0", "0 0 0 1"):
+            config = tmp_path / "sum.cfg"
+            config.write_text(f"n = 2\nm = 2\nweights = {weights}\npoly = 3: 1; 2: k0\n")
+            results.append(run(capsys, "sum", str(config)))
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: value 5.0 at key 1 would alias in a 2-qubit register: "
+            "value 5.0 outside unsigned domain [0, 4)\n"
+        )
+
     def test_tiny_weights_read_as_their_unit_vector(self, tmp_path, capsys):
         # the squares of 1e-170 underflow to 0, yet the weights have a unit vector
         amplitudes = []

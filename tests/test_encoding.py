@@ -153,13 +153,19 @@ def seeded_targets(width):
 
 
 class TestProductFront:
+    # bit for bit up to 15 qubits; past that the inverse QFT of the product
+    # state runs as radix-2 doublings, not one np.fft, and agrees to 4 eps
     @pytest.mark.parametrize("width", range(1, 19))
     def test_state_is_apply_to_zero_state(self, width):
         for domain, t in seeded_targets(width):
             for build in (value_encoding_circuit, real_encoding_circuit):
                 circuit = build(width, t, domain)
                 expected = circuit.apply(zero_state(width)).amplitudes
-                assert circuit.state().amplitudes.tobytes() == expected.tobytes(), (build.__name__, domain, t)
+                state = circuit.state().amplitudes
+                if width <= 15:
+                    assert state.tobytes() == expected.tobytes(), (build.__name__, domain, t)
+                else:
+                    assert np.max(np.abs(state - expected)) <= 4 * np.finfo(float).eps, (build.__name__, domain, t)
 
     def test_encoders_apply_no_hadamard_layer(self, monkeypatch):
         # the Hadamard layer and the ladder after it are built as one table

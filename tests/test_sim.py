@@ -275,6 +275,16 @@ class TestLadderConstructor:
             PhaseLadder(Register(0, 2), theta, controls)
         assert str(info.value) == f"a many-term ladder needs 1-d angles and masks of one length, got {shapes}"
 
+    @pytest.mark.parametrize(
+        "controls, message",
+        [((2.5,), "control qubit 2.5 is not an integer"), (3, "one-term controls 3 are not a sequence of qubits")],
+        ids=["fractional-qubit", "bare-qubit"],
+    )
+    def test_one_term_controls_must_be_integer_qubits(self, controls, message):
+        with pytest.raises(LayoutError) as info:
+            PhaseLadder(Register(0, 2), 0.3, controls)
+        assert str(info.value) == message
+
 
 class TestQft:
     def test_geometric_state_decodes_to_integer(self):
@@ -987,6 +997,72 @@ class TestCircuitState:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def fourier_front(width, inverse, placement, rng):
+    """Hadamard layers on every qubit, ladders on a ``width``-qubit register, then its QFT.
+
+    ``alone``: the register is every qubit and holds one ladder.  ``between``:
+    one qubit below the register and one above it, so its phase table has
+    two rows and two columns, each with its own slope from ladders
+    controlled by those qubits, and a controlled phase.
+    """
+    if placement == "alone":
+        reg = Register(0, width)
+        return Circuit(width, (HadamardLayer(reg), PhaseLadder(reg, rng.uniform(-4, 4)), QftGate(reg, inverse)))
+    n, reg = width + 2, Register(1, width)
+    ops = (
+        HadamardLayer(Register(0, n)),
+        PhaseLadder(reg, rng.uniform(-4, 4)),
+        PhaseLadder(reg, rng.uniform(-4, 4), (0,)),
+        PhaseLadder(reg, rng.uniform(-4, 4), (n - 1,)),
+        ControlledPhase((0, n - 1), rng.uniform(-4, 4)),
+        QftGate(reg, inverse),
+    )
+    return Circuit(n, ops)
+
+
+def assert_state_near_apply(circuit, register_width):
+    """``state()`` is ``apply(zero_state)``: bit for bit up to a 15-qubit register, else to 4 eps."""
+    expected = circuit.apply(zero_state(circuit.num_qubits)).amplitudes
+    state = circuit.state().amplitudes
+    if register_width <= 15:
+        assert state.tobytes() == expected.tobytes()
+    else:
+        assert max_gap(state, expected) <= 4 * np.finfo(float).eps
+
+
+class TestFourierFront:
+    """``Circuit.state()`` transforms a product-front table through ``_PhaseTable.fourier``, not ``QftGate``."""
+
+    @pytest.mark.parametrize("width", [*range(1, 19), 20])
+    @pytest.mark.parametrize("inverse", [True, False], ids=["inverse", "forward"])
+    @pytest.mark.parametrize("placement", ["alone", "between"])
+    def test_matches_apply(self, width, inverse, placement):
+        circuit = fourier_front(width, inverse, placement, np.random.default_rng(width))
+        assert_state_near_apply(circuit, width)
+
+    @pytest.mark.wide
+    @pytest.mark.parametrize("inverse", [True, False], ids=["inverse", "forward"])
+    def test_matches_apply_at_the_cap(self, inverse):
+        assert_state_near_apply(fourier_front(24, inverse, "alone", np.random.default_rng(24)), 24)
+
+    def test_controlled_dictionary_matches_apply(self):
+        rng = np.random.default_rng(16)
+        layout = RegisterLayout(2, 16)
+        poly = in_domain_polynomial(rng, layout.key_width, layout.value_width, EncodingDomain.UNSIGNED, "dense")
+        circuit = dictionary_circuit(layout, poly, phase_corrected=True)
+        assert_state_near_apply(circuit, layout.value_width)
+
+    @pytest.mark.parametrize("width", [3, 17])
+    def test_applies_no_qft_gate(self, width, monkeypatch):
+        def refuse(op, state):
+            raise AssertionError("QftGate applied")
+
+        circuit = fourier_front(width, True, "between", np.random.default_rng(width))
+        expected = circuit.apply(zero_state(circuit.num_qubits)).amplitudes
+        monkeypatch.setattr(QftGate, "apply", refuse)
+        assert max_gap(circuit.state().amplitudes, expected) <= 4 * np.finfo(float).eps
 
 
 def _sub_register(reg, rng):
