@@ -1,9 +1,11 @@
 """Classical reference computations.
 
 The quantum side's numbers are checked against the functions here: the
-discrete interpolation kernel that shows up as state amplitudes, and the
-Nyquist-Shannon reconstruction of a sampled signal.  The kernel double sum
-of :mod:`qinterp.patterns` is the third oracle.
+discrete interpolation kernel that shows up as state amplitudes, as rows
+(:func:`fejer_kernel_row`) and as kernel-weighted sums of samples in
+trigonometric form (:func:`kernel_sums`, the readouts' classical column),
+and the Nyquist-Shannon reconstruction of a sampled signal.  The kernel
+double sum of :mod:`qinterp.patterns` is built from the rows.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ SAMPLE_TOLERANCE = 1e-12
 # float64 per temporary); a reconstruction table of 256 points from 32 samples
 # is one chunk.
 KERNEL_CHUNK = 1 << 16
+
+# Most ramp entries one chunk of kernel_sums holds (256 KiB of complex128 per
+# ramp), so a long sweep's classical column stays small: a 256-point column
+# at m = 12 is one chunk, and one at m = 24 takes four points a chunk.
+SWEEP_KERNEL_CHUNK = 1 << 14
 
 
 class EncodingDomain(enum.Enum):
@@ -96,6 +103,71 @@ def fejer_kernel_row(modulus: int, target) -> np.ndarray:
     hits = np.flatnonzero(integer)
     rows[hits, nearest[hits].astype(np.int64) % modulus] = 1.0
     return rows.reshape(t.shape + (modulus,))
+
+
+def _phases(turns: np.ndarray, scale: int, fraction=0.0) -> np.ndarray:
+    """``exp(i pi (turns + fraction) / scale)``, the integers ``turns`` first reduced into ``[-scale, scale)``.
+
+    ``scale`` is a power of two, so the reduction is a mask of the two's
+    complement bits; cosine and sine are taken as two real arrays.
+    """
+    angle = (np.pi / scale) * (((turns + scale) & (2 * scale - 1)) - scale + fraction)
+    phases = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=phases.real)
+    np.sin(angle, out=phases.imag)
+    return phases
+
+
+def _ramp(count: int, scale: int, whole: np.ndarray, fraction: np.ndarray) -> np.ndarray:
+    """``exp(i pi c (n + f) / scale)`` for ``c = 1 - count, 3 - count, ..., count - 1``, one row per target ``n + f``."""
+    c = np.arange(1 - count, count, 2)
+    return _phases(c * whole[:, None], scale, c * fraction[:, None])
+
+
+def kernel_sums(samples, targets) -> np.ndarray:
+    """``sum_k s_k K(t - k)`` for each target ``t``, with ``K`` the kernel of :func:`fejer_kernel_row`.
+
+    The kernel is the trigonometric sum ``K(d) = (1/M) sum_j e^{i pi (2j - M + 1) d / M}``,
+    so the sums at every target take one FFT of the M samples,
+    ``g = ifft(s_v e^{-i pi (M - 1) v / M})``, and then per target
+    ``Re sum_j conj(g_j) e^{i pi (2j - M + 1) t / M}``.  With ``j = a L + b``
+    and ``L = 2^floor(m/2)``, that phase is a ramp over ``a`` times one over
+    ``b``, each at most ``sqrt(2M)`` long, so a target costs two ramps and
+    M multiply-adds.  A target is read as the float ``t mod M``, as by
+    :func:`fejer_kernel_row` and the encoder, and split as ``t = n + f``
+    with ``n`` the nearest integer: every ``n`` part of a phase is reduced
+    in integers, and ``|f| <= 1/2``, so no angle is rounded at the scale of
+    M and a target next to the wrap (``t -> M``) reads as accurately as any
+    other.  Targets within ``INTEGER_TOLERANCE`` of an integer return
+    ``s[n % M]``, as the kernel's Kronecker rows do.  Returns a float array of the
+    targets' shape.  The targets are read in chunks of at most
+    ``SWEEP_KERNEL_CHUNK`` ramp entries, and ``np.vecdot`` reduces each
+    target's rows on their own, so a target's sum has the same bits in any
+    chunk; a matrix product's bits may depend on the batch size.
+    """
+    s = np.asarray(samples, dtype=np.float64)
+    modulus = s.size
+    t = np.asarray(targets, dtype=np.float64)
+    flat = t.reshape(-1) % modulus
+    nearest = np.round(flat)
+    fraction = flat - nearest
+    whole = nearest.astype(np.int64)
+    values = s[whole % modulus]
+    off = np.flatnonzero(np.abs(fraction) >= INTEGER_TOLERANCE)
+    if off.size:
+        low = 1 << ((modulus.bit_length() - 1) // 2)
+        high = modulus // low
+        spectrum = _phases((1 - modulus) * np.arange(modulus), modulus)
+        spectrum *= s
+        np.fft.ifft(spectrum, out=spectrum)
+        spectrum = spectrum.reshape(high, low)
+        rows = max(1, SWEEP_KERNEL_CHUNK // high)
+        for i in range(0, off.size, rows):
+            chunk = off[i : i + rows]
+            n, f = whole[chunk], fraction[chunk]
+            inner = np.vecdot(_ramp(low, modulus, n, f)[:, None, :], spectrum)
+            values[chunk] = np.vecdot(_ramp(high, high, n, f), inner).real
+    return values.reshape(t.shape)
 
 
 @dataclass(frozen=True, eq=False)

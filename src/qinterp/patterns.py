@@ -12,7 +12,8 @@ Two readout schemes built on the encoders:
   sums of hashed function values.
 
 Every quantum number here has a classical companion computed directly from
-the kernel rows.
+the kernel: the readouts' from its trigonometric sum
+(:func:`~qinterp.kernels.kernel_sums`), the double sum's from its rows.
 """
 
 from __future__ import annotations
@@ -32,15 +33,12 @@ from .kernels import (
     EncodingDomain,
     domain_bounds,
     fejer_kernel_row,
+    kernel_sums,
     normalize_to_domain,
 )
 from .sim import MAX_QUBITS, Circuit, HadamardLayer, Register, RegisterLayout, StatePrep
 
 IMAG_WARNING_THRESHOLD = 1e-8
-
-# Most kernel entries one matrix of a sweep's classical column holds (128 KiB
-# of float64), whatever the block sizes, so a long sweep's peak memory stays low.
-SWEEP_KERNEL_CHUNK = 1 << 14
 
 # Most points one sweep reads.  A point is a few float64 entries of the sweep's
 # columns, and in the CLI its CSV fields as Python floats and text: about 300
@@ -197,9 +195,10 @@ def quantum_interpolate_sweep(
     that key and value registers together stay within ``MAX_QUBITS``.  A
     wider block's readout streams the controlled ladders' phase table, so it
     never builds its full state.  The classical column is the kernel-weighted
-    sum of the function samples, read once from the preparation itself, with
-    the kernel rows built as matrices of at most ``SWEEP_KERNEL_CHUNK``
-    entries.  ``exact_fn`` is called once per point, with the point as a float.
+    sum of the function samples, read once from the preparation itself:
+    :func:`~qinterp.kernels.kernel_sums` takes one FFT of the samples, then
+    two ramps of about ``sqrt(M)`` entries per point.  ``exact_fn`` is called
+    once per point, with the point as a float.
     """
     if steps < 1:
         raise DomainError("a sweep needs at least one step")
@@ -220,7 +219,11 @@ def _read_points(
     domain: EncodingDomain,
     exact_fn: Callable[[float], float] | None,
 ) -> Sweep:
-    """The :class:`Sweep` of the points ``ts``, which lie ``step`` apart."""
+    """The :class:`Sweep` of the points ``ts``, which lie ``step`` apart.
+
+    The quantum column comes from the block circuits, the classical one from
+    :func:`~qinterp.kernels.kernel_sums` over all the points at once.
+    """
     width = function_prep.num_qubits
     modulus = 1 << width
     points = ts.tolist()
@@ -247,14 +250,7 @@ def _read_points(
         blocks.append(block)
         start += 1 << key_width
     readout = np.concatenate(blocks)
-    rows = max(1, SWEEP_KERNEL_CHUNK >> width)
-    # vecdot reduces each row as np.dot does; a matrix product may not
-    classical = np.concatenate(
-        [
-            np.vecdot(fejer_kernel_row(modulus, ts[i : i + rows]), samples.real)
-            for i in range(0, len(points), rows)
-        ]
-    )
+    classical = kernel_sums(samples.real, ts)
     exact = None if exact_fn is None else np.array([float(exact_fn(t)) for t in points])
     sweep = Sweep(ts, readout.real.copy(), classical, exact, np.abs(readout.imag))
     _warn_imag_residual(float(sweep.imag_residual.max()), "interpolation amplitude", stacklevel=4)

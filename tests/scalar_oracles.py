@@ -3,13 +3,15 @@
 ``kernel_row`` and ``interpolate`` are the oracles of ``qinterp.kernels`` in
 their one-target-at-a-time form.  Each repeats, call for call, the scalar
 arithmetic the array forms must reproduce bit for bit: the same reductions,
-the same snap tests, and the same ``np.dot`` per row.  ``dft_matrix`` is the
-target of the gate-level Fourier transform, built from its own exponentials
-rather than from an FFT.
+the same snap tests, and the same ``np.dot`` per row.  ``kernel_sum_40``
+is the kernel sum in 40-digit arithmetic, for where double-precision rows
+lose digits.  ``dft_matrix`` is the target of the gate-level Fourier
+transform, built from its own exponentials rather than from an FFT.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 from qinterp import DomainError
@@ -27,6 +29,26 @@ def kernel_row(modulus, target):
     k = np.arange(modulus)
     sign = np.where((n - k) % 2 == 1, -1.0, 1.0)
     return sign * np.sin(np.pi * (t - n)) / (modulus * np.sin(np.pi * (t - k) / modulus))
+
+
+def kernel_sum_40(samples, target):
+    """``sum_k s_k K(t - k)`` at the float ``t mod M``, each term in 40-digit arithmetic.
+
+    The point is the one the package reads: the double ``t % M``, snapped to
+    its integer within ``INTEGER_TOLERANCE`` as ``kernel_row`` does.  From
+    there on nothing is rounded to a double until the returned float.
+    """
+    modulus = len(samples)
+    t = float(target) % modulus
+    if abs(t - round(t)) < INTEGER_TOLERANCE:
+        return float(samples[round(t) % modulus])
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        total = mpmath.mpf(0)
+        for k, s in enumerate(samples):
+            d = t - k
+            total += mpmath.mpf(float(s)) * mpmath.sinpi(d) / (modulus * mpmath.sinpi(d / modulus))
+        return float(total)
 
 
 def interpolate(signal, t):

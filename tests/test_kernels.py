@@ -15,7 +15,8 @@ from qinterp import (
     fejer_kernel_row,
     normalize_to_domain,
 )
-from qinterp.kernels import INTEGER_TOLERANCE, KERNEL_CHUNK, SAMPLE_TOLERANCE
+from qinterp import kernels
+from qinterp.kernels import INTEGER_TOLERANCE, KERNEL_CHUNK, SAMPLE_TOLERANCE, kernel_sums
 
 
 def interpolate_oracle(samples, period, t):
@@ -235,6 +236,70 @@ class TestKernelRowArrays:
     def test_scalar_target_keeps_a_row(self):
         assert fejer_kernel_row(8, 2.7).shape == (8,)
         assert fejer_kernel_row(8, np.array([2.7])).shape == (1, 8)
+
+
+def unit_samples(width, seed):
+    samples = np.random.default_rng(seed).normal(size=1 << width)
+    return samples / np.linalg.norm(samples)
+
+
+def row_targets(modulus, rng):
+    """Points in ``[0, M - 1]``: integers, snapped ones, ``1e-9`` off integers and between them.
+
+    The last unit interval before the wrap is left out: there the row's
+    ``k = 0`` entry is ``sin`` of an angle rounded next to pi.
+    """
+    whole = rng.integers(0, modulus, 12).astype(np.float64)
+    offsets = [0.0, 0.5e-13, -0.9e-13, 1e-9, -1e-9]
+    ts = np.concatenate([whole + offset for offset in offsets] + [whole + rng.uniform(0, 1, whole.size)])
+    return ts[(ts >= 0) & (ts <= modulus - 1)]
+
+
+class TestKernelSums:
+    @pytest.mark.parametrize("domain", ["unsigned", "twos"])
+    @pytest.mark.parametrize("width", range(1, 15))
+    def test_matches_the_kernel_rows(self, width, domain):
+        modulus = 1 << width
+        samples = unit_samples(width, width)
+        ts = row_targets(modulus, np.random.default_rng(100 + width))
+        if domain == "twos":
+            # u - M is exact for u >= M / 2, so both read the point u
+            ts = ts[ts >= modulus // 2] - modulus
+        rows = fejer_kernel_row(modulus, ts)
+        sums = kernel_sums(samples, ts)
+        assert np.max(np.abs(sums - np.vecdot(rows, samples))) <= 1e-14
+        snapped = np.abs(ts - np.round(ts)) < INTEGER_TOLERANCE
+        assert snapped.any() and np.array_equal(sums[snapped], np.vecdot(rows[snapped], samples))
+
+    @pytest.mark.parametrize(
+        "width, gaps",
+        [
+            *[(w, (1e-12, 2e-12, 1e-11, 1e-9, 1e-6, 1e-4, 1e-3, 0.3, 0.9)) for w in (1, 2, 3, 6, 8)],
+            (12, (1e-11, 1e-9)),  # 40-digit sums of 4096 terms take about 0.2 s each
+        ],
+        ids=lambda value: f"m{value}" if isinstance(value, int) else "gaps",
+    )
+    def test_wrap_band_matches_40_digits(self, width, gaps):
+        # t -> M from below, and t -> 0 from below in the twos domain: the
+        # row's k = 0 entry is off by up to 1e-4 here, the sum is not
+        modulus = 1 << width
+        samples = unit_samples(width, 7)
+        samples[0] = 0.5
+        ts = np.array([t for gap in gaps for t in (modulus - gap, -gap)])
+        sums = kernel_sums(samples, ts)
+        for t, value in zip(ts.tolist(), sums.tolist()):
+            assert abs(value - scalar_oracles.kernel_sum_40(samples, t)) <= 1e-15, t
+
+    @settings(max_examples=60)
+    @given(case=kernel_targets(), seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([1, 2, 8, 1 << 14]))
+    def test_sums_equal_the_one_target_calls(self, case, seed, chunk):
+        modulus, targets = case
+        samples = np.random.default_rng(seed).normal(size=modulus)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "SWEEP_KERNEL_CHUNK", chunk)
+            sums = kernel_sums(samples, np.array(targets))
+        assert sums.shape == (len(targets),)
+        assert sums.tolist() == [float(kernel_sums(samples, t)) for t in targets]
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from polynomials import KINDS, in_domain_polynomial
-from scalar_oracles import kernel_row
+from scalar_oracles import kernel_row, kernel_sum_40
 
 from qinterp import (
     BinaryPolynomial,
@@ -402,10 +402,14 @@ class TestQuantumInterpolateSweep:
 
 
 def check_classical_column(samples, t_start, t_stop, steps, domain):
-    """The sweep's classical column against one ``np.dot`` per point.
+    """The sweep's classical column against one kernel row per point.
 
-    Returns the key width of every block the sweep tried, each with whether
-    that block's circuit raised.
+    The column is the kernel sum in trigonometric form, so it meets the row's
+    ``np.dot`` to round-off, 1e-14, not bit for bit.  In the last unit
+    interval before the wrap (``t mod M`` past ``M - 1``), where the row's
+    ``k = 0`` entry is ``sin`` of an angle rounded next to pi, the reference
+    is the 40-digit sum instead, to 1e-15.  Returns the key width of every
+    block the sweep tried, each with whether that block's circuit raised.
     """
     prep = prepare_amplitudes(samples)
     modulus = samples.size
@@ -424,8 +428,11 @@ def check_classical_column(samples, t_start, t_stop, steps, domain):
     # the function samples as the sweep reads them, a real view of the prepared state
     function_samples = prep.apply(zero_state(prep.num_qubits)).amplitudes.real
     for t, classical in zip(sweep.t.tolist(), sweep.classical.tolist()):
-        row = kernel_row(modulus, normalize_to_domain(t, domain, modulus))
-        assert classical == float(np.dot(function_samples, row))
+        target = normalize_to_domain(t, domain, modulus)
+        if target > modulus - 1:
+            assert abs(classical - kernel_sum_40(function_samples, target)) <= 1e-15
+        else:
+            assert abs(classical - float(np.dot(function_samples, kernel_row(modulus, target)))) <= 1e-14
     return blocks
 
 
@@ -455,6 +462,39 @@ class TestSweepClassicalColumn:
         blocks = check_classical_column(nu2_amplitudes(3), start, 8.0, 44, EncodingDomain.UNSIGNED)
         failed = [i for i, (width, raised) in enumerate(blocks) if raised]
         assert failed and all(blocks[i + 1] == (0, False) for i in failed)
+
+
+def table_with_a_first_sample(width, seed):
+    """A unit table of ``2**width`` seeded samples whose ``s_0`` is not 0."""
+    samples = np.random.default_rng(seed).normal(size=1 << width)
+    samples[0] = 0.75
+    return samples / np.linalg.norm(samples)
+
+
+class TestReadoutNextToTheWrap:
+    # t -> M from below, or t -> 0 from below in the twos domain: a kernel row's
+    # k = 0 entry there is sin of an angle rounded next to pi, which put the
+    # classical column up to 1.4e-5 off the readout when s_0 is not 0
+    @pytest.mark.parametrize("width", [3, 6, 12])
+    @pytest.mark.parametrize(
+        "gap, domain", [(1e-11, EncodingDomain.UNSIGNED), (1e-11, TWOS), (1e-9, TWOS)], ids=["unsigned", "twos", "twos-1e-9"]
+    )
+    def test_named_points(self, width, gap, domain):
+        t = (1 << width) - gap if domain is EncodingDomain.UNSIGNED else -gap
+        prep = prepare_amplitudes(table_with_a_first_sample(width, width))
+        assert quantum_interpolate(prep, t, domain).deviation <= 1e-12
+
+    @settings(max_examples=40)
+    @given(
+        width=st.integers(1, 8),
+        gap=st.floats(1e-12, 1e-6),
+        domain=st.sampled_from([EncodingDomain.UNSIGNED, TWOS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_points_next_to_the_wrap(self, width, gap, domain, seed):
+        t = (1 << width) - gap if domain is EncodingDomain.UNSIGNED else -gap
+        prep = prepare_amplitudes(table_with_a_first_sample(width, seed))
+        assert quantum_interpolate(prep, t, domain).deviation <= 1e-12
 
 
 def check_round_off_zero(domain):
