@@ -22,8 +22,9 @@ entries, so no operation allocates a temporary the size of the state.
 :meth:`Circuit.state` starts from the product state where the gate list
 opens with Hadamard layers on every qubit; where a QFT on the first phase
 table's register follows, as in the encoder, it transforms that product
-state directly, one ``np.fft`` over at most 15 of the register's qubits and
-one radix-2 doubling per qubit below them.  :meth:`Circuit.readout`
+state directly: one ``np.fft`` over a register of at most 15 qubits, else
+over its top 12 and one radix-2 doubling per qubit below them, each level's
+twiddles kept across calls.  :meth:`Circuit.readout`
 reads value-0 amplitudes without building the state: the operations that
 span the registers fuse into one table over the value register, contracted
 in baby and giant steps, about ``2 N sqrt(M)`` exponent products for N x M.
@@ -36,6 +37,7 @@ so the value amplitudes of key ``k`` form the contiguous slice
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -208,14 +210,13 @@ def _phase_ramps(offset: np.ndarray, slope: np.ndarray, width: int, out: np.ndar
     ``offset`` and ``slope`` have shape (H, L); the (H, 2**width, L) table is
     built by doubling over the bits of ``r``, with ``width + 1`` exponentials
     per (H, L) entry instead of one per table entry, into ``out`` if given.
+    The ``width`` doubling steps ``exp(i 2^b slope)`` come from one ``np.exp``.
     """
     table = np.empty((offset.shape[0], 1 << width, offset.shape[1]), dtype=np.complex128) if out is None else out
     table[:, 0, :] = np.exp(1j * offset)
-    filled = 1
-    while filled < table.shape[1]:
-        step = np.exp(1j * filled * slope)[:, None, :]
-        np.multiply(table[:, :filled], step, out=table[:, filled : 2 * filled])
-        filled <<= 1
+    steps = np.exp(1j * (slope[:, None, :] * 2.0 ** np.arange(width)[None, :, None]))
+    for b in range(width):
+        np.multiply(table[:, : 1 << b], steps[:, b : b + 1], out=table[:, 1 << b : 2 << b])
     return table
 
 
@@ -464,8 +465,9 @@ class StatePrep(Operation):
     Realized as a Householder reflection combined with a global phase, so the
     adjoint is available in closed form and round trips are exact to float
     precision.  The reflection's rank-1 update is applied in slices of about
-    ``_CHUNK`` entries, so no outer product the size of the state is
-    built.
+    ``_CHUNK`` entries, its vector scaled slice by slice, and a vector
+    longer than a slice is conjugated in place for its projection, so the
+    only temporary the size of a wide register is that vector.
     """
 
     register: Register
@@ -492,15 +494,41 @@ class StatePrep(Operation):
         amps = _writable(state)
         view = _register_view(amps, self.register)
         if vv > 1e-24:
-            proj = np.einsum("w,awb->ab", v.conj(), view)
-            scaled = (2.0 / vv) * v[None, :, None]
+            # up to one slice a copy costs less than a second pass; past it, v is conjugated in place and back (exact)
+            bra = v.conj() if v.size <= _CHUNK else np.conjugate(v, out=v)
+            proj = np.einsum("w,awb->ab", bra, view)
+            if bra is v:
+                np.conjugate(v, out=v)
+            gain = 2.0 / vv
             for i, k, j in _chunks(view.shape):
-                view[i, k, j] -= scaled[:, k] * proj[i, j][:, None, :]
+                view[i, k, j] -= (gain * v[k])[None, :, None] * proj[i, j][:, None, :]
         amps *= np.exp(1j * (-alpha if self.dagger else alpha))
         return _written(state, amps)
 
     def adjoint(self) -> "StatePrep":
         return StatePrep(self.register, self.target, not self.dagger)
+
+
+@functools.lru_cache(maxsize=32)
+def _doubling_factors(sign: float, half: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One doubling level's twiddles ``exp(sign i pi j / half)`` for ``j < k``, and each slice's start factor.
+
+    Slice ``j`` of ``k`` entries starts at ``exp(sign i pi (j mod half/2) / half)``
+    times an exact quarter turn past ``half / 2``, so its rounded angle stays
+    below pi / 2.  Built once per key and kept read-only, since every
+    register width shares its levels.  An entry holds at most ``_CHUNK / 8``
+    twiddles and at most 2048 start factors, under 100 kB; 32 of them
+    cover every level in both directions up to ``MAX_QUBITS``.
+    """
+    twiddles = np.exp(1j * sign * np.pi / half * np.arange(k))[:, None]
+    starts = np.array(
+        [
+            np.exp(1j * sign * np.pi * (j % (half // 2)) / half) * (sign * 1j if 2 * j >= half else 1.0)
+            for j in range(0, half, k)
+        ]
+    )
+    twiddles.flags.writeable = starts.flags.writeable = False
+    return twiddles, starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,21 +554,25 @@ class _PhaseTable(Operation):
 
         The table is a product state, one geometric ramp per row, so its
         transform splits one qubit at a time (Cooley and Tukey's decimation
-        in time).  The ramp over the register's top ``min(width, 15)``
-        qubits, slope ``2^low slope`` with ``low`` qubits below them, is
-        built at the head of each row, scaled by ``scale 2^(-low/2)`` and
-        given one ``np.fft``.  Each lower qubit ``l``, highest first, then
-        doubles the transformed block ``A`` of ``s`` entries: the ramp at
-        odd indices is the ramp at even ones times ``exp(i 2^l slope)``, so
-        with ``u[j]`` that factor times ``exp(-+i pi j / s)`` the upper half
-        becomes ``A - A u`` and ``A`` becomes ``A + A u``.  A level is O(N),
-        in place, in slices of about ``_CHUNK / 8`` entries whose twiddles
-        are one factor per slice times one table per level.  Up to 15
+        in time).  The head is the whole register up to 15 qubits, else its
+        top 12: one level slice of ``_CHUNK / 8`` entries, an FFT that stays
+        in cache.  The ramp over the head, slope ``2^low slope`` with ``low``
+        qubits below it, is built at the head of each row, scaled by
+        ``scale 2^(-low/2)`` and given one ``np.fft``.  Each lower qubit
+        ``l``, highest first, then doubles the transformed block ``A`` of
+        ``s`` entries: the ramp at odd indices is the ramp at even ones
+        times ``exp(i 2^l slope)``, so with ``u[j]`` that factor times
+        ``exp(-+i pi j / s)`` the upper half becomes ``A - A u`` and ``A``
+        becomes ``A + A u``.  A level is O(N), in place, in slices of about
+        ``_CHUNK / 8`` entries whose twiddles are one start factor per slice
+        times one table per level.  :func:`_doubling_factors` keeps both
+        across calls, keyed by direction, level and slice length, so a level
+        is built once per process whatever the register width.  Up to 15
         register qubits there is no level, and the steps are those of
         :meth:`factors`, a scaling and :meth:`QftGate.apply`, bit for bit.
         """
         reg = self.register
-        head = min(reg.width, _CHUNK.bit_length() - 1)
+        head = reg.width if reg.width < _CHUNK.bit_length() else max(1, (_CHUNK >> 3).bit_length() - 1)
         low = reg.width - head
         shape = (1 << (num_qubits - reg.offset - reg.width), 1 << reg.offset)
         offset, slope = self.offset.reshape(shape), self.slope.reshape(shape)
@@ -553,12 +585,11 @@ class _PhaseTable(Operation):
         for l in reversed(range(low)):
             half = 1 << (reg.width - 1 - l)
             k = min(half, max(1, (_CHUNK >> 3) // offset.size))
-            twiddles = np.exp(1j * sign * np.pi / half * np.arange(k))[:, None]
+            twiddles, starts = _doubling_factors(sign, half, k)
             step = np.exp(1j * (1 << l) * slope)[:, None, :]
-            for j in range(0, half, k):
+            for j, start in zip(range(0, half, k), starts):
                 block = view[:, j : j + k]
-                turn = sign * 1j if 2 * j >= half else 1.0  # exact, so the rounded angle stays below pi / 2
-                u = step * (np.exp(1j * sign * np.pi * (j % (half // 2)) / half) * turn) * twiddles
+                u = step * start * twiddles
                 u *= block
                 np.subtract(block, u, out=view[:, half + j : half + j + k])
                 block += u
@@ -824,8 +855,10 @@ class Circuit:
         The other steps run through :meth:`apply`.  Any other circuit is
         ``apply(zero_state(n))``.  The result is bit for bit that of
         :meth:`apply` where the QFT's register has at most 15 qubits or no
-        QFT is built here, and within a few ulps (``4 eps`` in the tests)
-        past that.  The ops run on the buffer built here, never copied.
+        QFT is built here.  Past that the transform is a 12-qubit FFT and
+        one doubling per lower qubit, whose twiddles are kept across calls,
+        within a few ulps of :meth:`apply` (``4 eps`` in the tests).  The
+        ops run on the buffer built here, never copied.
         """
         check_capacity(self.num_qubits)
         front = _hadamard_front(self.ops, self.num_qubits)

@@ -155,7 +155,7 @@ def seeded_targets(width):
 class TestProductFront:
     # bit for bit up to 15 qubits; past that the inverse QFT of the product
     # state runs as radix-2 doublings, not one np.fft, and agrees to 4 eps
-    @pytest.mark.parametrize("width", range(1, 19))
+    @pytest.mark.parametrize("width", [*range(1, 20), 21])
     def test_state_is_apply_to_zero_state(self, width):
         for domain, t in seeded_targets(width):
             for build in (value_encoding_circuit, real_encoding_circuit):

@@ -730,6 +730,13 @@ class TestOneBuffer:
         buffer = state.amplitudes.nbytes
         assert (traced_peak(lambda: circuit.apply(state)) + buffer) / buffer <= 2.25
 
+    def test_full_width_state_prep_peaks_near_two_buffers(self):
+        # the bare op's copy of the state and the loader's vector: no conjugate or scaled copy of it
+        n = 20
+        prep = StatePrep(Register(0, n), unit_vector(1 << n, np.random.default_rng(n)))
+        state = zero_state(n)
+        assert traced_peak(lambda: prep.apply(state)) / state.amplitudes.nbytes <= 2.25
+
 
 @st.composite
 def diagonal_runs(draw):
@@ -1035,7 +1042,7 @@ def assert_state_near_apply(circuit, register_width):
 class TestFourierFront:
     """``Circuit.state()`` transforms a product-front table through ``_PhaseTable.fourier``, not ``QftGate``."""
 
-    @pytest.mark.parametrize("width", [*range(1, 19), 20])
+    @pytest.mark.parametrize("width", range(1, 22))
     @pytest.mark.parametrize("inverse", [True, False], ids=["inverse", "forward"])
     @pytest.mark.parametrize("placement", ["alone", "between"])
     def test_matches_apply(self, width, inverse, placement):
@@ -1053,6 +1060,39 @@ class TestFourierFront:
         poly = in_domain_polynomial(rng, layout.key_width, layout.value_width, EncodingDomain.UNSIGNED, "dense")
         circuit = dictionary_circuit(layout, poly, phase_corrected=True)
         assert_state_near_apply(circuit, layout.value_width)
+
+    @pytest.mark.parametrize("chunk", [2, 8, 64])
+    def test_small_slice_budgets(self, chunk):
+        # a register past one slice takes an FFT head of at least one qubit and doubles the rest
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_CHUNK", chunk)
+            for width in range(1, 10):
+                for placement in ("alone", "between"):
+                    circuit = fourier_front(width, width % 2 == 0, placement, np.random.default_rng(width))
+                    expected = circuit.apply(zero_state(circuit.num_qubits)).amplitudes
+                    assert max_gap(circuit.state().amplitudes, expected) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("placement", ["alone", "between"])
+    def test_cold_cache_gives_the_warm_bytes(self, placement):
+        # a level's twiddles and start factors are cached, and shared with every wider register
+        circuit = fourier_front(17, True, placement, np.random.default_rng(17))
+        sim._doubling_factors.cache_clear()
+        cold = circuit.state().amplitudes.tobytes()
+        fourier_front(19, True, placement, np.random.default_rng(19)).state()
+        misses = sim._doubling_factors.cache_info().misses
+        assert circuit.state().amplitudes.tobytes() == cold
+        assert sim._doubling_factors.cache_info().misses == misses
+
+    @pytest.mark.parametrize("top", [22, pytest.param(24, marks=pytest.mark.wide)])
+    def test_cache_holds_one_entry_per_level_and_direction(self, top):
+        # levels of 2^12 to 2^(top - 1) pairs in each direction, whatever the widths that use them
+        sim._doubling_factors.cache_clear()
+        for _ in range(2):
+            for width in range(16, top + 1):
+                for inverse in (True, False):
+                    fourier_front(width, inverse, "alone", np.random.default_rng(width)).state()
+        info = sim._doubling_factors.cache_info()
+        assert info.currsize == info.misses == 2 * (top - 12) <= info.maxsize
 
     @pytest.mark.parametrize("width", [3, 17])
     def test_applies_no_qft_gate(self, width, monkeypatch):

@@ -19,8 +19,10 @@
 # all-zero hash), encode, dict (JSON and SVG; one of a single controlled term,
 # plain and F', one spelled with k01 and k0*k0, plain and F', and one of that
 # huge index) and repro with its artifacts.  Encodes at m=16 and m=17, where
-# phase tables are applied in slices, keep only the sha256 of their JSON in
-# place of the megabytes themselves.  It takes about half a minute on one core.
+# phase tables are applied in slices and the Fourier transform is doubled,
+# keep the sha256 of their JSON and the amplitudes at five fixed indices
+# (printed with repr) in place of the megabytes themselves.  It takes about
+# half a minute on one core.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -106,11 +108,25 @@ run() {  # run NAME ARGS...: the output and exit code of "qinterp ARGS..." into 
     echo "exit $code" >> "$name.txt"
 }
 
-run_digest() {  # run_digest NAME ARGS...: as run, with the sha256 of stdout in place of stdout
+run_digest() {  # run_digest NAME ARGS...: as run, with the sha256 of a JSON state dump in place of stdout
     local name=$1 code=0
     shift
     python3 -m qinterp.cli "$@" > "$name.stdout" 2> "$name.txt" || code=$?
     echo "stdout sha256 $(sha256sum < "$name.stdout" | cut -d ' ' -f 1)" >> "$name.txt"
+    # beside the digest, the amplitudes at indices 0, 1, M/2 - 1, M/2 and M - 1, so a moved digest shows by how much
+    if [ "$code" -eq 0 ]; then
+        python3 - "$name.stdout" >> "$name.txt" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1], encoding="utf-8") as f:
+    amplitudes = json.load(f)["amplitudes"]
+size = len(amplitudes)
+for index in (0, 1, size // 2 - 1, size // 2, size - 1):
+    re, im = amplitudes[index]
+    print(f"amplitude {index} {re!r} {im!r}")
+PY
+    fi
     echo "exit $code" >> "$name.txt"
     rm "$name.stdout"
 }
