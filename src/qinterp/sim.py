@@ -465,9 +465,9 @@ class StatePrep(Operation):
     Realized as a Householder reflection combined with a global phase, so the
     adjoint is available in closed form and round trips are exact to float
     precision.  The reflection's rank-1 update is applied in slices of about
-    ``_CHUNK`` entries, its vector scaled slice by slice, and a vector
-    longer than a slice is conjugated in place for its projection, so the
-    only temporary the size of a wide register is that vector.
+    ``_CHUNK`` entries, its vector scaled slice by slice and conjugated in
+    place for its projection, so the only temporary the size of a wide
+    register is that vector.
     """
 
     register: Register
@@ -494,11 +494,9 @@ class StatePrep(Operation):
         amps = _writable(state)
         view = _register_view(amps, self.register)
         if vv > 1e-24:
-            # up to one slice a copy costs less than a second pass; past it, v is conjugated in place and back (exact)
-            bra = v.conj() if v.size <= _CHUNK else np.conjugate(v, out=v)
-            proj = np.einsum("w,awb->ab", bra, view)
-            if bra is v:
-                np.conjugate(v, out=v)
+            # v is conjugated in place for the projection and back after it (exact), so no copy of it is made
+            proj = np.einsum("w,awb->ab", np.conjugate(v, out=v), view)
+            np.conjugate(v, out=v)
             gain = 2.0 / vv
             for i, k, j in _chunks(view.shape):
                 view[i, k, j] -= (gain * v[k])[None, :, None] * proj[i, j][:, None, :]

@@ -1042,7 +1042,8 @@ def assert_state_near_apply(circuit, register_width):
 class TestFourierFront:
     """``Circuit.state()`` transforms a product-front table through ``_PhaseTable.fourier``, not ``QftGate``."""
 
-    @pytest.mark.parametrize("width", range(1, 22))
+    # width 21 is a 23-qubit circuit between its two outer qubits, so it runs with the wide checks
+    @pytest.mark.parametrize("width", [*range(1, 21), pytest.param(21, marks=pytest.mark.wide)])
     @pytest.mark.parametrize("inverse", [True, False], ids=["inverse", "forward"])
     @pytest.mark.parametrize("placement", ["alone", "between"])
     def test_matches_apply(self, width, inverse, placement):
@@ -1082,6 +1083,17 @@ class TestFourierFront:
         misses = sim._doubling_factors.cache_info().misses
         assert circuit.state().amplitudes.tobytes() == cold
         assert sim._doubling_factors.cache_info().misses == misses
+        # a level the encodes cached has the bytes of the expressions the doublings used before the cache
+        sign, half, k = -1.0, 1 << 15, 4096 if placement == "alone" else 1024
+        hits = sim._doubling_factors.cache_info().hits
+        twiddles, starts = sim._doubling_factors(sign, half, k)
+        assert sim._doubling_factors.cache_info().hits == hits + 1
+        assert twiddles.tobytes() == np.exp(1j * sign * np.pi / half * np.arange(k))[:, None].tobytes()
+        inline = [
+            np.exp(1j * sign * np.pi * (j % (half // 2)) / half) * (sign * 1j if 2 * j >= half else 1.0)
+            for j in range(0, half, k)
+        ]
+        assert starts.tobytes() == np.array(inline).tobytes()
 
     @pytest.mark.parametrize("top", [22, pytest.param(24, marks=pytest.mark.wide)])
     def test_cache_holds_one_entry_per_level_and_direction(self, top):
