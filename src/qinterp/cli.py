@@ -74,9 +74,9 @@ def _finite_floats(tokens: list[str], what: str) -> np.ndarray:
 
 
 def _read_text(path) -> str:
-    """The UTF-8 text of an input file; other bytes are a :class:`ParseError`."""
+    """The UTF-8 text of an input file, past a leading byte-order mark; other bytes are a :class:`ParseError`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

@@ -61,6 +61,16 @@ def normalize_to_domain(t: float, domain: EncodingDomain, modulus: int) -> float
     return float(t) if t >= 0 else float(t + modulus)
 
 
+def _split_targets(targets, modulus: int):
+    """The targets as floats and ``t mod M = n + f``, ``n`` the nearest integer; a non-finite target is a DomainError."""
+    t = np.asarray(targets, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise DomainError(f"target {t.flat[np.argmin(np.isfinite(t))]} is not finite")
+    flat = t.reshape(-1) % modulus
+    nearest = np.round(flat)
+    return t, flat, nearest, flat - nearest
+
+
 def _quotient_rows(modulus: int, t: np.ndarray, nearest: np.ndarray, fraction: np.ndarray) -> np.ndarray:
     """Kernel rows of the non-integer targets ``t = n + f`` (``nearest`` and ``fraction``).
 
@@ -89,11 +99,9 @@ def fejer_kernel_row(modulus: int, target) -> np.ndarray:
     ``f = t - n``, which is exact, ``sin(pi (t - k)) = (-1)^(n - k) sin(pi f)``.
     So a row costs one ``sin`` for its numerator and one per entry for the
     denominator, and the numerator's error does not grow with ``|t - k|``.
+    A target that is not finite is a :class:`DomainError`.
     """
-    t = np.asarray(target, dtype=np.float64)
-    flat = t.reshape(-1) % modulus
-    nearest = np.round(flat)
-    fraction = flat - nearest
+    t, flat, nearest, fraction = _split_targets(target, modulus)
     integer = np.abs(fraction) < INTEGER_TOLERANCE
     off = np.flatnonzero(~integer)
     quotients = _quotient_rows(modulus, flat[off], nearest[off], fraction[off]) if off.size else 0.0
@@ -139,7 +147,8 @@ def kernel_sums(samples, targets) -> np.ndarray:
     in integers, and ``|f| <= 1/2``, so no angle is rounded at the scale of
     M and a target next to the wrap (``t -> M``) reads as accurately as any
     other.  Targets within ``INTEGER_TOLERANCE`` of an integer return
-    ``s[n % M]``, as the kernel's Kronecker rows do.  Returns a float array of the
+    ``s[n % M]``, as the kernel's Kronecker rows do, and a target that is
+    not finite is a :class:`DomainError`.  Returns a float array of the
     targets' shape.  The targets are read in chunks of at most
     ``SWEEP_KERNEL_CHUNK`` ramp entries, and ``np.vecdot`` reduces each
     target's rows on their own, so a target's sum has the same bits in any
@@ -147,10 +156,7 @@ def kernel_sums(samples, targets) -> np.ndarray:
     """
     s = np.asarray(samples, dtype=np.float64)
     modulus = s.size
-    t = np.asarray(targets, dtype=np.float64)
-    flat = t.reshape(-1) % modulus
-    nearest = np.round(flat)
-    fraction = flat - nearest
+    t, _, nearest, fraction = _split_targets(targets, modulus)
     whole = nearest.astype(np.int64)
     values = s[whole % modulus]
     off = np.flatnonzero(np.abs(fraction) >= INTEGER_TOLERANCE)

@@ -19,15 +19,16 @@ by a table over the run's first ladder's register where one such table holds
 the whole run, and otherwise leaves it op by op.  Phase tables and a
 loader's rank-1 update are built and applied in slices of about ``_CHUNK``
 entries, so no operation allocates a temporary the size of the state.
-:meth:`Circuit.state` starts from the product state where the gate list
-opens with Hadamard layers on every qubit; where a QFT on the first phase
-table's register follows, as in the encoder, it transforms that product
-state directly: one ``np.fft`` over a register of at most 15 qubits, else
-over its top 12 and one radix-2 doubling per qubit below them, each level's
-twiddles kept across calls.  :meth:`Circuit.readout`
-reads value-0 amplitudes without building the state: the operations that
-span the registers fuse into one table over the value register, contracted
-in baby and giant steps, about ``2 N sqrt(M)`` exponent products for N x M.
+:meth:`Circuit.state` starts from the constant product state where the gate
+list opens with Hadamard layers on every qubit, and runs the rest as
+:meth:`Circuit.apply` does, with one exception: a phase table followed by a
+QFT on its register, as in the encoder, is built transformed, one
+``np.fft`` over a register of at most 15 qubits, else over its top 12 and
+one radix-2 doubling per qubit below them, each level's twiddles kept
+across calls.  :meth:`Circuit.readout` reads value-0 amplitudes without
+building the state: the operations that span the registers fuse into one
+table over the value register, contracted in baby and giant steps, about
+``2 N sqrt(M)`` exponent products for N x M.
 
 Qubit convention: qubit 0 is the least significant bit of the basis index.
 A :class:`RegisterLayout` places the value register on the low-order qubits,
@@ -334,7 +335,7 @@ class PhaseLadder(Operation):
     as the product of its one-term ladders, so a dictionary's operator F is
     one controlled ladder holding one term per monomial.  A 0-d ``theta`` is
     one term, kept as a float, whose ``controls`` are kept as a tuple; many
-    terms need 1-d ``theta`` and ``controls`` of one length, else
+    terms need 1-d ``theta`` and 64-bit integer masks of one length, else
     :class:`LayoutError`.  Applied as the one-op :class:`_PhaseTable` that
     :func:`_fuse` builds, the same path a fused run of diagonal ops takes.
     """
@@ -349,7 +350,11 @@ class PhaseLadder(Operation):
                 object.__setattr__(self, "theta", float(self.theta))
             else:  # many terms: float angles, integer masks, one of each per term
                 theta = np.asarray(self.theta, dtype=np.float64)
-                controls = np.asarray(self.controls, dtype=np.int64)
+                try:  # a mask is read as written, never rounded or wrapped; only an empty list may read as floats
+                    masks = np.asarray(self.controls)
+                    controls = masks.astype(np.int64, casting="safe" if masks.size else "unsafe")
+                except (TypeError, ValueError):
+                    raise LayoutError(f"many-term ladder masks {self.controls!r} are not 64-bit integers") from None
                 if theta.ndim != 1 or theta.shape != controls.shape:
                     raise LayoutError(
                         "a many-term ladder needs 1-d angles and masks of one length, "
@@ -384,10 +389,9 @@ class PhaseLadder(Operation):
 class ControlledPhase(Operation):
     """Multiply by ``exp(i angle)`` where all control bits are set.
 
-    With no controls this is a global phase.  Two controls and the symmetric
-    angle give the controlled-phase gate used inside the Fourier transform.
-    It multiplies a view with one length-2 axis per qubit, qubit ``q`` on
-    axis ``num_qubits - 1 - q``, each control axis sliced to its set half.
+    With no controls this is a global phase.  It multiplies a view with one
+    length-2 axis per qubit, qubit ``q`` on axis ``num_qubits - 1 - q``,
+    each control axis sliced to its set half.
     """
 
     controls: tuple[int, ...]
@@ -541,14 +545,8 @@ class _PhaseTable(Operation):
     offset: np.ndarray
     slope: np.ndarray
 
-    def factors(self, num_qubits: int) -> np.ndarray:
-        """The table ``exp(i (offset[c] + slope[c] r))`` in amplitude order, fresh."""
-        reg = self.register
-        shape = (1 << (num_qubits - reg.offset - reg.width), 1 << reg.offset)
-        return _phase_ramps(self.offset.reshape(shape), self.slope.reshape(shape), reg.width).reshape(-1)
-
     def fourier(self, num_qubits: int, scale: float, inverse: bool) -> np.ndarray:
-        """``QftGate(register, inverse)`` applied to :meth:`factors` times ``scale``, fresh.
+        """``QftGate(register, inverse)`` applied to the table times ``scale``, fresh.
 
         The table is a product state, one geometric ramp per row, so its
         transform splits one qubit at a time (Cooley and Tukey's decimation
@@ -566,16 +564,16 @@ class _PhaseTable(Operation):
         times one table per level.  :func:`_doubling_factors` keeps both
         across calls, keyed by direction, level and slice length, so a level
         is built once per process whatever the register width.  Up to 15
-        register qubits there is no level, and the steps are those of
-        :meth:`factors`, a scaling and :meth:`QftGate.apply`, bit for bit.
+        register qubits there is no level, and the result is that of
+        :meth:`apply` on a buffer of constant ``scale`` followed by
+        :meth:`QftGate.apply`, bit for bit.
         """
         reg = self.register
         head = reg.width if reg.width < _CHUNK.bit_length() else max(1, (_CHUNK >> 3).bit_length() - 1)
         low = reg.width - head
-        shape = (1 << (num_qubits - reg.offset - reg.width), 1 << reg.offset)
-        offset, slope = self.offset.reshape(shape), self.slope.reshape(shape)
         amps = np.empty(1 << num_qubits, dtype=np.complex128)
         view = _register_view(amps, reg)
+        offset, slope = self.offset.reshape(view.shape[::2]), self.slope.reshape(view.shape[::2])
         top = _phase_ramps(offset, slope * (1 << low), head, out=view[:, : 1 << head])
         top *= scale * 2.0 ** (-low / 2)
         (np.fft.fft if inverse else np.fft.ifft)(top, axis=1, norm="ortho", out=top)
@@ -599,9 +597,10 @@ class _PhaseTable(Operation):
         A slice takes whole rows of the (high, register, low) view where they
         fit ``_CHUNK`` entries, else two rows split along the register
         index and, past that, along the low qubits.  Two rows at least, so
-        that a ramp's first doubling multiplies strided rows as
-        :meth:`factors` does: numpy's complex product rounds by memory
-        layout, and this keeps every entry bit for bit that of the table.
+        that a ramp's first doubling multiplies strided rows as the
+        whole-table ramp at the head of :meth:`fourier` does: numpy's
+        complex product rounds by memory layout, and this keeps every entry
+        bit for bit that of the whole table.
         """
         amps = _writable(state)
         view = _register_view(amps, self.register)
@@ -845,15 +844,14 @@ class Circuit:
 
         When the ops start with Hadamard layers on disjoint registers that
         cover every qubit, the buffer after them holds the amplitude ``h``
-        they give ``|0...0>`` everywhere.  The ops after the layers become
-        the steps :meth:`apply` runs; if the first is a phase table, the
-        buffer starts as its factors scaled in place by ``h``, and if a QFT
-        on the table's register comes next, as that QFT of them, built by
-        :meth:`_PhaseTable.fourier`; else the buffer starts as ``h`` alone.
-        The other steps run through :meth:`apply`.  Any other circuit is
-        ``apply(zero_state(n))``.  The result is bit for bit that of
-        :meth:`apply` where the QFT's register has at most 15 qubits or no
-        QFT is built here.  Past that the transform is a 12-qubit FFT and
+        they give ``|0...0>`` everywhere, so it starts as ``h`` and the ops
+        after the layers run as the steps :meth:`apply` makes of them.  One
+        step is special: where the first is a phase table and a QFT on its
+        register comes next, the buffer starts as that QFT of the table
+        times ``h``, built by :meth:`_PhaseTable.fourier`.  Any other
+        circuit is ``apply(zero_state(n))``.  The result is bit for bit that
+        of :meth:`apply` where the QFT's register has at most 15 qubits or
+        no QFT is built here.  Past that the transform is a 12-qubit FFT and
         one doubling per lower qubit, whose twiddles are kept across calls,
         within a few ulps of :meth:`apply` (``4 eps`` in the tests).  The
         ops run on the buffer built here, never copied.
@@ -864,13 +862,9 @@ class Circuit:
             return self.apply(_Buffer(self.num_qubits, zero_state(self.num_qubits).amplitudes))
         count, scale = front
         steps = _fuse_diagonals(self.ops[count:], self.num_qubits)
-        if steps and isinstance(steps[0], _PhaseTable):
-            table = steps.pop(0)
-            if steps and isinstance(steps[0], QftGate) and steps[0].register == table.register:
-                amps = table.fourier(self.num_qubits, scale, steps.pop(0).inverse)
-            else:
-                amps = table.factors(self.num_qubits)
-                amps *= scale
+        table, qft = (steps + [None, None])[:2]
+        if isinstance(table, _PhaseTable) and isinstance(qft, QftGate) and qft.register == table.register:
+            amps, steps = table.fourier(self.num_qubits, scale, qft.inverse), steps[2:]
         else:
             amps = np.full(1 << self.num_qubits, scale, dtype=np.complex128)
         return Circuit(self.num_qubits, tuple(steps)).apply(_Buffer(self.num_qubits, amps))

@@ -596,6 +596,35 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith(f"error: {bad}: not UTF-8 text") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("reader", ["sum config", "poly_file", "dict poly file", "interpolate table"])
+    def test_input_file_with_byte_order_mark(self, tmp_path, capsys, reader):
+        # a leading UTF-8 byte-order mark is read past: the output is that of the file without it
+        text = {
+            "sum config": "n = 1\nm = 2\npoly = 0.5: 1\n",
+            "poly_file": "0.5: 1\n1: k0\n",
+            "dict poly file": "0.5: 1\n1: k0\n",
+            "interpolate table": "1 2 3 4\n",
+        }[reader]
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        outputs = []
+        for path in (plain, marked):
+            if reader == "sum config":
+                argv = ["sum", str(path)]
+            elif reader == "poly_file":
+                config = tmp_path / "sum.cfg"
+                config.write_text(f"n = 1\nm = 2\npoly_file = {path.name}\n")
+                argv = ["sum", str(config)]
+            elif reader == "dict poly file":
+                argv = ["dict", str(path), "-n", "1", "-m", "2"]
+            else:
+                argv = ["interpolate", "--source", str(path), "-m", "2", "-t", "1.5"]
+            outputs.append(run(capsys, *argv))
+        assert outputs[0][0] == 0 and outputs[0][2] == ""
+        assert outputs[1] == outputs[0]
+
     def test_output_path_is_directory(self, tmp_path, capsys):
         code, out, err = run(capsys, "encode", "-m", "3", "-t", "4", "-o", str(tmp_path))
         assert code == 2

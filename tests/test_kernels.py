@@ -237,6 +237,15 @@ class TestKernelRowArrays:
         assert fejer_kernel_row(8, 2.7).shape == (8,)
         assert fejer_kernel_row(8, np.array([2.7])).shape == (1, 8)
 
+    @pytest.mark.parametrize(
+        "targets, named",
+        [(math.inf, "inf"), (math.nan, "nan"), ([2.5, -math.inf, math.nan], "-inf"), ([[1.0], [math.nan]], "nan")],
+    )
+    def test_non_finite_target_raises_naming_it(self, targets, named):
+        # a stray RuntimeWarning from reading it as a number would fail here too
+        with pytest.raises(DomainError, match=rf"^target {named} is not finite$"):
+            fejer_kernel_row(4, targets)
+
 
 def unit_samples(width, seed):
     samples = np.random.default_rng(seed).normal(size=1 << width)
@@ -300,6 +309,15 @@ class TestKernelSums:
             sums = kernel_sums(samples, np.array(targets))
         assert sums.shape == (len(targets),)
         assert sums.tolist() == [float(kernel_sums(samples, t)) for t in targets]
+
+    @pytest.mark.parametrize(
+        "targets, named",
+        [(math.nan, "nan"), ([math.nan], "nan"), ([math.inf], "inf"), ([0.5, 3.0, -math.inf, math.nan], "-inf")],
+    )
+    def test_non_finite_target_raises_naming_it(self, targets, named):
+        # neither s[0] for a NaN nor a warning from the integer cast or the modulo
+        with pytest.raises(DomainError, match=rf"^target {named} is not finite$"):
+            kernel_sums(np.arange(4.0), targets)
 
 
 @st.composite

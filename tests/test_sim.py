@@ -276,6 +276,22 @@ class TestLadderConstructor:
         assert str(info.value) == f"a many-term ladder needs 1-d angles and masks of one length, got {shapes}"
 
     @pytest.mark.parametrize(
+        "controls, named",
+        [([2**63], "[9223372036854775808]"), ([1.5], "[1.5]"), (np.array([2**63], dtype=np.uint64), "array([")],
+        ids=["past-int64", "fractional-mask", "unsigned-64-bit"],
+    )
+    def test_many_term_masks_must_be_64_bit_integers(self, controls, named):
+        # one refusal, not numpy's OverflowError for 2**63 nor 1.5 read as the mask 1
+        with pytest.raises(LayoutError) as info:
+            PhaseLadder(Register(0, 1), [0.3], controls)
+        assert str(info.value).startswith(f"many-term ladder masks {named}")
+        assert str(info.value).endswith("are not 64-bit integers")
+
+    def test_narrow_integer_and_empty_masks_are_kept(self):
+        assert PhaseLadder(Register(0, 1), [0.3, 0.4], np.array([2, 4], dtype=np.uint8)).controls.tolist() == [2, 4]
+        assert PhaseLadder(Register(0, 1), [], []).controls.dtype == np.int64
+
+    @pytest.mark.parametrize(
         "controls, message",
         [((2.5,), "control qubit 2.5 is not an integer"), (3, "one-term controls 3 are not a sequence of qubits")],
         ids=["fractional-qubit", "bare-qubit"],
@@ -657,7 +673,9 @@ class TestOneBuffer:
         outside = 1 << (n - width)
         table = sim._PhaseTable(Register(offset, width), rng.uniform(-4, 4, outside), rng.uniform(-4, 4, outside))
         state = random_state(n, rng)
-        expected = np.multiply(table.factors(n), state.amplitudes)
+        shape = (1 << above, 1 << offset)
+        whole = sim._phase_ramps(table.offset.reshape(shape), table.slope.reshape(shape), width).reshape(-1)
+        expected = np.multiply(whole, state.amplitudes)
         assert table.apply(state).amplitudes.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("width", [15, 16, 17])
@@ -972,6 +990,23 @@ class TestCircuitState:
             DiagonalPhase(reg, rng.uniform(-4, 4, reg.size)),
         ):
             assert_state_is_apply(Circuit(5, (HadamardLayer(Register(0, 5)), op)))
+
+    @pytest.mark.parametrize("chunk", [2, 8, 64, None], ids=["chunk2", "chunk8", "chunk64", "real-chunk"])
+    @pytest.mark.parametrize("width", [15, 16, 17])
+    def test_split_register_table_matches_apply(self, width, chunk):
+        # no QFT follows, so the table runs through its own apply on the constant start, sliced along
+        # its register where one qubit below it and one above it take the table past one slice
+        n, reg = width + 2, Register(1, width)
+        rng = np.random.default_rng(width)
+        ops = (
+            HadamardLayer(Register(0, n)),
+            PhaseLadder(reg, rng.uniform(-4, 4), (0,)),
+            DiagonalPhase(Register(n - 1, 1), rng.uniform(-4, 4, 2)),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(sim, "_CHUNK", chunk)
+            assert_state_is_apply(Circuit(n, ops))
 
     @pytest.mark.parametrize(
         "ops",

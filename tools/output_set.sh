@@ -12,13 +12,14 @@
 #
 # The set covers interpolate points and sweeps (nu2, lambda and table sources,
 # both domains, m=6 and m=12, one m=16 point, and a sweep whose points pass the
-# float range), sixteen sum configs (one at m=16, a sparse one at the 24-qubit
+# float range), seventeen sum configs (one at m=16, a sparse one at the 24-qubit
 # cap, a dense (8, 4) one whose 256 terms come from a poly_file, one with a
 # single controlled term, one whose weights' squares overflow, one whose
-# variable index is past any count, one of all-zero weights and one of an
-# all-zero hash), encode, dict (JSON and SVG; one of a single controlled term,
-# plain and F', one spelled with k01 and k0*k0, plain and F', and one of that
-# huge index) and repro with its artifacts.  Encodes at m=16 and m=17, where
+# variable index is past any count, one of all-zero weights, one of an
+# all-zero hash and one that starts with a UTF-8 byte-order mark), encode,
+# dict (JSON and SVG; one of a single controlled term, plain and F', one
+# spelled with k01 and k0*k0, plain and F', and one of that huge index) and
+# repro with its artifacts.  Encodes at m=16 and m=17, where
 # phase tables are applied in slices and the Fourier transform is doubled,
 # keep the sha256 of their JSON and the amplitudes at five fixed indices
 # (printed with repr) in place of the megabytes themselves.  It takes about
@@ -99,6 +100,9 @@ write("dense-8-4.poly", poly_text(8, range(256), [float(v) for v in table]).repl
 configs["dense-8-4"] = "n = 8\nm = 4\nweights = sin2\npoly_file = dense-8-4.poly\n"
 for name, text in configs.items():
     write(f"{name}.cfg", text)
+# the reference config as some editors save it, behind a UTF-8 byte-order mark
+with open("inputs/byte-order-mark.cfg", "w", encoding="utf-8-sig") as f:
+    f.write(configs["reference"])
 EOF
 
 run() {  # run NAME ARGS...: the output and exit code of "qinterp ARGS..." into NAME.txt
