@@ -25,7 +25,9 @@ list opens with Hadamard layers on every qubit, and runs the rest as
 QFT on its register, as in the encoder, is built transformed, one
 ``np.fft`` over a register of at most 15 qubits, else over its top 12 and
 one radix-2 doubling per qubit below them, each level's twiddles kept
-across calls.  :meth:`Circuit.readout` reads value-0 amplitudes without
+across calls; past 15 qubits a phase table on the register right after the
+QFT, as the encoder's correction, is applied inside that transform.
+:meth:`Circuit.readout` reads value-0 amplitudes without
 building the state: the operations that span the registers fuse into one
 table over the value register, contracted in baby and giant steps, about
 ``2 N sqrt(M)`` exponent products for N x M.
@@ -545,8 +547,8 @@ class _PhaseTable(Operation):
     offset: np.ndarray
     slope: np.ndarray
 
-    def fourier(self, num_qubits: int, scale: float, inverse: bool) -> np.ndarray:
-        """``QftGate(register, inverse)`` applied to the table times ``scale``, fresh.
+    def fourier(self, num_qubits: int, scale: float, inverse: bool, after: _PhaseTable | None = None) -> np.ndarray:
+        """``QftGate(register, inverse)`` applied to the table times ``scale``, fresh, then ``after``.
 
         The table is a product state, one geometric ramp per row, so its
         transform splits one qubit at a time (Cooley and Tukey's decimation
@@ -566,29 +568,47 @@ class _PhaseTable(Operation):
         is built once per process whatever the register width.  Up to 15
         register qubits there is no level, and the result is that of
         :meth:`apply` on a buffer of constant ``scale`` followed by
-        :meth:`QftGate.apply`, bit for bit.
+        :meth:`QftGate.apply` and ``after.apply``, bit for bit.
+
+        ``after`` is a table on the same register.  Past 15 qubits it is
+        folded into the transform, since its phase ``offset + slope k``
+        factors over the bits of the output index ``k``: the head's
+        outputs, the low bits of ``k``, are multiplied by its ramp over
+        them, built in blocks of at most ``_CHUNK`` entries, and each level
+        multiplies the upper half it has just written by
+        ``exp(i s slope)``.  That is within a few ulps of ``after.apply``.
         """
         reg = self.register
         head = reg.width if reg.width < _CHUNK.bit_length() else max(1, (_CHUNK >> 3).bit_length() - 1)
         low = reg.width - head
         amps = np.empty(1 << num_qubits, dtype=np.complex128)
         view = _register_view(amps, reg)
-        offset, slope = self.offset.reshape(view.shape[::2]), self.slope.reshape(view.shape[::2])
+        shape = view.shape[::2]
+        offset, slope = self.offset.reshape(shape), self.slope.reshape(shape)
         top = _phase_ramps(offset, slope * (1 << low), head, out=view[:, : 1 << head])
         top *= scale * 2.0 ** (-low / 2)
         (np.fft.fft if inverse else np.fft.ifft)(top, axis=1, norm="ortho", out=top)
+        if after is not None and not low:
+            return after.apply(_Buffer(num_qubits, amps)).amplitudes
+        if after is not None:
+            after_offset, after_slope = after.offset.reshape(shape), after.slope.reshape(shape)
+            for i, _, j in _chunks(top.shape):
+                top[i, :, j] *= _phase_ramps(after_offset[i, j], after_slope[i, j], head)
         sign = -1.0 if inverse else 1.0
         for l in reversed(range(low)):
             half = 1 << (reg.width - 1 - l)
             k = min(half, max(1, (_CHUNK >> 3) // offset.size))
             twiddles, starts = _doubling_factors(sign, half, k)
             step = np.exp(1j * (1 << l) * slope)[:, None, :]
+            turn = None if after is None else np.exp(1j * half * after_slope)[:, None, :]
             for j, start in zip(range(0, half, k), starts):
-                block = view[:, j : j + k]
+                block, upper = view[:, j : j + k], view[:, half + j : half + j + k]
                 u = step * start * twiddles
                 u *= block
-                np.subtract(block, u, out=view[:, half + j : half + j + k])
+                np.subtract(block, u, out=upper)
                 block += u
+                if turn is not None:
+                    upper *= turn
         return amps
 
     def apply(self, state: StateVector) -> StateVector:
@@ -848,13 +868,16 @@ class Circuit:
         after the layers run as the steps :meth:`apply` makes of them.  One
         step is special: where the first is a phase table and a QFT on its
         register comes next, the buffer starts as that QFT of the table
-        times ``h``, built by :meth:`_PhaseTable.fourier`.  Any other
-        circuit is ``apply(zero_state(n))``.  The result is bit for bit that
-        of :meth:`apply` where the QFT's register has at most 15 qubits or
-        no QFT is built here.  Past that the transform is a 12-qubit FFT and
+        times ``h``, built by :meth:`_PhaseTable.fourier`, and a phase table
+        on the same register right after the QFT, such as the encoder's
+        correction, goes to ``fourier`` too.  Any other circuit is
+        ``apply(zero_state(n))``.  The result is bit for bit that of
+        :meth:`apply` where the QFT's register has at most 15 qubits or no
+        QFT is built here.  Past that the transform is a 12-qubit FFT and
         one doubling per lower qubit, whose twiddles are kept across calls,
-        within a few ulps of :meth:`apply` (``4 eps`` in the tests).  The
-        ops run on the buffer built here, never copied.
+        with the table after it folded in, within a few ulps of
+        :meth:`apply` (``4 eps`` in the tests).  The ops run on the buffer
+        built here, never copied.
         """
         check_capacity(self.num_qubits)
         front = _hadamard_front(self.ops, self.num_qubits)
@@ -862,9 +885,12 @@ class Circuit:
             return self.apply(_Buffer(self.num_qubits, zero_state(self.num_qubits).amplitudes))
         count, scale = front
         steps = _fuse_diagonals(self.ops[count:], self.num_qubits)
-        table, qft = (steps + [None, None])[:2]
+        table, qft, after = (steps + [None] * 3)[:3]
         if isinstance(table, _PhaseTable) and isinstance(qft, QftGate) and qft.register == table.register:
-            amps, steps = table.fourier(self.num_qubits, scale, qft.inverse), steps[2:]
+            if not (isinstance(after, _PhaseTable) and after.register == table.register):
+                after = None
+            amps = table.fourier(self.num_qubits, scale, qft.inverse, after)
+            steps = steps[2 if after is None else 3 :]
         else:
             amps = np.full(1 << self.num_qubits, scale, dtype=np.complex128)
         return Circuit(self.num_qubits, tuple(steps)).apply(_Buffer(self.num_qubits, amps))

@@ -155,7 +155,7 @@ def seeded_targets(width):
 class TestProductFront:
     # bit for bit up to 15 qubits; past that the inverse QFT of the product
     # state runs as radix-2 doublings, not one np.fft, and agrees to 4 eps
-    @pytest.mark.parametrize("width", [*range(1, 20), 21])
+    @pytest.mark.parametrize("width", range(1, 23))
     def test_state_is_apply_to_zero_state(self, width):
         for domain, t in seeded_targets(width):
             for build in (value_encoding_circuit, real_encoding_circuit):
@@ -204,12 +204,10 @@ class TestWideEncodings:
 
 
 class TestEncodePeak:
-    # the product-front table is the one buffer; the Fourier transform and the
-    # correction table write through it in place
-    @pytest.mark.parametrize(
-        "encode, bound", [(encode_value, 1.05), (encode_value_real, 1.25)], ids=["raw", "corrected"]
-    )
-    def test_twenty_qubit_encode_holds_one_buffer(self, encode, bound):
+    # the product-front table is the one buffer; the Fourier transform writes
+    # through it in place, the correction table folded into it
+    @pytest.mark.parametrize("encode", [encode_value, encode_value_real], ids=["raw", "corrected"])
+    def test_twenty_qubit_encode_holds_one_buffer(self, encode):
         width = 20
         tracemalloc.start()
         try:
@@ -217,7 +215,7 @@ class TestEncodePeak:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / state.amplitudes.nbytes <= bound
+        assert peak / state.amplitudes.nbytes <= 1.05
 
 
 class TestValueEncoding:

@@ -1047,7 +1047,10 @@ def fourier_front(width, inverse, placement, rng):
     ``alone``: the register is every qubit and holds one ladder.  ``between``:
     one qubit below the register and one above it, so its phase table has
     two rows and two columns, each with its own slope from ladders
-    controlled by those qubits, and a controlled phase.
+    controlled by those qubits, and a controlled phase.  After the QFT a
+    second such table on the register follows, as an encoder's correction:
+    a ladder, a controlled ladder, a controlled phase and a diagonal table
+    on the top qubit.
     """
     if placement == "alone":
         reg = Register(0, width)
@@ -1060,6 +1063,10 @@ def fourier_front(width, inverse, placement, rng):
         PhaseLadder(reg, rng.uniform(-4, 4), (n - 1,)),
         ControlledPhase((0, n - 1), rng.uniform(-4, 4)),
         QftGate(reg, inverse),
+        PhaseLadder(reg, rng.uniform(-4, 4)),
+        PhaseLadder(reg, rng.uniform(-4, 4), (0,)),
+        ControlledPhase((0,), rng.uniform(-4, 4)),
+        DiagonalPhase(Register(n - 1, 1), rng.uniform(-4, 4, 2)),
     )
     return Circuit(n, ops)
 
@@ -1150,6 +1157,57 @@ class TestFourierFront:
         expected = circuit.apply(zero_state(circuit.num_qubits)).amplitudes
         monkeypatch.setattr(QftGate, "apply", refuse)
         assert max_gap(circuit.state().amplitudes, expected) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("build", ["corrected-encode", "f-prime"])
+    def test_folds_the_table_after_the_qft(self, build, monkeypatch):
+        # past 15 qubits the correction table is applied inside the transform: no op after the front runs
+        def refuse(op, state):
+            raise AssertionError(f"{type(op).__name__} applied")
+
+        if build == "corrected-encode":
+            circuit, width = real_encoding_circuit(17, -40503.37, TWOS), 17
+        else:
+            rng = np.random.default_rng(16)
+            layout = RegisterLayout(1, 16)
+            poly = in_domain_polynomial(rng, layout.key_width, layout.value_width, EncodingDomain.UNSIGNED, "dense")
+            circuit, width = dictionary_circuit(layout, poly, phase_corrected=True), layout.value_width
+        steps = _fuse_diagonals(circuit.ops, circuit.num_qubits)
+        assert [type(op) for op in steps[-3:]] == [sim._PhaseTable, QftGate, sim._PhaseTable]
+        expected = circuit.apply(zero_state(circuit.num_qubits)).amplitudes
+        monkeypatch.setattr(sim._PhaseTable, "apply", refuse)
+        monkeypatch.setattr(QftGate, "apply", refuse)
+        state = circuit.state().amplitudes
+        assert max_gap(state, expected) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("width", [3, 17])
+    @pytest.mark.parametrize("kind", ["table-on-another-register", "lone-diagonal"])
+    def test_other_ops_after_the_qft_run_through_apply(self, width, kind, monkeypatch):
+        # only a table on the QFT's register folds; anything else after the QFT is applied as in apply
+        rng = np.random.default_rng(width)
+        n, reg = width + 2, Register(1, width)
+        if kind == "table-on-another-register":
+            after = PhaseLadder(Register(n - 1, 1), rng.uniform(-4, 4), (0,))
+            cls = sim._PhaseTable
+        else:
+            after = DiagonalPhase(Register(n - 1, 1), rng.uniform(-4, 4, 2))
+            cls = DiagonalPhase
+        ops = (HadamardLayer(Register(0, n)), PhaseLadder(reg, rng.uniform(-4, 4), (0,)), QftGate(reg, True), after)
+        circuit = Circuit(n, ops)
+        expected = circuit.apply(zero_state(n)).amplitudes
+        calls = []
+        applied = cls.apply
+
+        def spy(op, state):
+            calls.append(op)
+            return applied(op, state)
+
+        monkeypatch.setattr(cls, "apply", spy)
+        state = circuit.state().amplitudes
+        assert len(calls) == 1
+        if width <= 15:
+            assert state.tobytes() == expected.tobytes()
+        else:
+            assert max_gap(state, expected) <= 4 * np.finfo(float).eps
 
 
 def _sub_register(reg, rng):

@@ -18,12 +18,12 @@
 # variable index is past any count, one of all-zero weights, one of an
 # all-zero hash and one that starts with a UTF-8 byte-order mark), encode,
 # dict (JSON and SVG; one of a single controlled term, plain and F', one
-# spelled with k01 and k0*k0, plain and F', and one of that huge index) and
-# repro with its artifacts.  Encodes at m=16 and m=17, where
-# phase tables are applied in slices and the Fourier transform is doubled,
-# keep the sha256 of their JSON and the amplitudes at five fixed indices
-# (printed with repr) in place of the megabytes themselves.  It takes about
-# half a minute on one core.
+# spelled with k01 and k0*k0, plain and F', one of that huge index, and one
+# F' of one key qubit and 16 value qubits) and repro with its artifacts.
+# Encodes at m=16 and m=17 and that wide F', where the Fourier transform is
+# doubled and the correction table folded into it, keep the sha256 of their
+# JSON and the amplitudes at five fixed indices (printed with repr) in place
+# of the megabytes themselves.  It takes about half a minute on one core.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -69,6 +69,7 @@ write("demo.poly", "0.725: 1\n2.451: k1\n2.716: k2\n1.321: k0*k2\n")
 write("random.poly", dense.replace("; ", "\n") + "\n")
 write("huge-index.poly", "1: k99999999999999999999\n")
 write("spellings.poly", "0.5: 1\n1.25: k01\n2: k0*k0\n0.75: k01*k0\n")
+write("wide.poly", "40503.37: 1\n-12345.678: k0\n")
 configs = {
     "reference": "n = 3\nm = 4\nweights = sin2\npoly = 0.725: 1; 2.451: k1; 2.716: k2; 1.321: k0*k2\n",
     "scaled": "n = 3\nm = 10\nscale = 64\nweights = sin2\npoly_file = demo.poly\n",
@@ -181,6 +182,8 @@ run dict-random-prime-json dict inputs/random.poly -n 4 -m 8 --prime
 run dict-spellings-json dict inputs/spellings.poly -n 2 -m 3
 run dict-spellings-prime-json dict inputs/spellings.poly -n 2 -m 3 --prime
 run dict-huge-index-json dict inputs/huge-index.poly -n 2 -m 3
+# F' past 15 value qubits: the correction table has one row per key and is folded into the Fourier transform
+run_digest dict-wide-m16-prime-digest dict inputs/wide.poly -n 1 -m 16 --prime
 run dict-demo-twos-svg dict inputs/demo.poly -n 3 -m 4 --domain twos --out svg -o dict.svg
 
 run repro repro --artifacts artifacts
