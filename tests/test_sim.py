@@ -1071,14 +1071,18 @@ def fourier_front(width, inverse, placement, rng):
     return Circuit(n, ops)
 
 
-def assert_state_near_apply(circuit, register_width):
-    """``state()`` is ``apply(zero_state)``: bit for bit up to a 15-qubit register, else to 4 eps."""
-    expected = circuit.apply(zero_state(circuit.num_qubits)).amplitudes
-    state = circuit.state().amplitudes
+def assert_near(state, expected, register_width):
+    """Bit for bit up to a 15-qubit register, else to 4 eps."""
     if register_width <= 15:
         assert state.tobytes() == expected.tobytes()
     else:
         assert max_gap(state, expected) <= 4 * np.finfo(float).eps
+
+
+def assert_state_near_apply(circuit, register_width):
+    """``state()`` is ``apply(zero_state)``, as :func:`assert_near` compares them."""
+    expected = circuit.apply(zero_state(circuit.num_qubits)).amplitudes
+    assert_near(circuit.state().amplitudes, expected, register_width)
 
 
 class TestFourierFront:
@@ -1165,19 +1169,18 @@ class TestFourierFront:
             raise AssertionError(f"{type(op).__name__} applied")
 
         if build == "corrected-encode":
-            circuit, width = real_encoding_circuit(17, -40503.37, TWOS), 17
+            circuit = real_encoding_circuit(17, -40503.37, TWOS)
         else:
             rng = np.random.default_rng(16)
             layout = RegisterLayout(1, 16)
             poly = in_domain_polynomial(rng, layout.key_width, layout.value_width, EncodingDomain.UNSIGNED, "dense")
-            circuit, width = dictionary_circuit(layout, poly, phase_corrected=True), layout.value_width
+            circuit = dictionary_circuit(layout, poly, phase_corrected=True)
         steps = _fuse_diagonals(circuit.ops, circuit.num_qubits)
         assert [type(op) for op in steps[-3:]] == [sim._PhaseTable, QftGate, sim._PhaseTable]
         expected = circuit.apply(zero_state(circuit.num_qubits)).amplitudes
         monkeypatch.setattr(sim._PhaseTable, "apply", refuse)
         monkeypatch.setattr(QftGate, "apply", refuse)
-        state = circuit.state().amplitudes
-        assert max_gap(state, expected) <= 4 * np.finfo(float).eps
+        assert max_gap(circuit.state().amplitudes, expected) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("width", [3, 17])
     @pytest.mark.parametrize("kind", ["table-on-another-register", "lone-diagonal"])
@@ -1202,12 +1205,8 @@ class TestFourierFront:
             return applied(op, state)
 
         monkeypatch.setattr(cls, "apply", spy)
-        state = circuit.state().amplitudes
+        assert_near(circuit.state().amplitudes, expected, width)
         assert len(calls) == 1
-        if width <= 15:
-            assert state.tobytes() == expected.tobytes()
-        else:
-            assert max_gap(state, expected) <= 4 * np.finfo(float).eps
 
 
 def _sub_register(reg, rng):

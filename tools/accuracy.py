@@ -121,11 +121,11 @@ def summary(result: dict, kernels: dict) -> tuple[dict, list[float]]:
     for row in rows:
         want = kernels[width, row["domain"], row["target"]]
         errors += [float(abs(mpmath.mpf(got) - k)) / EPS for got, k in zip(row["real_at"], want)]
-    gap, worst = max((max(r["gap_raw_eps"], r["gap_corrected_eps"]), r) for r in rows)
+    worst = max(rows, key=lambda r: max(r["gap_raw_eps"], r["gap_corrected_eps"]))
     kind = "raw" if worst["gap_raw_eps"] >= worst["gap_corrected_eps"] else "corrected"
     record = {
         "width": width,
-        "gap_eps": gap,
+        "gap_eps": worst[f"gap_{kind}_eps"],
         "gap_case": f"{kind} {worst['domain']} t={worst['target']!r}",
         "imag_residual": max(r["imag"] for r in rows),
         "kernel_error_eps": max(errors),
@@ -153,7 +153,7 @@ def main() -> int:
             for row in result["rows"]:
                 key = (width, row["domain"], row["target"])
                 if key not in kernels:
-                    kernels[key] = kernel_40(1 << width, row["normalized"], indices(width))
+                    kernels[key] = kernel_40(1 << width, row["normalized"], cases[widths.index(width)]["indices"])
             summary_row, all_errors[width] = summary(result, kernels)
             rows.append(summary_row)
         entry = {"rev": rev, "commit": commit, "rows": rows}
