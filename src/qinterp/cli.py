@@ -65,7 +65,7 @@ def _parse_domain(name: str) -> EncodingDomain:
 
 def _finite_floats(tokens: list[str], what: str) -> np.ndarray:
     try:
-        values = np.array([float(tok) for tok in tokens], dtype=np.float64)
+        values = np.array(tokens, dtype=np.float64)  # each token as float() reads it, refusal text included
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}") from None
     if not np.all(np.isfinite(values)):

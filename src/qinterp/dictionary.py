@@ -55,8 +55,8 @@ class BinaryPolynomial:
 
     def values_table(self) -> np.ndarray:
         """``evaluate`` at every key, as one subset-sum (zeta) transform of the coefficients."""
-        coeffs = np.zeros(self.num_keys)
-        coeffs[list(self.terms)] = list(self.terms.values())
+        coeffs, count = np.zeros(self.num_keys), len(self.terms)
+        coeffs[np.fromiter(self.terms, np.int64, count)] = np.fromiter(self.terms.values(), np.float64, count)
         return subset_sums(coeffs)
 
     def scaled(self, factor: float) -> "BinaryPolynomial":
@@ -153,17 +153,16 @@ def validate_values(poly: BinaryPolynomial, value_width: int, domain: EncodingDo
     modulus = 1 << value_width
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below, without a warning
         values = poly.values_table()
-    infinite = np.flatnonzero(~np.isfinite(values))
-    if infinite.size:
-        k = int(infinite[0])
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
         raise ValueRangeError(f"value {values[k]} at key {k} is not finite")
     lo, hi = domain_bounds(domain, modulus)
     nearest = np.round(values)
     is_integer = np.abs(values - nearest) < INTEGER_TOLERANCE
     allowed = (is_integer & (nearest >= 0) & (values < modulus)) | ((values >= lo) & (values < hi))
-    offending = np.flatnonzero(~allowed)
-    if offending.size:
-        k = int(offending[0])
+    if not allowed.all():
+        k = int(np.argmin(allowed))  # the first key refused
         value = float(values[k])
         try:
             normalize_to_domain(value, domain, modulus)
@@ -211,9 +210,10 @@ def dictionary_circuit(
         )
     table = validate_values(poly, layout.value_width, domain)
     masks = np.fromiter(poly.terms, dtype=np.int64, count=len(poly.terms))
-    values = np.fromiter(poly.terms.values(), dtype=np.float64, count=len(poly.terms))[masks != 0]
+    controlled = masks != 0
+    values = np.fromiter(poly.terms.values(), dtype=np.float64, count=len(poly.terms))[controlled]
     ops = [HadamardLayer(layout.key_register)] if prepare_keys else []
-    ops += encoder_ops(layout.value_register, poly.terms.get(0), masks[masks != 0] << layout.value_width, values)
+    ops += encoder_ops(layout.value_register, poly.terms.get(0), masks[controlled] << layout.value_width, values)
     if phase_corrected:
         ops += correction_ops(layout.value_register, table, layout.key_register)
     return Circuit(layout.num_qubits, tuple(ops))

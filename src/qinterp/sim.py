@@ -21,12 +21,13 @@ loader's rank-1 update are built and applied in slices of about ``_CHUNK``
 entries, so no operation allocates a temporary the size of the state.
 :meth:`Circuit.state` starts from the constant product state where the gate
 list opens with Hadamard layers on every qubit, and runs the rest as
-:meth:`Circuit.apply` does, with one exception: a phase table followed by a
-QFT on its register, as in the encoder, is built transformed, one
-``np.fft`` over a register of at most 15 qubits, else over its top 12 and
-one radix-2 doubling per qubit below them, each level's twiddles kept
-across calls; past 15 qubits a phase table on the register right after the
-QFT, as the encoder's correction, is applied inside that transform.
+:meth:`Circuit.apply` does, with one exception: a first phase table is
+written once, as its ramp times that constant, and a QFT on its register
+that follows it, as in the encoder, is built into it, one ``np.fft`` over
+a register of at most 15 qubits, else over its top 12 and one radix-2
+doubling per qubit below them, each level's twiddles kept across calls;
+past 15 qubits a phase table on the register right after the QFT, as the
+encoder's correction, is applied inside that transform.
 :meth:`Circuit.readout` reads value-0 amplitudes without
 building the state: the operations that span the registers fuse into one
 table over the value register, contracted in baby and giant steps, about
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,11 +94,11 @@ class RegisterLayout:
     def num_values(self) -> int:
         return 1 << self.value_width
 
-    @property
+    @functools.cached_property
     def value_register(self) -> Register:
         return Register(0, self.value_width)
 
-    @property
+    @functools.cached_property
     def key_register(self) -> Register:
         return Register(self.value_width, self.key_width)
 
@@ -199,12 +200,17 @@ def subset_sums(values, inverse: bool = False) -> np.ndarray:
     bit = 1
     while bit < out.size:
         pairs = out.reshape(-1, 2, bit)
+        upper = pairs[:, 1]  # updated through the view, with no write back
         if inverse:
-            pairs[:, 1] -= pairs[:, 0]
+            upper -= pairs[:, 0]
         else:
-            pairs[:, 1] += pairs[:, 0]
+            upper += pairs[:, 0]
         bit <<= 1
     return out
+
+
+_POWERS = 2.0 ** np.arange(MAX_QUBITS)  # 2^b for every doubling step of a ramp within the cap
+_POWERS.flags.writeable = False
 
 
 def _phase_ramps(offset: np.ndarray, slope: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -213,13 +219,14 @@ def _phase_ramps(offset: np.ndarray, slope: np.ndarray, width: int, out: np.ndar
     ``offset`` and ``slope`` have shape (H, L); the (H, 2**width, L) table is
     built by doubling over the bits of ``r``, with ``width + 1`` exponentials
     per (H, L) entry instead of one per table entry, into ``out`` if given.
-    The ``width`` doubling steps ``exp(i 2^b slope)`` come from one ``np.exp``.
+    The ``width`` doubling steps ``exp(i 2^b slope)`` come from one ``np.exp``
+    over the exact powers ``2^b`` of ``_POWERS``.
     """
     table = np.empty((offset.shape[0], 1 << width, offset.shape[1]), dtype=np.complex128) if out is None else out
-    table[:, 0, :] = np.exp(1j * offset)
-    steps = np.exp(1j * (slope[:, None, :] * 2.0 ** np.arange(width)[None, :, None]))
+    np.exp(1j * offset, out=table[:, 0])
+    steps = np.exp(1j * (_POWERS[:width, None, None, None] * slope[:, None]))
     for b in range(width):
-        np.multiply(table[:, : 1 << b], steps[:, b : b + 1], out=table[:, 1 << b : 2 << b])
+        np.multiply(table[:, : 1 << b], steps[b], out=table[:, 1 << b : 2 << b])
     return table
 
 
@@ -287,6 +294,12 @@ def _ramp_slices(offset: np.ndarray, slope: np.ndarray, width: int):
 
 class Operation:
     """Common interface of the gate set; subclasses are value-like descriptions."""
+
+    def _derived(self, **fields) -> "Operation":
+        """This op with ``fields`` changed by a rule that keeps it valid, so ``__post_init__`` does not run again."""
+        op = object.__new__(type(self))
+        op.__dict__.update(self.__dict__, **fields)
+        return op
 
     def apply(self, state: StateVector) -> StateVector:
         raise NotImplementedError
@@ -384,7 +397,7 @@ class PhaseLadder(Operation):
         return table.apply(state)
 
     def adjoint(self) -> "PhaseLadder":
-        return PhaseLadder(self.register, -self.theta, self.controls)
+        return self._derived(theta=-self.theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,7 +447,7 @@ class DiagonalPhase(Operation):
         return _written(state, amps)
 
     def adjoint(self) -> "DiagonalPhase":
-        return DiagonalPhase(self.register, -self.phases)
+        return self._derived(phases=-self.phases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,11 +505,11 @@ class StatePrep(Operation):
     def apply(self, state: StateVector) -> StateVector:
         _require_register(state, self.register)
         first = self.target[0]
-        alpha = float(np.angle(first)) if abs(first) > 0 else 0.0
+        alpha = float(np.arctan2(first.imag, first.real)) if abs(first) > 0 else 0.0  # np.angle's own ufunc
         v = self.target * np.exp(-1j * alpha)  # turned to a real, non-negative first entry
         np.negative(v, out=v)
         v[0] += 1.0
-        vv = float(np.real(np.vdot(v, v)))
+        vv = float(np.vdot(v, v).real)
         amps = _writable(state)
         view = _register_view(amps, self.register)
         if vv > 1e-24:
@@ -505,12 +518,13 @@ class StatePrep(Operation):
             np.conjugate(v, out=v)
             gain = 2.0 / vv
             for i, k, j in _chunks(view.shape):
-                view[i, k, j] -= (gain * v[k])[None, :, None] * proj[i, j][:, None, :]
+                part = view[i, k, j]
+                part -= (gain * v[k])[:, None] * proj[i, None, j]
         amps *= np.exp(1j * (-alpha if self.dagger else alpha))
         return _written(state, amps)
 
     def adjoint(self) -> "StatePrep":
-        return StatePrep(self.register, self.target, not self.dagger)
+        return self._derived(dagger=not self.dagger)
 
 
 @functools.lru_cache(maxsize=32)
@@ -547,8 +561,12 @@ class _PhaseTable(Operation):
     offset: np.ndarray
     slope: np.ndarray
 
-    def fourier(self, num_qubits: int, scale: float, inverse: bool, after: _PhaseTable | None = None) -> np.ndarray:
+    def fourier(self, num_qubits: int, scale: float, inverse: bool | None, after: _PhaseTable | None = None):
         """``QftGate(register, inverse)`` applied to the table times ``scale``, fresh, then ``after``.
+
+        With ``inverse`` None no QFT follows: the head is the whole register,
+        and its ramp times ``scale`` is the result, bit for bit that of
+        :meth:`apply` on a buffer of constant ``scale``.
 
         The table is a product state, one geometric ramp per row, so its
         transform splits one qubit at a time (Cooley and Tukey's decimation
@@ -579,7 +597,8 @@ class _PhaseTable(Operation):
         ``exp(i s slope)``.  That is within a few ulps of ``after.apply``.
         """
         reg = self.register
-        head = reg.width if reg.width < _CHUNK.bit_length() else max(1, (_CHUNK >> 3).bit_length() - 1)
+        whole = inverse is None or reg.width < _CHUNK.bit_length()
+        head = reg.width if whole else max(1, (_CHUNK >> 3).bit_length() - 1)
         low = reg.width - head
         amps = np.empty(1 << num_qubits, dtype=np.complex128)
         view = _register_view(amps, reg)
@@ -587,6 +606,8 @@ class _PhaseTable(Operation):
         offset, slope = self.offset.reshape(shape), self.slope.reshape(shape)
         top = _phase_ramps(offset, slope * (1 << low), head, out=view[:, : 1 << head])
         top *= scale * 2.0 ** (-low / 2)
+        if inverse is None:
+            return amps
         (np.fft.fft if inverse else np.fft.ifft)(top, axis=1, norm="ortho", out=top)
         if after is not None and not low:
             return after.apply(_Buffer(num_qubits, amps)).amplitudes
@@ -646,7 +667,8 @@ def _fuse(run, register: Register | None, num_qubits: int) -> _PhaseTable | None
     its mask over the outside qubits; None for no register, a register past
     ``num_qubits`` or the first op that does not fit.  Each ladder adds its
     theta to ``slope`` and each controlled phase its angle to ``offset``, at
-    that mask; one zeta transform then sums them over every ``c``.  A ladder
+    that mask; one zeta transform then sums them over every ``c`` (none for
+    an offset that no controlled phase set, which is all zeros).  A ladder
     of many terms is checked, remapped and added as arrays, by one
     ``np.add.at`` that adds repeated masks in order.  Diagonal tables add
     last, at their mask's lowest bit.  No op at all is the table of phase 0.
@@ -655,8 +677,7 @@ def _fuse(run, register: Register | None, num_qubits: int) -> _PhaseTable | None
         return None
     lo, hi = register.offset, register.offset + register.width
     below, outside = (1 << lo) - 1, ((1 << num_qubits) - 1) ^ ((register.size - 1) << lo)
-    offset = np.zeros(1 << (num_qubits - register.width))
-    slope = np.zeros_like(offset)
+    offset, slope = np.zeros((2, 1 << (num_qubits - register.width)))
     tables = []
     for op in run:
         if isinstance(op, PhaseLadder) and isinstance(op.theta, np.ndarray) and op.register == register:
@@ -682,7 +703,7 @@ def _fuse(run, register: Register | None, num_qubits: int) -> _PhaseTable | None
             offset[mask] += op.angle
         else:
             tables.append(((mask & -mask).bit_length() - 1, op))
-    offset = subset_sums(offset)
+    offset = subset_sums(offset) if offset.any() else offset  # zeros, with no controlled phase, are their own sums
     for bit, op in tables:
         _register_view(offset, Register(bit, op.register.width))[...] += op.phases[None, :, None]
     return _PhaseTable(register, offset, subset_sums(slope))
@@ -794,13 +815,20 @@ def _lowered(op: Operation, offset: int) -> Operation:
     if offset == 0:
         return op
     if isinstance(op, ControlledPhase):
-        return ControlledPhase(tuple(q - offset for q in op.controls), op.angle)
+        return op._derived(controls=tuple(q - offset for q in op.controls))
     register = Register(op.register.offset - offset, op.register.width)
     if isinstance(op, PhaseLadder):
         many = isinstance(op.theta, np.ndarray)
         controls = op.controls >> offset if many else tuple(q - offset for q in op.controls)
-        return PhaseLadder(register, op.theta, controls)
-    return replace(op, register=register)
+        return op._derived(register=register, controls=controls)
+    return op._derived(register=register)
+
+
+def _run(steps, buffer: _Buffer) -> StateVector:
+    """Apply ``steps`` in order, each writing through ``buffer``; the result holds its amplitudes."""
+    for op in steps:
+        buffer = op.apply(buffer)
+    return StateVector(buffer.num_qubits, buffer.amplitudes)
 
 
 def _hadamard_front(ops, num_qubits: int) -> tuple[int, float] | None:
@@ -855,9 +883,7 @@ class Circuit:
             )
         if not isinstance(state, _Buffer):
             state = _Buffer(state.num_qubits, state.amplitudes.copy())
-        for op in _fuse_diagonals(self.ops, self.num_qubits):
-            state = op.apply(state)
-        return StateVector(self.num_qubits, state.amplitudes)
+        return _run(_fuse_diagonals(self.ops, self.num_qubits), state)
 
     def state(self) -> StateVector:
         """``U|0...0>``, started from the product state where the gate list has one.
@@ -865,35 +891,36 @@ class Circuit:
         When the ops start with Hadamard layers on disjoint registers that
         cover every qubit, the buffer after them holds the amplitude ``h``
         they give ``|0...0>`` everywhere, so it starts as ``h`` and the ops
-        after the layers run as the steps :meth:`apply` makes of them.  One
-        step is special: where the first is a phase table and a QFT on its
-        register comes next, the buffer starts as that QFT of the table
-        times ``h``, built by :meth:`_PhaseTable.fourier`, and a phase table
-        on the same register right after the QFT, such as the encoder's
-        correction, goes to ``fourier`` too.  Any other circuit is
-        ``apply(zero_state(n))``.  The result is bit for bit that of
-        :meth:`apply` where the QFT's register has at most 15 qubits or no
-        QFT is built here.  Past that the transform is a 12-qubit FFT and
+        after the layers run as the steps :meth:`apply` makes of them, fused
+        once.  One step is special: where the first is a phase table, the
+        buffer starts as that table times ``h``, written once by
+        :meth:`_PhaseTable.fourier`, then its QFT if one on its register
+        comes next, and then a phase table on the same register right
+        after the QFT, such as the encoder's correction.  Any other circuit
+        runs its steps on ``zero_state(n)``.  The result is bit for bit that
+        of :meth:`apply` where the QFT's register has at most 15 qubits or
+        no QFT is built here.  Past that the transform is a 12-qubit FFT and
         one doubling per lower qubit, whose twiddles are kept across calls,
         with the table after it folded in, within a few ulps of
         :meth:`apply` (``4 eps`` in the tests).  The ops run on the buffer
         built here, never copied.
         """
-        check_capacity(self.num_qubits)
-        front = _hadamard_front(self.ops, self.num_qubits)
+        n = self.num_qubits
+        check_capacity(n)
+        front = _hadamard_front(self.ops, n)
         if front is None:
-            return self.apply(_Buffer(self.num_qubits, zero_state(self.num_qubits).amplitudes))
+            return _run(_fuse_diagonals(self.ops, n), _Buffer(n, zero_state(n).amplitudes))
         count, scale = front
-        steps = _fuse_diagonals(self.ops[count:], self.num_qubits)
+        steps = _fuse_diagonals(self.ops[count:], n)
         table, qft, after = (steps + [None] * 3)[:3]
-        if isinstance(table, _PhaseTable) and isinstance(qft, QftGate) and qft.register == table.register:
-            if not (isinstance(after, _PhaseTable) and after.register == table.register):
-                after = None
-            amps = table.fourier(self.num_qubits, scale, qft.inverse, after)
-            steps = steps[2 if after is None else 3 :]
-        else:
-            amps = np.full(1 << self.num_qubits, scale, dtype=np.complex128)
-        return Circuit(self.num_qubits, tuple(steps)).apply(_Buffer(self.num_qubits, amps))
+        if not isinstance(table, _PhaseTable):
+            return _run(steps, _Buffer(n, np.full(1 << n, scale, dtype=np.complex128)))
+        if not (isinstance(qft, QftGate) and qft.register == table.register):
+            qft = after = None
+        elif not (isinstance(after, _PhaseTable) and after.register == table.register):
+            after = None
+        amps = table.fourier(n, scale, None if qft is None else qft.inverse, after)
+        return _run(steps[1 + (qft is not None) + (after is not None) :], _Buffer(n, amps))
 
     def adjoint(self) -> "Circuit":
         return Circuit(self.num_qubits, tuple(op.adjoint() for op in reversed(self.ops)))
@@ -906,7 +933,7 @@ class Circuit:
         The leading ops that each act inside one register run on that
         register's factor of the product state, the trailing ones as
         adjoints on its ``<0|`` factor, or forward on the contracted vector
-        for kept keys; lowered onto the factor, whose ``apply`` fuses them.
+        for kept keys; lowered onto the factor, which fuses them once.
         The ops between must fuse by :func:`_fuse` into one phase table
         ``D[c, r]`` over the value register (``c`` the key), else
         :class:`LayoutError`; an op on a qubit past the width acts inside
@@ -930,10 +957,11 @@ class Circuit:
             reg = registers[i]
             return Circuit(reg.width, tuple(_lowered(op, reg.offset) for op in ops))
 
+        def bra(i: int) -> np.ndarray:  # the peeled tail is in reverse order, so its adjoints are U^dagger's ops
+            return factor(i, [op.adjoint() for op in tails[i]]).state().amplitudes.conj()
+
         kets = [factor(i, heads[i]).state().amplitudes for i in range(2)]
-        backs = [factor(i, tails[i][::-1]) for i in range(2)]
-        contracted = _stream(table, kets[0] * backs[0].adjoint().state().amplitudes.conj())
+        contracted = _stream(table, kets[0] * bra(0))
         if keep_keys:
-            return backs[1].apply(_Buffer(layout.key_width, kets[1] * contracted)).amplitudes
-        x_keys = kets[1] * backs[1].adjoint().state().amplitudes.conj()
-        return complex(np.vecdot(x_keys.conj(), contracted))
+            return factor(1, tails[1][::-1]).apply(_Buffer(layout.key_width, kets[1] * contracted)).amplitudes
+        return complex(np.vecdot((kets[1] * bra(1)).conj(), contracted))

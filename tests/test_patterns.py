@@ -590,9 +590,9 @@ class TestGeneralizedInnerProduct:
         value_spec = unit(rng.uniform(0.1, 1.0, 1 << value_width))
         phase_ramps, built = sim._phase_ramps, []
 
-        def counted(offset, slope, width):
+        def counted(offset, slope, width, out=None):
             built.append(offset.size << width)
-            return phase_ramps(offset, slope, width)
+            return phase_ramps(offset, slope, width, out)
 
         monkeypatch.setattr(sim, "_phase_ramps", counted)
         generalized_inner_product(key_spec, poly, value_spec)

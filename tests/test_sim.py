@@ -990,6 +990,11 @@ class TestCircuitState:
             DiagonalPhase(reg, rng.uniform(-4, 4, reg.size)),
         ):
             assert_state_is_apply(Circuit(5, (HadamardLayer(Register(0, 5)), op)))
+        # a ladder on the whole register, as a readout's value factor: its table's ramp times h, written once,
+        # in one slice up to 15 qubits and in several past that
+        for width in range(1, 19):
+            whole = Register(0, width)
+            assert_state_is_apply(Circuit(width, (HadamardLayer(whole), PhaseLadder(whole, rng.uniform(-4, 4)))))
 
     @pytest.mark.parametrize("chunk", [2, 8, 64, None], ids=["chunk2", "chunk8", "chunk64", "real-chunk"])
     @pytest.mark.parametrize("width", [15, 16, 17])
@@ -1354,6 +1359,41 @@ class TestReadout:
         circuit = Circuit(3, (HadamardLayer(Register(0, 1)), ControlledPhase((0, 5), 0.2)))
         with pytest.raises(LayoutError, match="phase table over the value register"):
             circuit.readout(RegisterLayout(2, 1))
+
+    @pytest.mark.parametrize("domain", [EncodingDomain.UNSIGNED, TWOS], ids=["unsigned", "twos"])
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_weighted_sum_readout_is_the_factor_contraction(self, kind, domain):
+        # generalized_inner_product's circuit on the sum grid's (n, m) cells: the readout is, bit for bit,
+        # each register's factors applied to |0> on their own, the value factors' product contracted with
+        # the streamed middle, and that contracted with the key factors or run through the key tail
+        rng = np.random.default_rng(32 + (kind == "sparse") + 2 * (domain is TWOS))
+        for n, m in [(3, 4), (4, 5), (4, 6), (5, 6), (5, 8), (6, 4), (6, 6), (7, 10), (8, 4), (8, 8), (8, 10), (8, 12)]:
+            layout = RegisterLayout(n, m)
+            poly = in_domain_polynomial(rng, n, m, domain, kind)
+            a = rng.uniform(0.1, 1.0, 1 << n)
+            b = rng.uniform(0.1, 1.0, 1 << m)
+            prep_a = StatePrep(layout.key_register, a / np.linalg.norm(a))
+            prep_b = StatePrep(layout.value_register, b / np.linalg.norm(b))
+            dictionary = dictionary_circuit(layout, poly, domain, phase_corrected=True, prepare_keys=False)
+            circuit = Circuit(n + m, (prep_a, *dictionary.ops, HadamardLayer(layout.key_register), prep_b.adjoint()))
+            hadamard, *ladders, qft, correction, key_phase = dictionary.ops
+            constant = [op for op in ladders if not isinstance(op.theta, np.ndarray)]
+            middle = [op for op in ladders if isinstance(op.theta, np.ndarray)]
+            keys = Register(0, n)  # the key register lowered onto its own factor
+            key_tail = (DiagonalPhase(keys, key_phase.phases), HadamardLayer(keys))
+
+            def factor(width, ops, state=None):
+                return Circuit(width, tuple(ops)).apply(zero_state(width) if state is None else state).amplitudes
+
+            ket_values = factor(m, [hadamard, *constant])
+            bra_values = factor(m, [prep_b, correction.adjoint(), qft.adjoint()]).conj()
+            ket_keys = factor(n, [StatePrep(keys, prep_a.target)])
+            bra_keys = factor(n, [op.adjoint() for op in key_tail[::-1]]).conj()
+            contracted = sim._stream(sim._fuse(middle, layout.value_register, n + m), ket_values * bra_values)
+            amplitude = complex(np.vecdot((ket_keys * bra_keys).conj(), contracted))
+            kept = factor(n, key_tail, StateVector(n, ket_keys * contracted))
+            assert circuit.readout(layout) == amplitude
+            assert circuit.readout(layout, keep_keys=True).tobytes() == kept.tobytes()
 
 
 @st.composite

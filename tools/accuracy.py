@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Accuracy record of wide encodes at one or more git revisions.
+"""Accuracy record of wide encodes and of weighted-sum readouts at one or more git revisions.
 
     python3 tools/accuracy.py [--wide] -o ACCURACY.json REV [REV ...]
 
@@ -22,11 +22,22 @@ ones from ``default_rng(1000 + width)``; ``NAMED`` adds single cases.  With
 two or more REVs, ``against_first`` gives, per width, each later revision's
 largest move at any sampled index in its kernel error, in eps.  A 24-qubit
 width holds about 0.8 GB at its peak; the widths run one at a time.
+
+The readout rows take ``generalized_inner_product``'s circuit (load the key
+weights, the phase-corrected dictionary, Hadamards on the keys, unload the
+value weights) on each (n, m) cell of ``READOUT_CELLS``, the sum grid's, with
+a dense and a sparse polynomial in each domain from ``default_rng((3000, n,
+m))``.  Each row gives ``amplitude_eps``, the worst ``|readout - amplitude of
+apply(zero_state)|``, and ``keys_eps``, the worst gap of the kept keys to
+the state's value-0 slice, in units of eps, and the case that reached each.
+``readout_digest`` hashes every readout's bytes, so ``against_first`` can say
+whether a later revision reads the same bits.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -43,6 +54,7 @@ EPS = float(np.finfo(float).eps)
 WIDTHS, WIDE = range(16, 23), (23, 24)
 SAMPLES = 1000
 NAMED = {23: [("TWOS_COMPLEMENT", 3391177.2190178474)]}  # reached 4.35 eps with the correction run as its own table
+READOUT_CELLS = [(3, 4), (4, 5), (4, 6), (5, 6), (5, 8), (6, 4), (6, 6), (7, 10), (8, 4), (8, 8), (8, 10), (8, 12)]
 
 # Runs inside a revision's tree: one JSON object per width on stdout.
 CHILD = r"""
@@ -52,7 +64,44 @@ from qinterp import EncodingDomain, zero_state
 from qinterp.encoding import ValueEncoding, real_encoding_circuit, value_encoding_circuit
 
 eps = float(np.finfo(float).eps)
+
+
+def readout_row(cell):
+    from qinterp import BinaryPolynomial, Circuit, HadamardLayer, RegisterLayout, StatePrep, dictionary_circuit
+    from qinterp.dictionary import polynomial_from_table
+
+    n, m = cell["n"], cell["m"]
+    layout = RegisterLayout(n, m)
+    row = {"n": n, "m": m, "amplitude_eps": -1.0, "keys_eps": -1.0}
+    digest = []
+    for case in cell["cases"]:
+        if "table" in case:
+            poly = polynomial_from_table(case["table"])
+        else:
+            poly = BinaryPolynomial(n, dict(zip(case["masks"], case["coefs"])))
+        domain = EncodingDomain[case["domain"]]
+        ops = (
+            StatePrep(layout.key_register, np.array(case["a"])),
+            *dictionary_circuit(layout, poly, domain, phase_corrected=True, prepare_keys=False).ops,
+            HadamardLayer(layout.key_register),
+            StatePrep(layout.value_register, np.array(case["b"])).adjoint(),
+        )
+        circuit = Circuit(n + m, ops)
+        full = circuit.apply(zero_state(n + m)).amplitudes.reshape(1 << n, 1 << m)
+        amplitude, kept = circuit.readout(layout), circuit.readout(layout, keep_keys=True)
+        digest += [np.complex128(amplitude).tobytes().hex(), kept.tobytes().hex()]
+        label = f"{case['kind']} {case['domain']}"
+        for key, gap in (("amplitude", abs(amplitude - full[0, 0])), ("keys", np.max(np.abs(kept - full[:, 0])))):
+            if gap / eps > row[f"{key}_eps"]:
+                row[f"{key}_eps"], row[f"{key}_case"] = float(gap) / eps, label
+    row["digest"] = digest
+    return row
+
+
 for case in map(json.loads, sys.stdin):
+    if "cells" in case:
+        print(json.dumps({"readout": [readout_row(cell) for cell in case["cells"]]}), flush=True)
+        continue
     width, indices = case["width"], np.array(case["indices"])
     rows = []
     for name, t in case["targets"]:
@@ -83,6 +132,28 @@ def targets(width: int) -> list[tuple[str, float]]:
     rng = np.random.default_rng(1000 + width)
     out += [(name, float(rng.uniform(low, low + modulus))) for name, low in lows for _ in range(2)]
     return out + NAMED.get(width, [])
+
+
+def readout_cases(n: int, m: int) -> list[dict]:
+    """A dense and a sparse polynomial per domain on the (n, m) cell, with unit weight vectors."""
+    rng = np.random.default_rng((3000, n, m))
+    modulus, cases = 1 << m, []
+    for name, lo in (("UNSIGNED", 0.0), ("TWOS_COMPLEMENT", -modulus / 2)):
+        hi = lo + modulus
+        for kind in ("dense", "sparse"):
+            case = {"domain": name, "kind": kind}
+            if kind == "dense":
+                case["table"] = rng.uniform(lo + 0.01, hi - 0.01, 1 << n).tolist()
+            else:  # n + 1 terms whose sums stay inside the domain
+                masks = [0, *sorted(rng.choice(np.arange(1, 1 << n), n, replace=False).tolist())]
+                bound = (max(-lo, hi) - 0.01) / len(masks)
+                low = 0.0 if name == "UNSIGNED" else -bound
+                case["masks"], case["coefs"] = masks, rng.uniform(low, bound, len(masks)).tolist()
+            for key, size in (("a", 1 << n), ("b", modulus)):
+                vector = rng.uniform(0.1, 1.0, size)
+                case[key] = (vector / np.linalg.norm(vector)).tolist()
+            cases.append(case)
+    return cases
 
 
 def indices(width: int) -> list[int]:
@@ -142,11 +213,14 @@ def main() -> int:
     root = Path(__file__).resolve().parent.parent
     widths = [*WIDTHS, *(WIDE if args.wide else ())]
     cases = [{"width": w, "targets": targets(w), "indices": indices(w)} for w in widths]
+    cases.append({"cells": [{"n": n, "m": m, "cases": readout_cases(n, m)} for n, m in READOUT_CELLS]})
     kernels = {}  # (width, domain, target): the 40-digit kernel at the sampled indices, shared by the revisions
-    record = {"widths": widths, "samples_per_target": SAMPLES, "revisions": []}
-    first_errors = None
+    record = {"widths": widths, "samples_per_target": SAMPLES, "readout_cells": READOUT_CELLS, "revisions": []}
+    first_errors = first_digest = None
     for rev in args.revs:
         commit, results = run_revision(root, rev, cases)
+        readout = results.pop()["readout"]
+        digest = hashlib.sha256("".join(h for row in readout for h in row.pop("digest")).encode()).hexdigest()
         rows, all_errors = [], {}
         for result in results:
             width = result["width"]
@@ -156,13 +230,14 @@ def main() -> int:
                     kernels[key] = kernel_40(1 << width, row["normalized"], cases[widths.index(width)]["indices"])
             summary_row, all_errors[width] = summary(result, kernels)
             rows.append(summary_row)
-        entry = {"rev": rev, "commit": commit, "rows": rows}
+        entry = {"rev": rev, "commit": commit, "rows": rows, "readout": readout, "readout_digest": digest}
         if first_errors is None:
-            first_errors = all_errors
+            first_errors, first_digest = all_errors, digest
         else:
             entry["against_first"] = {
                 str(w): max(abs(a - b) for a, b in zip(all_errors[w], first_errors[w])) for w in widths
             }
+            entry["against_first"]["readout_bits_match"] = digest == first_digest
         record["revisions"].append(entry)
         print(json.dumps(entry), file=sys.stderr)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
