@@ -875,7 +875,7 @@ class Circuit:
 
         The input is copied once into the buffer this run owns, and every op
         writes through it; the input is left as it was.  A buffer that
-        :meth:`state` or :meth:`readout` has just built is run on as it is.
+        :meth:`readout` has just built is run on as it is.
         """
         if state.num_qubits != self.num_qubits:
             raise LayoutError(
