@@ -248,16 +248,17 @@ def _load_sum_config(path: str):
 
 def _cmd_sum(args) -> int:
     scale, domain, poly, weights, hashes = _load_sum_config(args.config)
+    encoded = poly if scale == 1 else poly.scaled(scale)
     amplitude = total = classical = 0.0  # all-zero weights: every number is 0, with no vector to normalize
     if np.any(weights):
-        amplitude, total = weighted_sum(weights, poly.scaled(scale), hashes, domain)
+        amplitude, total = weighted_sum(weights, encoded, hashes, domain)
         total = total / scale
         if np.array_equal(hashes, np.arange(hashes.size, dtype=np.float64)):  # the identity hash
             classical = direct_weighted_identity_sum(weights, poly)
         else:
             classical = direct_weighted_sum(weights, poly, hashes)
     else:  # nothing to simulate, but the polynomial is refused as weighted_sum would refuse it
-        validate_values(poly.scaled(scale), hashes.size.bit_length() - 1, domain)
+        validate_values(encoded, hashes.size.bit_length() - 1, domain)
     error = abs(total - classical)
     _print_report([("amplitude", amplitude), ("sum", total), ("classical", classical), ("abs-error", error)], 12)
     return EXIT_OK

@@ -63,6 +63,13 @@ class BinaryPolynomial:
         return BinaryPolynomial(self.num_vars, {m: c * factor for m, c in self.terms.items()})
 
 
+def _power_of_two_width(size: int, what: str) -> int:
+    """The width ``log2(size)`` of a power-of-two length ``size >= 2``, else :class:`DomainError` naming ``what``."""
+    if size < 2 or size & (size - 1):
+        raise DomainError(f"{what} length {size} is not a power of two >= 2")
+    return size.bit_length() - 1
+
+
 def polynomial_from_table(values) -> BinaryPolynomial:
     """Interpolating polynomial of a full value table (length a power of two).
 
@@ -70,9 +77,7 @@ def polynomial_from_table(values) -> BinaryPolynomial:
     subset lattice, so ``evaluate`` reproduces the table entries.
     """
     table = np.asarray(values, dtype=np.float64)
-    n = int(math.log2(table.size)) if table.size > 0 else 0
-    if table.size < 2 or (1 << n) != table.size:
-        raise DomainError(f"table length {table.size} is not a power of two >= 2")
+    n = _power_of_two_width(table.size, "table")
     coeffs = subset_sums(table, inverse=True)
     terms = {mask: float(c) for mask, c in enumerate(coeffs) if c != 0.0}
     return BinaryPolynomial(n, terms or {0: 0.0})

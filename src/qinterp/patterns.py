@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dictionary import BinaryPolynomial, dictionary_circuit
+from .dictionary import BinaryPolynomial, _power_of_two_width, dictionary_circuit
 from .encoding import real_encoding_circuit
 from .errors import CapacityError, DomainError, NormalizationError, ValueRangeError
 from .kernels import (
@@ -93,10 +93,7 @@ def _warn_imag_residual(residual: float, label: str, stacklevel: int = 3):
 def prepare_amplitudes(target) -> Circuit:
     """Exact loader for an arbitrary unit vector of power-of-two length."""
     amps = np.asarray(target, dtype=np.complex128)
-    n = amps.size
-    if n < 2 or (n & (n - 1)) != 0:
-        raise DomainError(f"target length {n} is not a power of two >= 2")
-    width = n.bit_length() - 1
+    width = _power_of_two_width(amps.size, "target")
     return Circuit(width, (StatePrep(Register(0, width), amps),))
 
 
@@ -291,9 +288,7 @@ def _norm(vector: np.ndarray) -> float:
 def _unit_vector(vector, what: str) -> np.ndarray:
     """``vector`` as float64, checked to be a unit vector of power-of-two length >= 2."""
     amps = np.asarray(vector, dtype=np.float64)
-    n = amps.size
-    if n < 2 or (n & (n - 1)) != 0:
-        raise DomainError(f"{what} length {n} is not a power of two >= 2")
+    _power_of_two_width(amps.size, what)
     norm = _norm(amps)
     if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN norm fails too
         raise NormalizationError(f"{what} norm {norm} is not 1")

@@ -561,12 +561,15 @@ class _PhaseTable(Operation):
     offset: np.ndarray
     slope: np.ndarray
 
-    def fourier(self, num_qubits: int, scale: float, inverse: bool | None, after: _PhaseTable | None = None):
-        """``QftGate(register, inverse)`` applied to the table times ``scale``, fresh, then ``after``.
+    def fourier(self, num_qubits: int, scale: float, following) -> tuple[np.ndarray, int]:
+        """The table times ``scale``, fresh, then the leading steps of ``following`` that it takes.
 
-        With ``inverse`` None no QFT follows: the head is the whole register,
-        and its ramp times ``scale`` is the result, bit for bit that of
-        :meth:`apply` on a buffer of constant ``scale``.
+        It takes the first where that is a QFT on the table's register, and
+        then, past 15 register qubits, the second where that is a phase
+        table ``after`` on the same register.  Returns the amplitudes and the
+        count of steps they hold, the table included.  With no QFT the head
+        is the whole register, and its ramp times ``scale`` is the result,
+        bit for bit that of :meth:`apply` on a buffer of constant ``scale``.
 
         The table is a product state, one geometric ramp per row, so its
         transform splits one qubit at a time (Cooley and Tukey's decimation
@@ -586,18 +589,20 @@ class _PhaseTable(Operation):
         is built once per process whatever the register width.  Up to 15
         register qubits there is no level, and the result is that of
         :meth:`apply` on a buffer of constant ``scale`` followed by
-        :meth:`QftGate.apply` and ``after.apply``, bit for bit.
+        :meth:`QftGate.apply`, bit for bit.
 
-        ``after`` is a table on the same register.  Past 15 qubits it is
-        folded into the transform, since its phase ``offset + slope k``
-        factors over the bits of the output index ``k``: the head's
-        outputs, the low bits of ``k``, are multiplied by its ramp over
-        them, built in blocks of at most ``_CHUNK`` entries, and each level
-        multiplies the upper half it has just written by
+        ``after`` is folded into the transform, since its phase
+        ``offset + slope k`` factors over the bits of the output index
+        ``k``: the head's outputs, the low bits of ``k``, are multiplied by
+        its ramp over them, built in blocks of at most ``_CHUNK`` entries,
+        and each level multiplies the upper half it has just written by
         ``exp(i s slope)``.  That is within a few ulps of ``after.apply``.
         """
         reg = self.register
+        qft, after = (*following, None, None)[:2]
+        inverse = qft.inverse if isinstance(qft, QftGate) and qft.register == reg else None
         whole = inverse is None or reg.width < _CHUNK.bit_length()
+        fold = not whole and isinstance(after, _PhaseTable) and after.register == reg
         head = reg.width if whole else max(1, (_CHUNK >> 3).bit_length() - 1)
         low = reg.width - head
         amps = np.empty(1 << num_qubits, dtype=np.complex128)
@@ -607,11 +612,9 @@ class _PhaseTable(Operation):
         top = _phase_ramps(offset, slope * (1 << low), head, out=view[:, : 1 << head])
         top *= scale * 2.0 ** (-low / 2)
         if inverse is None:
-            return amps
+            return amps, 1
         (np.fft.fft if inverse else np.fft.ifft)(top, axis=1, norm="ortho", out=top)
-        if after is not None and not low:
-            return after.apply(_Buffer(num_qubits, amps)).amplitudes
-        if after is not None:
+        if fold:
             after_offset, after_slope = after.offset.reshape(shape), after.slope.reshape(shape)
             for i, _, j in _chunks(top.shape):
                 top[i, :, j] *= _phase_ramps(after_offset[i, j], after_slope[i, j], head)
@@ -621,16 +624,16 @@ class _PhaseTable(Operation):
             k = min(half, max(1, (_CHUNK >> 3) // offset.size))
             twiddles, starts = _doubling_factors(sign, half, k)
             step = np.exp(1j * (1 << l) * slope)[:, None, :]
-            turn = None if after is None else np.exp(1j * half * after_slope)[:, None, :]
+            turn = np.exp(1j * half * after_slope)[:, None, :] if fold else None
             for j, start in zip(range(0, half, k), starts):
                 block, upper = view[:, j : j + k], view[:, half + j : half + j + k]
                 u = step * start * twiddles
                 u *= block
                 np.subtract(block, u, out=upper)
                 block += u
-                if turn is not None:
+                if fold:
                     upper *= turn
-        return amps
+        return amps, 2 + fold
 
     def apply(self, state: StateVector) -> StateVector:
         """Multiply by the table slice by slice, each slice built by :func:`_ramp_slices`.
@@ -740,7 +743,10 @@ def _stream(table: _PhaseTable, x: np.ndarray) -> np.ndarray:
     bit the whole table's product.  A wider one splits near half its width,
     in blocks of rows whose ramp, ``S`` and ``Y`` slices take at most half a
     ``_CHUNK`` each (the real chunk never caps ``low`` within ``MAX_QUBITS``),
-    so a block holds at most 1.5 chunks at once.
+    so a block holds at most 1.5 chunks at once.  The sums are
+    ``np.vecdot``, which keeps the reduction off threaded matrix products;
+    it conjugates its first argument, so ``x`` enters conjugated and the
+    giant steps are built as their conjugates.
     """
     width, rows = table.register.width, table.offset.size
     if rows << width <= _CHUNK:
@@ -752,26 +758,14 @@ def _stream(table: _PhaseTable, x: np.ndarray) -> np.ndarray:
     out = np.zeros(rows, dtype=np.complex128)
     for c in range(0, rows, step):
         block = slice(c, c + step)
-        out[block] += _ramp_sums(x_bar, table.offset[block, None], table.slope[block, None], width)
+        slope = table.slope[block, None]
+        baby = _phase_ramps(table.offset[block, None], slope, low)[:, None, :, 0]
+        if low == width:
+            out[block] += np.vecdot(x_bar, baby)[:, 0]
+            continue
+        for h, giant in _ramp_slices(np.zeros_like(slope), -(1 << low) * slope, width - low):
+            out[block] += np.vecdot(giant[:, :, 0], np.vecdot(x_bar[h : h + giant.shape[1]], baby))
     return out
-
-
-def _ramp_sums(x_bar: np.ndarray, offset: np.ndarray, slope: np.ndarray, width: int) -> np.ndarray:
-    """``sum_r x[r] exp(i (offset + slope r))`` per row of the (rows, 1) ``offset`` and ``slope``.
-
-    ``x_bar`` is ``conj(x)`` cut into rows of ``2^low`` baby steps.  The
-    sums are ``np.vecdot``, which keeps the reduction off threaded matrix
-    products; it conjugates its first argument, so ``x`` enters conjugated
-    and the giant steps are built as their conjugates.
-    """
-    low = x_bar.shape[1].bit_length() - 1
-    baby = _phase_ramps(offset, slope, low)[:, None, :, 0]
-    if low == width:
-        return np.vecdot(x_bar, baby)[:, 0]
-    total = 0
-    for h, giant in _ramp_slices(np.zeros_like(slope), -(1 << low) * slope, width - low):
-        total = total + np.vecdot(giant[:, :, 0], np.vecdot(x_bar[h : h + giant.shape[1]], baby))
-    return total
 
 
 def _home(op: Operation, registers: tuple[Register, ...]) -> int | None:
@@ -874,16 +868,13 @@ class Circuit:
         """Apply the ops in order, as the steps :func:`_fuse_diagonals` makes of them.
 
         The input is copied once into the buffer this run owns, and every op
-        writes through it; the input is left as it was.  A buffer that
-        :meth:`readout` has just built is run on as it is.
+        writes through it; the input is left as it was.
         """
         if state.num_qubits != self.num_qubits:
             raise LayoutError(
                 f"{self.num_qubits}-qubit circuit applied to {state.num_qubits}-qubit state"
             )
-        if not isinstance(state, _Buffer):
-            state = _Buffer(state.num_qubits, state.amplitudes.copy())
-        return _run(_fuse_diagonals(self.ops, self.num_qubits), state)
+        return _run(_fuse_diagonals(self.ops, self.num_qubits), _Buffer(state.num_qubits, state.amplitudes.copy()))
 
     def state(self) -> StateVector:
         """``U|0...0>``, started from the product state where the gate list has one.
@@ -892,18 +883,17 @@ class Circuit:
         cover every qubit, the buffer after them holds the amplitude ``h``
         they give ``|0...0>`` everywhere, so it starts as ``h`` and the ops
         after the layers run as the steps :meth:`apply` makes of them, fused
-        once.  One step is special: where the first is a phase table, the
-        buffer starts as that table times ``h``, written once by
-        :meth:`_PhaseTable.fourier`, then its QFT if one on its register
-        comes next, and then a phase table on the same register right
-        after the QFT, such as the encoder's correction.  Any other circuit
-        runs its steps on ``zero_state(n)``.  The result is bit for bit that
-        of :meth:`apply` where the QFT's register has at most 15 qubits or
-        no QFT is built here.  Past that the transform is a 12-qubit FFT and
-        one doubling per lower qubit, whose twiddles are kept across calls,
-        with the table after it folded in, within a few ulps of
-        :meth:`apply` (``4 eps`` in the tests).  The ops run on the buffer
-        built here, never copied.
+        once.  It decides that front and the start: where the first step is
+        a phase table, the buffer starts as that table times ``h``, written
+        once by :meth:`_PhaseTable.fourier`, which is handed the next two
+        steps and takes those it builds in (its QFT, and past 15 qubits the
+        table after it, such as the encoder's correction).  The rest run
+        here.  Any other circuit runs its steps on ``zero_state(n)``.  The result is bit for bit that of :meth:`apply`
+        where the QFT's register has at most 15 qubits or no QFT is taken.
+        Past that the transform is a 12-qubit FFT and one doubling per lower
+        qubit, whose twiddles are kept across calls, with the table after it
+        folded in, within a few ulps of :meth:`apply` (``4 eps`` in the
+        tests).  The ops run on the buffer built here, never copied.
         """
         n = self.num_qubits
         check_capacity(n)
@@ -912,15 +902,10 @@ class Circuit:
             return _run(_fuse_diagonals(self.ops, n), _Buffer(n, zero_state(n).amplitudes))
         count, scale = front
         steps = _fuse_diagonals(self.ops[count:], n)
-        table, qft, after = (steps + [None] * 3)[:3]
-        if not isinstance(table, _PhaseTable):
+        if not (steps and isinstance(steps[0], _PhaseTable)):
             return _run(steps, _Buffer(n, np.full(1 << n, scale, dtype=np.complex128)))
-        if not (isinstance(qft, QftGate) and qft.register == table.register):
-            qft = after = None
-        elif not (isinstance(after, _PhaseTable) and after.register == table.register):
-            after = None
-        amps = table.fourier(n, scale, None if qft is None else qft.inverse, after)
-        return _run(steps[1 + (qft is not None) + (after is not None) :], _Buffer(n, amps))
+        amps, taken = steps[0].fourier(n, scale, steps[1:3])
+        return _run(steps[taken:], _Buffer(n, amps))
 
     def adjoint(self) -> "Circuit":
         return Circuit(self.num_qubits, tuple(op.adjoint() for op in reversed(self.ops)))
@@ -963,5 +948,7 @@ class Circuit:
         kets = [factor(i, heads[i]).state().amplitudes for i in range(2)]
         contracted = _stream(table, kets[0] * bra(0))
         if keep_keys:
-            return factor(1, tails[1][::-1]).apply(_Buffer(layout.key_width, kets[1] * contracted)).amplitudes
+            keys = factor(1, tails[1][::-1])
+            buffer = _Buffer(keys.num_qubits, kets[1] * contracted)
+            return _run(_fuse_diagonals(keys.ops, keys.num_qubits), buffer).amplitudes
         return complex(np.vecdot((kets[1] * bra(1)).conj(), contracted))

@@ -654,6 +654,10 @@ class TestOneBuffer:
         run = Circuit(n, (op,)).apply(state)
         assert np.array_equal(state.amplitudes, before)
         assert run.amplitudes.tobytes() == bare.amplitudes.tobytes()
+        # a run's own buffer type is an input like any other: apply copies it too
+        buffer = sim._Buffer(n, before.copy())
+        assert Circuit(n, (op,)).apply(buffer).amplitudes.tobytes() == bare.amplitudes.tobytes()
+        assert np.array_equal(buffer.amplitudes, before)
         # the run's result is a plain state: a bare op on it copies
         after_run = run.amplitudes.copy()
         op.apply(run)
@@ -1188,13 +1192,17 @@ class TestFourierFront:
         assert max_gap(circuit.state().amplitudes, expected) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("width", [3, 17])
-    @pytest.mark.parametrize("kind", ["table-on-another-register", "lone-diagonal"])
+    @pytest.mark.parametrize("kind", ["table-on-another-register", "lone-diagonal", "table-on-the-qft-register"])
     def test_other_ops_after_the_qft_run_through_apply(self, width, kind, monkeypatch):
-        # only a table on the QFT's register folds; anything else after the QFT is applied as in apply
+        # only a table on the QFT's register folds, and only past 15 qubits; anything else after
+        # the QFT, and that table up to 15 qubits, is the next step, applied as in apply
         rng = np.random.default_rng(width)
         n, reg = width + 2, Register(1, width)
         if kind == "table-on-another-register":
             after = PhaseLadder(Register(n - 1, 1), rng.uniform(-4, 4), (0,))
+            cls = sim._PhaseTable
+        elif kind == "table-on-the-qft-register":
+            after = PhaseLadder(reg, rng.uniform(-4, 4), (0,))
             cls = sim._PhaseTable
         else:
             after = DiagonalPhase(Register(n - 1, 1), rng.uniform(-4, 4, 2))
@@ -1211,7 +1219,8 @@ class TestFourierFront:
 
         monkeypatch.setattr(cls, "apply", spy)
         assert_near(circuit.state().amplitudes, expected, width)
-        assert len(calls) == 1
+        folded = kind == "table-on-the-qft-register" and width > 15
+        assert len(calls) == (0 if folded else 1)
 
 
 def _sub_register(reg, rng):
