@@ -154,11 +154,10 @@ def _cmd_interpolate(args) -> int:
             rows.append(("exact", result.exact_value))
         _print_report(rows, 10)
         return EXIT_OK
-    if args.t_steps < 1:
+    if args.t_steps is None or args.t_steps < 1:
         raise ParseError("sweep needs at least one step")
-    sweep = quantum_interpolate_sweep(
-        prep, args.t_start, args.t_stop, args.t_steps, domain, exact_fn
-    )
+    t_start = 0.0 if args.t_start is None else args.t_start
+    sweep = quantum_interpolate_sweep(prep, t_start, args.t_stop, args.t_steps, domain, exact_fn)
     _write_output(sweep_to_csv(sweep), args.csv)
     return EXIT_OK
 
@@ -174,6 +173,7 @@ def _cmd_dict(args) -> int:
 
 
 def _parse_config(text: str) -> dict[str, str]:
+    """The ``key = value`` lines of a sum config; an unknown key or one set twice is refused."""
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -181,8 +181,12 @@ def _parse_config(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ParseError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in ("n", "m", "scale", "domain", "poly", "poly_file", "weights", "hash"):
+            raise ParseError(f"config line {lineno}: unknown key {key!r}")
+        if key in entries:
+            raise ParseError(f"config line {lineno}: key {key!r} is already set")
+        entries[key] = value
     return entries
 
 
@@ -316,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     interp.add_argument("-m", "--value-qubits", type=int, required=True)
     interp.add_argument("-t", "--value", type=float, default=None)
-    interp.add_argument("--t-start", type=float, default=0.0)
+    interp.add_argument("--t-start", type=float, default=None)
     interp.add_argument("--t-stop", type=float, default=None)
-    interp.add_argument("--t-steps", type=int, default=0)
+    interp.add_argument("--t-steps", type=int, default=None)
     interp.add_argument("--domain", choices=sorted(_DOMAIN_NAMES), default="unsigned")
     interp.add_argument("--csv", default=None, help="sweep output file (default stdout)")
 
@@ -348,8 +352,12 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "interpolate" and args.value is None and args.t_stop is None:
-            parser.error("interpolate needs -t or a --t-start/--t-stop/--t-steps sweep")
+        if args.command == "interpolate":
+            swept = any(option is not None for option in (args.t_start, args.t_stop, args.t_steps, args.csv))
+            if args.value is None and args.t_stop is None:
+                parser.error("interpolate needs -t or a --t-start/--t-stop/--t-steps sweep")
+            if args.value is not None and swept:
+                parser.error("interpolate takes -t or a --t-start/--t-stop/--t-steps/--csv sweep, not both")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,4 +1,4 @@
-"""Deterministic SVG bar charts of quantum states.
+"""Deterministic SVG bar charts of quantum states, drawn straight from the amplitudes and never read back.
 
 Bar height is the amplitude magnitude (not the probability) and the fill hue
 is the amplitude's phase mapped onto the color wheel, so real positive
@@ -10,25 +10,10 @@ printed with 6 decimals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .sim import RegisterLayout, StateVector
 
 NOISE = 1e-12  # amplitude parts this small are round-off, not phase
-
-
-@dataclass(frozen=True)
-class ChartBar:
-    label: str
-    height: float
-    hue: float
-
-
-@dataclass(frozen=True)
-class ChartSpec:
-    bars: tuple[ChartBar, ...]
-    width: int
-    height: int
 
 
 def hue_of(amplitude: complex) -> float:
@@ -44,36 +29,26 @@ def hue_of(amplitude: complex) -> float:
     return (angle / (2.0 * math.pi)) * 360.0 % 360.0
 
 
-def chart_from_state(state: StateVector, layout: RegisterLayout | None = None) -> ChartSpec:
-    """One bar per basis state, labeled by index or by key:value pair, 14 px a bar and 320 px high."""
-    bars = []
-    for index, amplitude in enumerate(state.amplitudes.tolist()):
-        if layout is None:
-            label = str(index)
-        else:
-            key, value = layout.split_index(index)
-            label = f"{key}:{value}"
-        bars.append(ChartBar(label, abs(amplitude), hue_of(amplitude)))
-    return ChartSpec(tuple(bars), max(360, 14 * len(bars) + 80), 320)
-
-
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def render_svg(chart: ChartSpec) -> str:
-    """Render the chart; identical input yields byte-identical SVG."""
+def render_state_svg(state: StateVector, layout: RegisterLayout | None = None) -> str:
+    """One bar per basis state, labeled by index or by key:value pair, 14 px a bar and 320 px high."""
+    amplitudes = state.amplitudes.tolist()
+    count = len(amplitudes)
+    labels = [str(i) if layout is None else "%d:%d" % layout.split_index(i) for i in range(count)]
+    width, height = max(360, 14 * count + 80), 320
     left, right, top, bottom = 44.0, 16.0, 34.0, 42.0
-    plot_w = chart.width - left - right
-    plot_h = chart.height - top - bottom
-    count = len(chart.bars)
+    plot_w = width - left - right
+    plot_h = height - top - bottom
     slot = plot_w / count
     bar_w = slot * 0.8
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{chart.width}" height="{chart.height}" '
-        f'viewBox="0 0 {chart.width} {chart.height}">',
-        f'<rect x="0" y="0" width="{chart.width}" height="{chart.height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
 
     # frame and unit line
@@ -93,24 +68,22 @@ def render_svg(chart: ChartSpec) -> str:
         f'<text x="{_fmt(left - 6)}" y="{_fmt(base_y + 4)}" font-size="10" text-anchor="end">0.0</text>'
     )
 
-    for i, bar in enumerate(chart.bars):
-        h = min(max(bar.height, 0.0), 1.0) * plot_h
+    for i, (amplitude, label) in enumerate(zip(amplitudes, labels)):
+        h = min(abs(amplitude), 1.0) * plot_h
         x = left + i * slot + (slot - bar_w) / 2.0
         y = base_y - h
-        fill = f"hsl({_fmt(bar.hue)}, 85%, 50%)"
+        fill = f"hsl({_fmt(hue_of(amplitude))}, 85%, 50%)"
         parts.append(
             f'<rect class="bar" x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
-            f'height="{_fmt(h)}" fill="{fill}"><title>{bar.label}</title></rect>'
+            f'height="{_fmt(h)}" fill="{fill}"><title>{label}</title></rect>'
         )
 
     label_step = max(1, count // 32)
-    for i, bar in enumerate(chart.bars):
-        if i % label_step:
-            continue
+    for i in range(0, count, label_step):
         x = left + i * slot + slot / 2.0
         parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(base_y + 14)}" font-size="9" '
-            f'text-anchor="middle">{bar.label}</text>'
+            f'text-anchor="middle">{labels[i]}</text>'
         )
 
     # color-wheel legend: hue swatches across the top
@@ -132,6 +105,3 @@ def render_svg(chart: ChartSpec) -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def render_state_svg(state: StateVector, layout: RegisterLayout | None = None) -> str:
-    return render_svg(chart_from_state(state, layout))

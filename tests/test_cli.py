@@ -1,11 +1,22 @@
+import contextlib
+import io
+import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinterp import EncodingDomain, ParseError, QInterpError, cli, prepare_nu2, quantum_interpolate
 from qinterp.cli import main
-from qinterp.stateio import format_value, state_from_json
+from qinterp.stateio import format_value
+
+
+def dumped_amplitudes(text):
+    """The amplitudes of a JSON state dump, as a complex array."""
+    return np.array([complex(re, im) for re, im in json.loads(text)["amplitudes"]])
+
 
 DEMO_POLY_TEXT = "0.725: 1\n2.451: k1\n2.716: k2\n1.321: k0*k2\n"
 
@@ -20,8 +31,7 @@ class TestEncode:
     def test_json_to_stdout(self, capsys):
         code, out, _ = run(capsys, "encode", "-m", "3", "-t", "4")
         assert code == 0
-        state, _ = state_from_json(out)
-        assert state.probability(4) > 1 - 1e-12
+        assert abs(dumped_amplitudes(out)[4]) ** 2 > 1 - 1e-12
 
     def test_svg_output_file(self, tmp_path, capsys):
         path = tmp_path / "chart.svg"
@@ -79,8 +89,7 @@ class TestEncode:
     def test_twos_complement_flag(self, capsys):
         code, out, _ = run(capsys, "encode", "-m", "3", "-t", "-4", "--domain", "twos")
         assert code == 0
-        state, _ = state_from_json(out)
-        assert state.probability(4) > 1 - 1e-12
+        assert abs(dumped_amplitudes(out)[4]) ** 2 > 1 - 1e-12
 
 
 class TestInterpolate:
@@ -241,6 +250,26 @@ class TestInterpolate:
         code, _, _ = run(capsys, "interpolate", "--source", "nu2", "-m", "3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [["--t-stop", "5", "--t-steps", "4"], ["--t-start", "0"], ["--t-stop", "5"], ["--t-steps", "4"],
+         ["--csv", "-"]],
+        ids=["sweep", "t-start", "t-stop", "t-steps", "csv"],
+    )  # fmt: skip
+    def test_point_with_sweep_options_exits_2(self, capsys, sweep):
+        code, out, err = run(capsys, "interpolate", "--source", "nu2", "-m", "3", "-t", "2", *sweep)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ") and err.endswith("not both\n")
+
+    def test_sweep_starts_at_zero_by_default(self, capsys):
+        common = ["interpolate", "--source", "nu2", "-m", "3", "--t-stop", "5", "--t-steps", "4"]
+        assert run(capsys, *common) == run(capsys, *common, "--t-start", "0")
+
+    @pytest.mark.parametrize("steps", [[], ["--t-steps", "0"]], ids=["no-steps", "zero-steps"])
+    def test_sweep_needs_a_step(self, capsys, steps):
+        code, out, err = run(capsys, "interpolate", "--source", "nu2", "-m", "3", "--t-stop", "5", *steps)
+        assert (code, out, err) == (2, "", "error: sweep needs at least one step\n")
+
 
 class TestDict:
     def test_svg_chart(self, tmp_path, capsys):
@@ -275,8 +304,7 @@ class TestDict:
         poly.write_text("4: 1\n")
         code, out, _ = run(capsys, "dict", str(poly), "-n", "2", "-m", "3", "--out", "json")
         assert code == 0
-        state, layout = state_from_json(out)
-        nonzero = np.flatnonzero(state.probabilities() > 1e-12)
+        nonzero = np.flatnonzero(np.abs(dumped_amplitudes(out)) ** 2 > 1e-12)
         assert len(nonzero) == 4  # one pair per key
 
     def test_range_error_names_key(self, tmp_path, capsys):
@@ -431,6 +459,22 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ")
         return code, err
+
+    @pytest.mark.parametrize(
+        "extra, lineno, key",
+        [("wieghts = 1 0 0 0\n", 4, "wieghts"), ("# comment\n\nN = 2\n", 6, "N"), ("= 3\n", 4, "")],
+        ids=["misspelled", "case", "empty"],
+    )
+    def test_unknown_config_key(self, tmp_path, capsys, extra, lineno, key):
+        code, err = self.sum_error(tmp_path, capsys, extra)
+        assert code == 2
+        assert err == f"error: config line {lineno}: unknown key {key!r}\n"
+
+    @pytest.mark.parametrize("extra, key", [("n = 2\n", "n"), ("weights = sin2\nweights = 1 0 0 0\n", "weights")])
+    def test_repeated_config_key(self, tmp_path, capsys, extra, key):
+        code, err = self.sum_error(tmp_path, capsys, extra)
+        assert code == 2
+        assert err == f"error: config line {3 + extra.count(chr(10))}: key {key!r} is already set\n"
 
     def test_non_integer_scale(self, tmp_path, capsys):
         code, err = self.sum_error(tmp_path, capsys, "scale = abc\n")
@@ -682,3 +726,131 @@ class TestUsage:
             main(argv)
         assert cli._parser() is first
         assert cli._parser.cache_info().misses == 1
+
+
+def mostly(usual, odd):
+    """Draws from ``odd`` about one time in eight and from ``usual`` otherwise.
+
+    The odd branch sits on a middle integer, since hypothesis favours the ends of a range.
+    """
+    return st.integers(0, 7).flatmap(lambda i: odd if i == 5 else usual)
+
+
+WIDTHS = mostly(st.sampled_from(["1", "2", "3", "4"]), st.sampled_from(["-1", "0", "25", "40"]))  # none valid is wide
+NUMBERS = mostly(
+    st.sampled_from(["0", "1", "2.5", "-2", "7", "-1e-17", "1e-300"]),
+    st.sampled_from(["inf", "-inf", "nan", "-INFINITY", "1e400", "-1e400", "x", ""]),
+)
+DOMAINS = st.sampled_from(["unsigned", "twos", "twos_complement"])
+MONOMIALS = mostly(
+    st.sampled_from(["1", "k0", "k1", "k0*k1", "k01", "k3*k0"]), st.sampled_from(["k99999999999999999999", "q0", ""])
+)
+BOM = "\ufeff"
+
+
+@st.composite
+def polynomial_text(draw, separator="\n"):
+    terms = draw(st.lists(st.tuples(NUMBERS, MONOMIALS), min_size=1, max_size=3))
+    return separator.join(f"{c}: {monomial}" for c, monomial in terms)
+
+
+@st.composite
+def vector_text(draw, builtins):
+    """A builtin name, or a list of tokens whose length may match a register of 1 to 4 qubits."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(builtins))
+    return " ".join(draw(st.lists(NUMBERS, min_size=draw(st.sampled_from([1, 2, 4, 8, 16])), max_size=16)))
+
+
+@st.composite
+def config_text(draw):
+    """Sum config text: n, m and a polynomial most often, then other, unknown and repeated keys in any order."""
+    values = {
+        "n": WIDTHS,
+        "m": WIDTHS,
+        "poly": polynomial_text("; "),
+        "poly_file": st.just("sum.poly"),
+        "scale": st.sampled_from(["1", "2", "0", "-3", "1.5", "abc", "9" * 400]),
+        "domain": st.sampled_from(["unsigned", "twos", "twos_complement", "signed"]),
+        "weights": vector_text(["uniform", "sin2"]),
+        "hash": vector_text(["identity", "uniform"]),
+        "wieghts": vector_text(["uniform"]),
+        "N": WIDTHS,
+    }
+    required = ("n", "m", draw(st.sampled_from(["poly", "poly_file"])))
+    keys = [key for key in required if draw(mostly(st.just(True), st.just(False)))]
+    others = mostly(st.sampled_from(["scale", "domain", "weights", "hash"]), st.sampled_from(sorted(values)))
+    keys += draw(st.lists(others, max_size=2))
+    lines = [f"{key} = {draw(values[key])}" for key in draw(st.permutations(keys))]
+    return (BOM if draw(st.booleans()) else "") + "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def grammar_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("grammar")
+
+
+class TestGrammar:
+    """Any argv of the grammar's tokens exits 0, 2 or 3, and each refusal is one ``error:`` line.
+
+    An exit 2 may instead be argparse's own usage message.  Widths come from
+    a set in which no valid register is wide, so each example takes milliseconds.
+    """
+
+    def check(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3), (argv, code, err)
+        if code == 3 or (code == 2 and not err.startswith("usage:")):
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, code, err)
+
+    def write(self, directory, name, text):
+        path = directory / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @settings(max_examples=150)
+    @given(m=WIDTHS, t=NUMBERS, domain=DOMAINS, flags=st.sets(st.sampled_from(["--phase-correct", "svg"])))
+    def test_encode(self, m, t, domain, flags):
+        argv = ["encode", "-m", m, "-t", t, "--domain", domain]
+        argv += ["--phase-correct"] * ("--phase-correct" in flags) + ["--out", "svg"] * ("svg" in flags)
+        self.check(argv)
+
+    @settings(max_examples=150)
+    @given(
+        m=WIDTHS, source=st.sampled_from(["nu2", "lambda", "table"]), table=st.lists(NUMBERS, max_size=16),
+        form=mostly(st.sampled_from(["point", "sweep"]), st.sampled_from(["both", "neither"])), t=NUMBERS,
+        domain=DOMAINS, start=st.none() | NUMBERS, stop=mostly(NUMBERS, st.none()),
+        steps=mostly(st.sampled_from(["1", "4", "16"]), st.sampled_from([None, "-1", "0", "2.5", "10000000000"])),
+        csv=st.booleans(),
+    )  # fmt: skip
+    def test_interpolate(self, grammar_dir, m, source, table, form, t, domain, start, stop, steps, csv):
+        if source == "table":
+            source = self.write(grammar_dir, "table.txt", " ".join(table) + "\n")
+        argv = ["interpolate", "--source", source, "-m", m, "--domain", domain]
+        if form in ("point", "both"):
+            argv += ["-t", t]
+        if form in ("sweep", "both"):
+            for option, value in [("--t-start", start), ("--t-stop", stop), ("--t-steps", steps)]:
+                argv += [] if value is None else [option, value]
+            argv += ["--csv", "-"] * csv
+        self.check(argv)
+
+    @settings(max_examples=150)
+    @given(
+        n=WIDTHS, m=WIDTHS, poly=polynomial_text(), bom=st.booleans(), domain=DOMAINS,
+        flags=st.sets(st.sampled_from(["--prime", "svg"])),
+    )  # fmt: skip
+    def test_dict(self, grammar_dir, n, m, poly, bom, domain, flags):
+        path = self.write(grammar_dir, "dict.poly", (BOM if bom else "") + poly + "\n")
+        argv = ["dict", path, "-n", n, "-m", m, "--domain", domain]
+        argv += ["--prime"] * ("--prime" in flags) + ["--out", "svg"] * ("svg" in flags)
+        self.check(argv)
+
+    @settings(max_examples=150)
+    @given(text=config_text(), poly=polynomial_text())
+    def test_sum(self, grammar_dir, text, poly):
+        self.write(grammar_dir, "sum.poly", poly + "\n")
+        self.check(["sum", self.write(grammar_dir, "sum.cfg", text)])

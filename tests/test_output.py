@@ -3,14 +3,12 @@ import math
 import re
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qinterp import (
     Circuit,
     HadamardLayer,
-    ParseError,
     PhaseLadder,
     Register,
     RegisterLayout,
@@ -19,16 +17,8 @@ from qinterp import (
     zero_state,
 )
 from qinterp.patterns import Sweep, prepare_lambda, quantum_interpolate, quantum_interpolate_sweep
-from qinterp.stateio import (
-    ROUND_OFF,
-    format_value,
-    state_from_json,
-    state_to_dict,
-    state_to_json,
-    sweep_to_csv,
-    table_to_csv,
-)
-from qinterp.svgchart import ChartSpec, chart_from_state, hue_of, render_state_svg, render_svg
+from qinterp.stateio import ROUND_OFF, format_value, state_to_json, sweep_to_csv, table_to_csv
+from qinterp.svgchart import hue_of, render_state_svg
 
 HSL_RE = re.compile(r'class="bar"[^>]*fill="hsl\(([0-9.]+), 85%, 50%\)"')
 
@@ -41,7 +31,8 @@ def circular_hue_distance(a, b):
 class TestStateJson:
     def test_schema(self):
         layout = RegisterLayout(2, 3)
-        data = state_to_dict(zero_state(5), layout)
+        data = json.loads(state_to_json(zero_state(5), layout))
+        assert list(data) == ["num_qubits", "key_width", "value_width", "amplitudes"]
         assert data["num_qubits"] == 5
         assert data["key_width"] == 2
         assert data["value_width"] == 3
@@ -49,56 +40,14 @@ class TestStateJson:
         assert data["amplitudes"][0] == [1.0, 0.0]
 
     def test_roundtrip(self):
+        # JSON prints each float in its shortest repr, which reads back exactly
         rng = np.random.default_rng(0)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
-        state = StateVector(4, amps)
-        text = state_to_json(state)
-        back, layout = state_from_json(text)
-        assert layout is None
-        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-15
-
-    def test_malformed_json(self):
-        with pytest.raises(ParseError):
-            state_from_json("{not json")
-        with pytest.raises(ParseError):
-            state_from_json("{}")
-
-    @pytest.mark.parametrize("field", ["key_width", "value_width"])
-    @pytest.mark.parametrize("bad", ["abc", None, 1.5, True])
-    def test_non_integer_width_is_parse_error(self, field, bad):
-        data = state_to_dict(zero_state(2), RegisterLayout(1, 1))
-        data[field] = bad
-        with pytest.raises(ParseError):
-            state_from_json(json.dumps(data))
-
-    def test_widths_must_sum_to_qubit_count(self):
-        data = state_to_dict(zero_state(1))
-        data["key_width"] = 1
-        data["value_width"] = 1
-        with pytest.raises(ParseError, match="num_qubits"):
-            state_from_json(json.dumps(data))
-
-    @pytest.mark.parametrize("widths", [(0, 2), (2, 0), (-1, 3)])
-    def test_widths_below_one_are_parse_errors(self, widths):
-        data = state_to_dict(zero_state(2))
-        data["key_width"], data["value_width"] = widths
-        with pytest.raises(ParseError, match=">= 1"):
-            state_from_json(json.dumps(data))
-
-    @pytest.mark.parametrize("num_qubits", [0, -1])
-    def test_qubit_count_below_one_is_parse_error(self, num_qubits):
-        data = state_to_dict(zero_state(1))
-        data["num_qubits"] = num_qubits
-        with pytest.raises(ParseError):
-            state_from_json(json.dumps(data))
-
-    @pytest.mark.parametrize("count", [1, 3, 8])
-    def test_amplitude_count_must_match_qubits(self, count):
-        data = state_to_dict(zero_state(2))
-        data["amplitudes"] = [[1.0, 0.0]] + [[0.0, 0.0]] * (count - 1)
-        with pytest.raises(ParseError):
-            state_from_json(json.dumps(data))
+        data = json.loads(state_to_json(StateVector(4, amps)))
+        assert list(data) == ["num_qubits", "amplitudes"]
+        back = np.array([complex(re, im) for re, im in data["amplitudes"]])
+        assert np.array_equal(back, amps)
 
 
 def csv_from_rows(header, rows):
@@ -255,14 +204,8 @@ class TestSvg:
         assert set(HSL_RE.findall(svg)) == {"0.000000", "180.000000"}
 
     def test_key_value_labels(self):
-        layout = RegisterLayout(2, 3)
-        chart = chart_from_state(zero_state(5), layout)
-        assert chart.bars[0].label == "0:0"
-        assert chart.bars[9].label == "1:1"
-        assert len(chart.bars) == 32
-
-    def test_render_custom_spec(self):
-        spec = ChartSpec(tuple(chart_from_state(zero_state(2)).bars), 400, 300)
-        svg = render_svg(spec)
-        assert svg.startswith("<svg ")
-        assert svg.rstrip().endswith("</svg>")
+        svg = render_state_svg(zero_state(5), RegisterLayout(2, 3))
+        labels = re.findall(r"<title>([^<]*)</title>", svg)
+        assert len(labels) == 32
+        assert labels[0] == "0:0"
+        assert labels[9] == "1:1"
