@@ -31,7 +31,6 @@ from .sim import (
     zero_state,
 )
 from .encoding import (
-    ValueEncoding,
     encode_value,
     encode_value_real,
     phase_correction_circuit,

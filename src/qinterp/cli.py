@@ -245,19 +245,20 @@ def _load_sum_config(path: str):
     }
     weights = _config_vector(entries.get("weights", "uniform"), n, weight_builtins)
     hashes = _config_vector(entries.get("hash", "identity"), m, hash_builtins)
-    if scale != 1 and entries.get("hash", "identity") != "identity":
-        raise ParseError("coefficient scaling is only meaningful with the identity hash")
     return scale, domain, poly, weights, hashes
 
 
 def _cmd_sum(args) -> int:
     scale, domain, poly, weights, hashes = _load_sum_config(args.config)
+    identity = np.array_equal(hashes, np.arange(hashes.size, dtype=np.float64))  # by value, however spelt
+    if scale != 1 and not identity:
+        raise ParseError("coefficient scaling is only meaningful with the identity hash")
     encoded = poly if scale == 1 else poly.scaled(scale)
     amplitude = total = classical = 0.0  # all-zero weights: every number is 0, with no vector to normalize
     if np.any(weights):
         amplitude, total = weighted_sum(weights, encoded, hashes, domain)
         total = total / scale
-        if np.array_equal(hashes, np.arange(hashes.size, dtype=np.float64)):  # the identity hash
+        if identity:
             classical = direct_weighted_identity_sum(weights, poly)
         else:
             classical = direct_weighted_sum(weights, poly, hashes)

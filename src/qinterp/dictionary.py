@@ -39,6 +39,8 @@ class BinaryPolynomial:
         if self.num_vars < 1:
             raise DomainError("polynomial needs at least one variable")
         for mask in self.terms:
+            if not isinstance(mask, (int, np.integer)):
+                raise DomainError(f"term mask {mask!r} is not an integer")
             if not 0 <= mask < (1 << self.num_vars):
                 raise DomainError(f"term mask {mask} outside {self.num_vars} variables")
         object.__setattr__(self, "terms", {int(m): float(c) for m, c in self.terms.items()})

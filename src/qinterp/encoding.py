@@ -16,11 +16,9 @@ of :mod:`qinterp.dictionary` share one builder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .kernels import INTEGER_TOLERANCE, EncodingDomain, normalize_to_domain
 from .sim import (
     Circuit,
@@ -33,41 +31,6 @@ from .sim import (
     Register,
     StateVector,
 )
-
-
-@dataclass(frozen=True)
-class ValueEncoding:
-    """Parameters of one scalar encoding: register width, target, domain."""
-
-    width: int
-    target: float
-    domain: EncodingDomain = EncodingDomain.UNSIGNED
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise DomainError("value register needs at least one qubit")
-        normalize_to_domain(self.target, self.domain, self.modulus)  # validates membership
-
-    @property
-    def modulus(self) -> int:
-        return 1 << self.width
-
-    @property
-    def normalized_target(self) -> float:
-        """The target mapped into [0, M).
-
-        Within ``INTEGER_TOLERANCE`` of an integer it is that integer mod M,
-        as in the kernel row and the dictionary's correction table, so
-        round-off never flips the sign of the encoded amplitudes.
-        """
-        t = normalize_to_domain(self.target, self.domain, self.modulus)
-        nearest = round(t)
-        return float(nearest % self.modulus) if abs(t - nearest) < INTEGER_TOLERANCE else t
-
-    @property
-    def theta(self) -> float:
-        """Ladder angle ``2 pi t / M`` for the normalized target."""
-        return 2.0 * math.pi * self.normalized_target / self.modulus
 
 
 def encoder_ops(register: Register, constant: float | None, masks=(), values=()) -> list[Operation]:
@@ -109,9 +72,23 @@ def correction_ops(register: Register, value, keys: Register | None = None) -> l
     ]
 
 
+def _normalized_target(width: int, t: float, domain: EncodingDomain) -> float:
+    """``t`` checked against the domain and mapped into [0, M).
+
+    Within ``INTEGER_TOLERANCE`` of an integer it is that integer mod M, as
+    in the kernel row and the dictionary's correction table, so round-off
+    never flips the sign of the encoded amplitudes.
+    """
+    modulus = 1 << width
+    target = normalize_to_domain(t, domain, modulus)
+    nearest = round(target)
+    return float(nearest % modulus) if abs(target - nearest) < INTEGER_TOLERANCE else target
+
+
 def _scalar_ops(width: int, t: float, domain: EncodingDomain) -> tuple[list[Operation], list[Operation]]:
     """The encoder and correction gate lists of ``t``: one uncontrolled term."""
-    register, target = Register(0, width), ValueEncoding(width, t, domain).normalized_target
+    register = Register(0, width)
+    target = _normalized_target(width, t, domain)
     return encoder_ops(register, target), correction_ops(register, target)
 
 

@@ -189,8 +189,8 @@ class SampledSignal:
             raise DomainError("signal needs at least one sample")
         if not np.all(np.isfinite(samples)):
             raise DomainError("signal samples must be finite")
-        if not self.interval_length > 0:
-            raise DomainError("interval length must be positive")
+        if not 0 < self.interval_length < np.inf:
+            raise DomainError("interval length must be positive and finite")
         object.__setattr__(self, "samples", samples)
 
     @property

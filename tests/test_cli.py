@@ -370,6 +370,24 @@ class TestSum:
         values = {line.split()[0]: float(line.split()[1]) for line in out.strip().splitlines()}
         assert abs(values["sum"] - 15.9186) < 5e-2
 
+    def test_identity_hash_is_recognised_by_its_values(self, tmp_path, capsys):
+        results = []
+        for hashes in ("identity", "0 1 2 3 4 5 6 7"):
+            config = tmp_path / "sum.cfg"
+            config.write_text(
+                f"n = 2\nm = 3\nscale = 2\nweights = 1 2 3 4\nhash = {hashes}\npoly = 1: 1; 0.5: k0; 1: k1\n"
+            )
+            results.append(run(capsys, "sum", str(config)))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+
+    def test_scale_needs_the_identity_hash(self, tmp_path, capsys):
+        config = tmp_path / "sum.cfg"
+        config.write_text("n = 2\nm = 3\nscale = 2\nhash = 0 1 2 3 4 5 6 6\npoly = 1: 1; 0.5: k0; 1: k1\n")
+        code, out, err = run(capsys, "sum", str(config))
+        assert (code, out) == (2, "")
+        assert err == "error: coefficient scaling is only meaningful with the identity hash\n"
+
     def test_zero_weights(self, tmp_path, capsys):
         config = tmp_path / "sum.cfg"
         config.write_text("n = 2\nm = 3\nweights = 0 0 0 0\nhash = identity\npoly = 1.0: 1\n")

@@ -64,6 +64,10 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             BinaryPolynomial(2, {0b100: 1.0})
 
+    def test_mask_must_be_an_integer(self):
+        with pytest.raises(DomainError, match=r"^term mask 1\.5 is not an integer$"):
+            BinaryPolynomial(2, {1.5: 1.0})
+
 
 class TestFromTable:
     def test_constant_table(self):

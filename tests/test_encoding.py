@@ -11,7 +11,6 @@ from qinterp import (
     HadamardLayer,
     PhaseLadder,
     Register,
-    ValueEncoding,
     encode_value,
     encode_value_real,
     fejer_kernel_row,
@@ -20,6 +19,7 @@ from qinterp import (
     value_encoding_circuit,
     zero_state,
 )
+from qinterp.encoding import _normalized_target
 
 TWOS = EncodingDomain.TWOS_COMPLEMENT
 
@@ -219,19 +219,15 @@ class TestEncodePeak:
 
 
 class TestValueEncoding:
-    def test_theta(self):
-        enc = ValueEncoding(3, 4)
-        assert abs(enc.theta - math.pi) < 1e-15
+    """The target the scalar encoders write, from ``_normalized_target``."""
 
     def test_normalization(self):
-        enc = ValueEncoding(3, -4, TWOS)
-        assert enc.normalized_target == 4.0
-        assert enc.modulus == 8
+        assert _normalized_target(3, -4, TWOS) == 4.0
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
-            ValueEncoding(3, 8.0)
+            _normalized_target(3, 8.0, EncodingDomain.UNSIGNED)
 
     def test_negative_round_off_encodes_zero(self):
-        assert ValueEncoding(3, -1e-17).normalized_target == 0.0
+        assert _normalized_target(3, -1e-17, EncodingDomain.UNSIGNED) == 0.0
         assert np.array_equal(encode_value_real(3, -1e-17).amplitudes, encode_value_real(3, 0).amplitudes)

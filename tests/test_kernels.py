@@ -167,6 +167,10 @@ class TestClassicalInterpolate:
         with pytest.raises(DomainError):
             SampledSignal(np.ones(4), 0.0)
 
+    def test_interval_length_must_be_finite(self):
+        with pytest.raises(DomainError, match="interval length must be positive and finite"):
+            SampledSignal(np.ones(4), math.inf)
+
 
 class TestDft:
     """The DFT oracle of the Fourier gate, ``scalar_oracles.dft_matrix``, against the DFT's identities."""

@@ -10,7 +10,7 @@ from qinterp.repro import build_cases, format_report, run_cases, write_artifacts
 def readouts(monkeypatch):
     """Counts the readouts that repro's cases run, by function name."""
     calls = Counter()
-    for name in ("quantum_interpolate", "generalized_inner_product"):
+    for name in ("quantum_interpolate", "weighted_sum"):
         original = getattr(repro, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -33,6 +33,11 @@ class TestCases:
                 assert not case.asserted
                 assert case.tolerance is None
 
+    def test_case_without_tolerance_is_a_ref_row(self):
+        case = repro.ReproCase("ref-x", "a case without a tolerance", lambda: 2.0, 1.0, None, "reported")
+        assert not case.asserted
+        assert repro.ReproResult(case, 2.0).status == "REF"
+
     def test_hardware_rows_present(self):
         ids = {case.case_id for case in build_cases()}
         assert {
@@ -50,9 +55,9 @@ class TestCases:
 
     def test_shared_readouts_run_once_per_run(self, readouts):
         run_cases()
-        assert readouts == {"quantum_interpolate": 2, "generalized_inner_product": 1}
+        assert readouts == {"quantum_interpolate": 2, "weighted_sum": 3}
         run_cases()
-        assert readouts == {"quantum_interpolate": 4, "generalized_inner_product": 2}
+        assert readouts == {"quantum_interpolate": 4, "weighted_sum": 6}
 
     def test_filter_runs_only_the_readouts_it_selects(self, readouts):
         run_cases("interp-nu2*")

@@ -61,9 +61,17 @@ CHILD = r"""
 import json, sys
 import numpy as np
 from qinterp import EncodingDomain, zero_state
-from qinterp.encoding import ValueEncoding, real_encoding_circuit, value_encoding_circuit
+from qinterp.encoding import real_encoding_circuit, value_encoding_circuit
+from qinterp.kernels import INTEGER_TOLERANCE, normalize_to_domain
 
 eps = float(np.finfo(float).eps)
+
+
+def normalized(width, t, domain):  # the target the encoder writes: t in [0, M), snapped to an integer
+    modulus = 1 << width
+    t = normalize_to_domain(t, domain, modulus)
+    nearest = round(t)
+    return float(nearest % modulus) if abs(t - nearest) < INTEGER_TOLERANCE else t
 
 
 def readout_row(cell):
@@ -106,7 +114,7 @@ for case in map(json.loads, sys.stdin):
     rows = []
     for name, t in case["targets"]:
         domain = EncodingDomain[name]
-        row = {"domain": name, "target": t, "normalized": ValueEncoding(width, t, domain).normalized_target}
+        row = {"domain": name, "target": t, "normalized": normalized(width, t, domain)}
         for label, build in (("raw", value_encoding_circuit), ("corrected", real_encoding_circuit)):
             circuit = build(width, t, domain)
             expected = circuit.apply(zero_state(width)).amplitudes

@@ -12,11 +12,12 @@
 #
 # The set covers interpolate points and sweeps (nu2, lambda and table sources,
 # both domains, m=6 and m=12, one m=16 point, and a sweep whose points pass the
-# float range), seventeen sum configs (one at m=16, a sparse one at the 24-qubit
+# float range), eighteen sum configs (one at m=16, a sparse one at the 24-qubit
 # cap, a dense (8, 4) one whose 256 terms come from a poly_file, one with a
 # single controlled term, one whose weights' squares overflow, one whose
 # variable index is past any count, one of all-zero weights, one of an
-# all-zero hash and one that starts with a UTF-8 byte-order mark), encode,
+# all-zero hash, one that scales a hash spelt out as 0 1 ... 7, the identity,
+# and one that starts with a UTF-8 byte-order mark), encode,
 # dict (JSON and SVG; one of a single controlled term, plain and F', one
 # spelled with k01 and k0*k0, plain and F', one of that huge index, and one
 # F' of one key qubit and 16 value qubits) and repro with its artifacts.
@@ -85,6 +86,8 @@ configs = {
     "huge-index": "n = 2\nm = 3\npoly = 1: k99999999999999999999\n",
     "zero-weights": "n = 2\nm = 3\nweights = 0 0 0 0\npoly = 1: 1; 2: k0; 3: k1\n",
     "zero-hash": "n = 2\nm = 3\nhash = 0 0 0 0 0 0 0 0\npoly = 1: 1; 2: k0; 3: k1\n",
+    "explicit-identity-scaled": "n = 2\nm = 3\nscale = 2\nweights = 1 2 3 4\nhash = 0 1 2 3 4 5 6 7\n"
+    "poly = 1: 1; 0.5: k0; 1: k1\n",
 }
 # a 16-qubit value register: the readout's phase table is streamed in slices of its register
 wide = poly_text(2, range(4), [float(v) for v in np.r_[30000.0, rng.uniform(-9000, 9000, 3)]])
