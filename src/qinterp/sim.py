@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +184,11 @@ def _require_controls(state: StateVector, controls: tuple[int, ...], register: R
             raise LayoutError(f"control qubit {q} out of range")
         if register is not None and q in register.qubits():
             raise LayoutError(f"control qubit {q} overlaps the target register")
+
+
+def _word(masks) -> int:
+    """The bitwise or of many-term ladder masks, one or an array of them, read as an unsigned 64-bit word."""
+    return int(np.bitwise_or.reduce(masks, axis=None)) % (1 << 64)
 
 
 def _register_view(amps: np.ndarray, register: Register) -> np.ndarray:
@@ -390,8 +396,8 @@ class PhaseLadder(Operation):
     def apply(self, state: StateVector) -> StateVector:
         _require_register(state, self.register)
         table = _fuse((self,), self.register, state.num_qubits)
-        if table is None:  # a control does not fit: name the first, reading a mask as a 64-bit word
-            rows = (tuple(q for q in range(64) if int(mask) >> q & 1) for mask in self.controls)
+        if table is None:  # a control does not fit: name the first
+            rows = (tuple(q for q in range(64) if word >> q & 1) for word in map(_word, self.controls))
             for controls in rows if isinstance(self.theta, np.ndarray) else [self.controls]:
                 _require_controls(state, controls, self.register)
         return table.apply(state)
@@ -768,54 +774,42 @@ def _stream(table: _PhaseTable, x: np.ndarray) -> np.ndarray:
     return out
 
 
+_KINDS = (HadamardLayer, PhaseLadder, ControlledPhase, DiagonalPhase, QftGate, StatePrep)
+
+
 def _home(op: Operation, registers: tuple[Register, ...]) -> int | None:
     """Index of the register that holds every qubit of ``op``; None if none does.
 
-    A global phase acts on no qubit and stays in the first register.  An op
-    kind not known here counts as acting on every register.
+    The qubits are read from the op's fields: its ``register``, and its
+    ``controls`` as qubit numbers or as masks read by :func:`_word`.  An op
+    with neither, a global phase, has the empty span and stays in the first
+    register.  An op kind not known here counts as acting on every register.
     """
-    if isinstance(op, ControlledPhase):
-        if not op.controls:
-            return 0
-        lo, hi = min(op.controls), max(op.controls)
-    elif isinstance(op, (HadamardLayer, PhaseLadder, DiagonalPhase, QftGate, StatePrep)):
-        lo, hi = op.register.offset, op.register.offset + op.register.width - 1
-        if isinstance(op, PhaseLadder) and isinstance(op.theta, np.ndarray):  # masks read as 64-bit words
-            used = int(np.bitwise_or.reduce(op.controls)) % (1 << 64) or 1 << lo
-            lo, hi = min(lo, (used & -used).bit_length() - 1), max(hi, used.bit_length() - 1)
-        elif isinstance(op, PhaseLadder) and op.controls:
-            lo, hi = min(lo, *op.controls), max(hi, *op.controls)
-    else:
+    if not isinstance(op, _KINDS):
         return None
+    reg, controls = op.__dict__.get("register"), op.__dict__.get("controls", ())
+    lo, hi = (math.inf, -1) if reg is None else (reg.offset, reg.offset + reg.width - 1)
+    if isinstance(controls, np.ndarray):  # the masks' lowest and highest set bit
+        used = _word(controls)
+        controls = ((used & -used).bit_length() - 1, used.bit_length() - 1) if used else ()
+    if controls:
+        lo, hi = min(lo, *controls), max(hi, *controls)
     for i, reg in enumerate(registers):
         if reg.offset <= lo and hi < reg.offset + reg.width:
             return i
     return None
 
 
-def _local_prefix(ops, registers: tuple[Register, ...]) -> tuple[list[list[Operation]], int]:
-    """The leading ops that each act inside one register, grouped by register, and their count."""
-    groups: list[list[Operation]] = [[] for _ in registers]
-    for count, op in enumerate(ops):
-        home = _home(op, registers)
-        if home is None:
-            return groups, count
-        groups[home].append(op)
-    return groups, len(ops)
-
-
 def _lowered(op: Operation, offset: int) -> Operation:
-    """``op`` with every qubit lowered by ``offset``: the same gate on its register's factor."""
+    """``op`` with every qubit of its ``register`` and ``controls`` fields lowered by ``offset``."""
     if offset == 0:
         return op
-    if isinstance(op, ControlledPhase):
-        return op._derived(controls=tuple(q - offset for q in op.controls))
-    register = Register(op.register.offset - offset, op.register.width)
-    if isinstance(op, PhaseLadder):
-        many = isinstance(op.theta, np.ndarray)
-        controls = op.controls >> offset if many else tuple(q - offset for q in op.controls)
-        return op._derived(register=register, controls=controls)
-    return op._derived(register=register)
+    reg, controls, fields = op.__dict__.get("register"), op.__dict__.get("controls"), {}
+    if reg is not None:
+        fields["register"] = Register(reg.offset - offset, reg.width)
+    if controls is not None:
+        fields["controls"] = controls >> offset if isinstance(controls, np.ndarray) else tuple(q - offset for q in controls)
+    return op._derived(**fields)
 
 
 def _run(steps, buffer: _Buffer) -> StateVector:
@@ -841,12 +835,9 @@ def _hadamard_front(ops, num_qubits: int) -> tuple[int, float] | None:
         if count == len(ops) or not isinstance(ops[count], HadamardLayer):
             return None
         reg = ops[count].register
-        if reg.offset + reg.width > num_qubits:
-            return None
-        bits = (reg.size - 1) << reg.offset
-        if covered & bits:
-            return None
-        covered |= bits
+        if reg.offset + reg.width > num_qubits or covered >> reg.offset & (reg.size - 1):
+            return None  # past the width, tested first so that no huge register is shifted, or overlapping
+        covered |= (reg.size - 1) << reg.offset
         for q in range(0, reg.width, _HADAMARD_BLOCK):
             scale *= float(_HADAMARD_MATRICES[min(_HADAMARD_BLOCK, reg.width - q)][0, 0])
         count += 1
@@ -871,9 +862,7 @@ class Circuit:
         writes through it; the input is left as it was.
         """
         if state.num_qubits != self.num_qubits:
-            raise LayoutError(
-                f"{self.num_qubits}-qubit circuit applied to {state.num_qubits}-qubit state"
-            )
+            raise LayoutError(f"{self.num_qubits}-qubit circuit applied to {state.num_qubits}-qubit state")
         return _run(_fuse_diagonals(self.ops, self.num_qubits), _Buffer(state.num_qubits, state.amplitudes.copy()))
 
     def state(self) -> StateVector:
@@ -888,8 +877,9 @@ class Circuit:
         once by :meth:`_PhaseTable.fourier`, which is handed the next two
         steps and takes those it builds in (its QFT, and past 15 qubits the
         table after it, such as the encoder's correction).  The rest run
-        here.  Any other circuit runs its steps on ``zero_state(n)``.  The result is bit for bit that of :meth:`apply`
-        where the QFT's register has at most 15 qubits or no QFT is taken.
+        here.  Any other circuit runs its steps on ``zero_state(n)``.  The
+        result is bit for bit that of :meth:`apply` where the QFT's register
+        has at most 15 qubits or no QFT is taken.
         Past that the transform is a 12-qubit FFT and one doubling per lower
         qubit, whose twiddles are kept across calls, with the table after it
         folded in, within a few ulps of :meth:`apply` (``4 eps`` in the
@@ -915,40 +905,48 @@ class Circuit:
 
         Returns the amplitude ``<0...0|U|0...0>``, or with ``keep_keys`` the
         vector whose entry ``k`` is the amplitude of key ``k`` and value 0.
-        The leading ops that each act inside one register run on that
-        register's factor of the product state, the trailing ones as
-        adjoints on its ``<0|`` factor, or forward on the contracted vector
-        for kept keys; lowered onto the factor, which fuses them once.
-        The ops between must fuse by :func:`_fuse` into one phase table
-        ``D[c, r]`` over the value register (``c`` the key), else
-        :class:`LayoutError`; an op on a qubit past the width acts inside
-        no register, so it stays in the middle and is refused there.  An
-        empty middle is the table of phase 0.  With
-        ``x = ket * conj(bra)`` per register, the amplitude is
-        ``x_k^T D x_v`` and the kept keys are ``ket_k * (D x_v)``, with D
-        never built whole: :func:`_stream` contracts it.
+        The split is one pass: :func:`_home` reads each op's register once,
+        and the first and the last op that no one register holds, one on
+        both registers, bound the middle.  The ops before it run on their
+        register's factor of the product state, those after it as adjoints
+        on its ``<0|`` factor, or forward on the contracted vector for kept
+        keys; lowered onto the factor, which fuses them once.  The middle
+        must fuse by :func:`_fuse` into one phase table ``D[c, r]`` over the
+        value register (``c`` the key), else :class:`LayoutError`; an op on
+        a qubit past the width acts inside no register, so it bounds the
+        middle and is refused there.  With no such op the middle is empty,
+        the table of phase 0.  With ``x = ket * conj(bra)`` per register,
+        the amplitude is ``x_k^T D x_v`` and the kept keys are
+        ``ket_k * (D x_v)``, with D never built whole: :func:`_stream`
+        contracts it.
         """
         if layout.num_qubits != self.num_qubits:
             raise LayoutError(f"{layout.num_qubits}-qubit layout read on a {self.num_qubits}-qubit circuit")
         check_capacity(self.num_qubits)
         registers = (layout.value_register, layout.key_register)
-        heads, front = _local_prefix(self.ops, registers)
-        tails, peeled = _local_prefix(self.ops[front:][::-1], registers)
-        table = _fuse(self.ops[front : len(self.ops) - peeled], layout.value_register, self.num_qubits)
+        homes = [_home(op, registers) for op in self.ops]
+        spanning = [i for i, home in enumerate(homes) if home is None]
+        front, back = (spanning[0], spanning[-1] + 1) if spanning else (len(homes), len(homes))
+        table = _fuse(self.ops[front:back], layout.value_register, self.num_qubits)
         if table is None:
             raise LayoutError("readout middle is not one phase table over the value register")
+
+        head, tail = slice(front), slice(back, None)
+
+        def local(i: int, span: slice) -> list[Operation]:  # the ops in ``span`` that register ``i`` holds
+            return [op for op, home in zip(self.ops[span], homes[span]) if home == i]
 
         def factor(i: int, ops) -> Circuit:
             reg = registers[i]
             return Circuit(reg.width, tuple(_lowered(op, reg.offset) for op in ops))
 
-        def bra(i: int) -> np.ndarray:  # the peeled tail is in reverse order, so its adjoints are U^dagger's ops
-            return factor(i, [op.adjoint() for op in tails[i]]).state().amplitudes.conj()
+        def bra(i: int) -> np.ndarray:  # the tail's adjoints, last op first, are U^dagger's ops
+            return factor(i, [op.adjoint() for op in reversed(local(i, tail))]).state().amplitudes.conj()
 
-        kets = [factor(i, heads[i]).state().amplitudes for i in range(2)]
+        kets = [factor(i, local(i, head)).state().amplitudes for i in range(2)]
         contracted = _stream(table, kets[0] * bra(0))
         if keep_keys:
-            keys = factor(1, tails[1][::-1])
+            keys = factor(1, local(1, tail))
             buffer = _Buffer(keys.num_qubits, kets[1] * contracted)
             return _run(_fuse_diagonals(keys.ops, keys.num_qubits), buffer).amplitudes
         return complex(np.vecdot((kets[1] * bra(1)).conj(), contracted))
