@@ -116,9 +116,15 @@ def lambda_amplitudes(width: int) -> np.ndarray:
 
 
 def nu2_function(width: int) -> Callable[[float], float]:
-    """The squared-sine function ``sqrt(8 / 3M) sin^2(t pi / M)`` that :func:`nu2_amplitudes` samples."""
+    """The squared-sine function that :func:`nu2_amplitudes` samples at every width.
+
+    That is ``sqrt(8 / 3M) sin^2(t pi / M)`` for M >= 4, where the
+    closed-form constant is exact, and ``sin^2(t pi / 2)`` for M = 2, where
+    the profile is normalized explicitly.
+    """
     modulus = 1 << width
-    return lambda t: math.sqrt(8.0 / (3.0 * modulus)) * math.sin(t * math.pi / modulus) ** 2
+    scale = 1.0 if modulus == 2 else math.sqrt(8.0 / (3.0 * modulus))
+    return lambda t: scale * math.sin(t * math.pi / modulus) ** 2
 
 
 def lambda_norm(width: int) -> float:

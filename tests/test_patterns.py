@@ -35,7 +35,7 @@ from qinterp import (
 )
 from qinterp import patterns, sim
 from qinterp.kernels import normalize_to_domain
-from qinterp.patterns import lambda_function
+from qinterp.patterns import lambda_function, nu2_function
 
 TWOS = EncodingDomain.TWOS_COMPLEMENT
 
@@ -188,6 +188,12 @@ class TestNamedPreparations:
         modulus = 1 << m
         expected = np.sqrt(8 / (3 * modulus)) * np.sin(np.arange(modulus) * np.pi / modulus) ** 2
         assert np.max(np.abs(nu2_amplitudes(m) - expected)) < 1e-10
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_nu2_function_samples_are_the_amplitudes(self, width):
+        # at M = 2 too, where the profile is normalized explicitly, not by the closed-form constant
+        fn, amps = nu2_function(width), nu2_amplitudes(width)
+        assert max(abs(fn(k) - amps[k]) for k in range(1 << width)) <= 1e-15
 
     def test_lambda_normalization_factor(self):
         norm = math.sqrt(sum(k * k for k in range(1, 64)))
