@@ -804,11 +804,11 @@ def _lowered(op: Operation, offset: int) -> Operation:
     """``op`` with every qubit of its ``register`` and ``controls`` fields lowered by ``offset``."""
     if offset == 0:
         return op
-    reg, controls, fields = op.__dict__.get("register"), op.__dict__.get("controls"), {}
-    if reg is not None:
-        fields["register"] = Register(reg.offset - offset, reg.width)
+    reg, controls = op.__dict__.get("register"), op.__dict__.get("controls")
+    fields = {} if reg is None else {"register": Register(reg.offset - offset, reg.width)}
     if controls is not None:
-        fields["controls"] = controls >> offset if isinstance(controls, np.ndarray) else tuple(q - offset for q in controls)
+        many = isinstance(controls, np.ndarray)
+        fields["controls"] = controls >> offset if many else tuple(q - offset for q in controls)
     return op._derived(**fields)
 
 
@@ -862,7 +862,9 @@ class Circuit:
         writes through it; the input is left as it was.
         """
         if state.num_qubits != self.num_qubits:
-            raise LayoutError(f"{self.num_qubits}-qubit circuit applied to {state.num_qubits}-qubit state")
+            raise LayoutError(
+                f"{self.num_qubits}-qubit circuit applied to {state.num_qubits}-qubit state"
+            )
         return _run(_fuse_diagonals(self.ops, self.num_qubits), _Buffer(state.num_qubits, state.amplitudes.copy()))
 
     def state(self) -> StateVector:
@@ -925,28 +927,25 @@ class Circuit:
         check_capacity(self.num_qubits)
         registers = (layout.value_register, layout.key_register)
         homes = [_home(op, registers) for op in self.ops]
-        spanning = [i for i, home in enumerate(homes) if home is None]
-        front, back = (spanning[0], spanning[-1] + 1) if spanning else (len(homes), len(homes))
+        front = homes.index(None) if None in homes else len(homes)
+        back = len(homes) - homes[::-1].index(None) if None in homes else front
         table = _fuse(self.ops[front:back], layout.value_register, self.num_qubits)
         if table is None:
             raise LayoutError("readout middle is not one phase table over the value register")
+        pairs = list(zip(self.ops, homes))
 
-        head, tail = slice(front), slice(back, None)
-
-        def local(i: int, span: slice) -> list[Operation]:  # the ops in ``span`` that register ``i`` holds
-            return [op for op, home in zip(self.ops[span], homes[span]) if home == i]
-
-        def factor(i: int, ops) -> Circuit:
+        def factor(i: int, span) -> Circuit:  # the ops of register ``i`` among the ``(op, home)`` pairs of ``span``
             reg = registers[i]
-            return Circuit(reg.width, tuple(_lowered(op, reg.offset) for op in ops))
+            return Circuit(reg.width, tuple(_lowered(op, reg.offset) for op, home in span if home == i))
 
         def bra(i: int) -> np.ndarray:  # the tail's adjoints, last op first, are U^dagger's ops
-            return factor(i, [op.adjoint() for op in reversed(local(i, tail))]).state().amplitudes.conj()
+            adjoints = [(op.adjoint(), home) for op, home in reversed(pairs[back:]) if home == i]
+            return factor(i, adjoints).state().amplitudes.conj()
 
-        kets = [factor(i, local(i, head)).state().amplitudes for i in range(2)]
+        kets = [factor(i, pairs[:front]).state().amplitudes for i in range(2)]
         contracted = _stream(table, kets[0] * bra(0))
         if keep_keys:
-            keys = factor(1, local(1, tail))
+            keys = factor(1, pairs[back:])
             buffer = _Buffer(keys.num_qubits, kets[1] * contracted)
             return _run(_fuse_diagonals(keys.ops, keys.num_qubits), buffer).amplitudes
         return complex(np.vecdot((kets[1] * bra(1)).conj(), contracted))

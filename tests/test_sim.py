@@ -904,9 +904,11 @@ class TestCircuitFusion:
             (PhaseLadder(Register(0, 4), 0.4), "does not fit a 3-qubit state"),
             (PhaseLadder(Register(0, 2), [0.4], [1 << 40]), "control qubit 40 out of range"),
             (PhaseLadder(Register(0, 2), [0.4], [-(1 << 63)]), "control qubit 63 out of range"),
+            (PhaseLadder(Register(10**20, 1), [], []), "does not fit a 3-qubit state"),
         ],
         ids=["control-past-the-width", "negative-control", "huge-control", "negative-ladder-control",
-             "huge-table-offset", "ladder-past-the-width", "mask-past-the-width", "mask-sign-bit"],
+             "huge-table-offset", "ladder-past-the-width", "mask-past-the-width", "mask-sign-bit",
+             "huge-empty-ladder"],
     )  # fmt: skip
     def test_invalid_op_raises_in_order(self, op, message):
         # the fusion pass leaves an op that does not fit the state to its own apply, and
