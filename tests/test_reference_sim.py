@@ -99,7 +99,7 @@ def general_circuits(draw):
     ops = [] if front == "none" else [HadamardLayer(whole)]
     if front == "encoder":
         ops += encoder(sub_register(whole, rng), range(n), draw(st.booleans()), rng)
-    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=front == "none", max_size=8)):
+    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=int(front == "none"), max_size=8)):
         ops.append(random_op(kind, sub_register(whole, rng), range(n), rng))
     return Circuit(n, tuple(ops)), int(rng.integers(2**32)), draw(st.sampled_from(CHUNKS))
 
